@@ -7,6 +7,7 @@ package cdagio
 // paper figures; they justify the library's internal structure.
 
 import (
+	"context"
 	"testing"
 
 	"cdagio/internal/core"
@@ -29,10 +30,14 @@ func BenchmarkAblationBoundTechniques(b *testing.B) {
 	cg := CG(1, 10, 1)       // wavefront bound dominates
 	outer := OuterProduct(4) // compulsory bound dominates
 	var fftWave, fftExact, cgWave, outerComp float64
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		wf, _ := wavefront.WMax(fft, nil)
+		wf, _, err := Open(fft).WMax(ctx, nil, WMaxOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		fftWave = float64(wavefront.Lemma2Bound(wf, 3))
-		opt, err := pebble.OptimalIO(fft, pebble.RBW, 3, pebble.OptimalOptions{})
+		opt, err := pebble.OptimalIOCtx(ctx, fft, pebble.RBW, 3, pebble.OptimalOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +48,10 @@ func BenchmarkAblationBoundTechniques(b *testing.B) {
 			b.Fatal(err)
 		}
 
-		w, _ := wavefront.WMax(cg.Graph, []VertexID{cg.AlphaVertex[0], cg.GammaVertex[0]})
+		w, _, err := Open(cg.Graph).WMax(ctx, []VertexID{cg.AlphaVertex[0], cg.GammaVertex[0]}, WMaxOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		cgWave = float64(wavefront.Lemma2Bound(w, s))
 
 		outerComp = float64(outer.NumInputs() + outer.NumOutputs())
@@ -60,12 +68,13 @@ func BenchmarkAblationEvictionPolicy(b *testing.B) {
 	g := FFT(64)
 	const s = 16
 	var belady, lru float64
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		rb, err := PlayTopological(g, RBW, s, Belady)
+		rb, err := Open(g).PlayCtx(ctx, RBW, s, nil, Belady, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rl, err := PlayTopological(g, RBW, s, LRU)
+		rl, err := Open(g).PlayCtx(ctx, RBW, s, nil, LRU, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,6 +94,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 	jr := Jacobi(2, 24, 8, StencilBox)
 	var mmNaive, mmBlocked, jNaive, jTiled float64
 	cfg := memsim.Config{Nodes: 1, FastWords: s, Policy: memsim.Belady}
+	ctx := context.Background()
 	// The per-schedule ablations are independent simulations; fan each
 	// graph's schedule set out over the worker pool.  Schedule construction
 	// stays inside the timed loop, as in the serial BENCH_1 workload.
@@ -97,11 +107,11 @@ func BenchmarkAblationSchedule(b *testing.B) {
 			{Cfg: cfg, Order: TopologicalSchedule(jr.Graph)},
 			{Cfg: cfg, Order: StencilSkewed(jr, 5)},
 		}
-		mmStats, err := SimulateMemorySweep(mm.Graph, mmJobs, 0)
+		mmStats, err := Open(mm.Graph).SimulateSweep(ctx, mmJobs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		jrStats, err := SimulateMemorySweep(jr.Graph, jrJobs, 0)
+		jrStats, err := Open(jr.Graph).SimulateSweep(ctx, jrJobs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +151,7 @@ func BenchmarkAblationRecomputation(b *testing.B) {
 		hk = float64(res.IO())
 		// The RBW game cannot recompute: even with the same fast memory the
 		// intermediate matrices must be spilled.
-		r, err := pebble.PlayTopological(comp.Graph, pebble.RBW, 4*n+6, pebble.Belady)
+		r, err := Open(comp.Graph).PlayCtx(context.Background(), pebble.RBW, 4*n+6, nil, pebble.Belady, false)
 		if err != nil {
 			b.Fatal(err)
 		}

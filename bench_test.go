@@ -75,7 +75,7 @@ func BenchmarkFig1HierarchyModel(b *testing.B) {
 	var stats *ParallelStats
 	for i := 0; i < b.N; i++ {
 		var err error
-		stats, err = PlayParallel(g, topo, asg)
+		stats, err = Open(g).PlayParallel(context.Background(), topo, asg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func BenchmarkFig2HeatDiscretization(b *testing.B) {
 	}
 	b.StopTimer()
 	heat := HeatEquation1DGraph(64, 8)
-	res, err := PlayTopological(heat.Graph, RBW, 16, Belady)
+	res, err := Open(heat.Graph).PlayCtx(context.Background(), RBW, 16, nil, Belady, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func BenchmarkJacobiTightness(b *testing.B) {
 				Order: StencilSkewed(jr, tile),
 			}
 		}
-		stats, err := SimulateMemorySweep(g, jobs, 0)
+		stats, err := Open(g).SimulateSweep(context.Background(), jobs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func BenchmarkMatMulIOBound(b *testing.B) {
 			Cfg:   memsim.Config{Nodes: 1, FastWords: sizes[0], Policy: memsim.Belady},
 			Order: naiveOrder,
 		})
-		stats, err := SimulateMemorySweep(g, jobs, 0)
+		stats, err := Open(g).SimulateSweep(context.Background(), jobs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func BenchmarkParallelBoundScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, nodes := range []int{1, 4} {
 			owner := BlockPartitionGrid(jr, nodes)
-			stats, err := SimulateMemory(g, memsim.Config{Nodes: nodes, FastWords: 48, Policy: memsim.Belady}, order, owner)
+			stats, err := Open(g).Simulate(context.Background(), memsim.Config{Nodes: nodes, FastWords: 48, Policy: memsim.Belady}, order, owner)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -381,9 +381,9 @@ func BenchmarkParallelBoundScaling(b *testing.B) {
 }
 
 // BenchmarkWorkspaceReuse measures the payoff of the Workspace handle: the
-// same analysis repeated on one reused handle ("reused") versus repeated
-// cold free-function calls ("cold"), each of which opens a single-use
-// Workspace and re-derives all per-graph state.  The reused handle amortizes
+// same analysis repeated on one reused handle ("reused") versus a fresh
+// single-use handle per call ("cold"), which re-derives all per-graph state
+// every time.  The reused handle amortizes
 // the memoized topological schedule, the degree-ranked candidate sample and
 // the pooled cut-solver networks, so it must be strictly cheaper in both
 // ns/op and allocs/op; the pair of sub-benchmarks records that margin in the
@@ -411,7 +411,7 @@ func BenchmarkWorkspaceReuse(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Analyze(g, opts); err != nil {
+			if _, err := Open(g).Analyze(ctx, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

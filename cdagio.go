@@ -33,11 +33,6 @@
 //   - the unified analyzer (Workspace.Analyze) combining all of the above
 //     into reports.
 //
-// The pre-Workspace free functions (Analyze, WMax, OptimalIO, PlayParallel,
-// SimulateMemory, ...) remain as deprecated wrappers that open a single-use
-// Workspace under context.Background(); their results are bit-identical to
-// the corresponding Workspace methods.
-//
 // The runnable entry points live under cmd/ (iolb, pebblesim, balance,
 // cdaggen) and examples/.
 package cdagio
@@ -48,13 +43,13 @@ import (
 	"cdagio/internal/cdag"
 	"cdagio/internal/core"
 	"cdagio/internal/gen"
+	"cdagio/internal/graphalg"
 	"cdagio/internal/machine"
 	"cdagio/internal/memsim"
 	"cdagio/internal/pebble"
 	"cdagio/internal/prbw"
 	"cdagio/internal/sched"
 	"cdagio/internal/trace"
-	"cdagio/internal/wavefront"
 )
 
 // --- CDAG construction -------------------------------------------------------
@@ -135,37 +130,6 @@ func NewGame(g *Graph, variant pebble.Variant, s int, record bool) *Game {
 	return pebble.NewGame(g, variant, s, record)
 }
 
-// PlaySchedule executes a vertex schedule as a complete sequential game.
-//
-// Deprecated: use Open(g).Play(variant, s, order, policy, record), which
-// reuses the graph's derived state across plays.  Results are bit-identical.
-func PlaySchedule(g *Graph, variant pebble.Variant, s int, order []VertexID,
-	policy pebble.EvictionPolicy, record bool) (GameResult, error) {
-	ws, _ := openBackground(g)
-	return ws.Play(variant, s, order, policy, record)
-}
-
-// PlayTopological executes the topological schedule of g.
-//
-// Deprecated: use Open(g).Play(variant, s, nil, policy, false) — a nil order
-// selects the workspace's memoized topological schedule.  Results are
-// bit-identical.
-func PlayTopological(g *Graph, variant pebble.Variant, s int, policy pebble.EvictionPolicy) (GameResult, error) {
-	ws, _ := openBackground(g)
-	return ws.Play(variant, s, nil, policy, false)
-}
-
-// OptimalIO computes the exact minimum I/O of small CDAGs by state-space
-// search.
-//
-// Deprecated: use Open(g).OptimalIO(ctx, variant, s, opts), which bounds the
-// exponential search with a cancellable context.  Results under
-// context.Background() are bit-identical.
-func OptimalIO(g *Graph, variant pebble.Variant, s int, opts pebble.OptimalOptions) (int, error) {
-	ws, ctx := openBackground(g)
-	return ws.OptimalIO(ctx, variant, s, opts)
-}
-
 // --- Parallel pebble game and simulators -------------------------------------
 
 // Topology describes a parallel machine's storage hierarchy for the P-RBW game.
@@ -184,15 +148,6 @@ var (
 	TopologyFromMachine = prbw.FromMachine
 )
 
-// PlayParallel executes an assignment as a complete P-RBW game.
-//
-// Deprecated: use Open(g).PlayParallel(ctx, topo, asg), which makes long
-// games cancellable.  Results under context.Background() are bit-identical.
-func PlayParallel(g *Graph, topo Topology, asg Assignment) (*ParallelStats, error) {
-	ws, ctx := openBackground(g)
-	return ws.PlayParallel(ctx, topo, asg)
-}
-
 // MemSimConfig describes the machine simulated by the lightweight
 // distributed cache simulator (nodes, per-node fast-memory words, policy).
 type MemSimConfig = memsim.Config
@@ -206,32 +161,9 @@ const (
 	MemSimLRU    = memsim.LRU
 )
 
-// SimulateMemory runs the lightweight distributed cache simulator.
-//
-// Deprecated: use Open(g).Simulate(ctx, cfg, order, owner).  Results are
-// bit-identical.
-func SimulateMemory(g *Graph, cfg MemSimConfig, order []VertexID, owner []int) (*MemSimStats, error) {
-	ws, ctx := openBackground(g)
-	return ws.Simulate(ctx, cfg, order, owner)
-}
-
 // MemorySweepJob is one simulation of a sweep: a machine configuration, a
 // schedule and an optional vertex→node assignment against a shared graph.
 type MemorySweepJob = memsim.Job
-
-// SimulateMemorySweep runs the jobs over a bounded worker pool (workers ≤ 0
-// selects GOMAXPROCS) and returns one Stats per job, in job order.  The
-// results are deterministically identical to calling SimulateMemory on each
-// job serially, for every worker count.  The per-S tightness sweeps and
-// per-schedule ablations of Section 5.4 run on this engine.
-//
-// Deprecated: use Open(g).SimulateSweep(ctx, jobs, workers), which makes the
-// sweep cancellable between jobs.  Results under context.Background() are
-// bit-identical at every worker count.
-func SimulateMemorySweep(g *Graph, jobs []MemorySweepJob, workers int) ([]*memsim.Stats, error) {
-	ws, ctx := openBackground(g)
-	return ws.SimulateSweep(ctx, jobs, workers)
-}
 
 // --- Schedules ----------------------------------------------------------------
 
@@ -270,42 +202,10 @@ var (
 	JacobiHorizontal     = bounds.JacobiHorizontalUpper
 )
 
-// WavefrontAt returns the min-cut wavefront lower bound induced by a vertex.
-//
-// Deprecated: use Open(g).WavefrontAt(ctx, x), whose pooled solvers live as
-// long as the handle.  Values are bit-identical.  (This wrapper stays on the
-// process-wide solver pool rather than a single-use Workspace so existing
-// per-piece query loops keep their warm-scratch behavior.)
-func WavefrontAt(g *Graph, x VertexID) int { return wavefront.MinWavefrontAt(g, x) }
-
-// WMax returns the maximum min-cut wavefront bound over the candidates,
-// computed by the parallel pruned search engine with default options.
-//
-// Deprecated: use Open(g).WMax(ctx, candidates, WMaxOptions{}), which is
-// cancellable and reuses the workspace's solver pool.  The bound and witness
-// under context.Background() are bit-identical.
-func WMax(g *Graph, candidates []VertexID) (int, VertexID) {
-	ws, ctx := openBackground(g)
-	w, at, _ := ws.WMax(ctx, candidates, WMaxOptions{})
-	return w, at
-}
-
-// WMaxOptions configures the w^max candidate search (Workspace.WMax and the
-// deprecated WMaxWithOptions): the worker-pool width and whether upper-bound
-// pruning is applied.
-type WMaxOptions = wavefront.WMaxOptions
-
-// WMaxWithOptions is WMax with an explicit worker-pool width and pruning
-// control.  The result (bound and witness vertex) always equals the serial
-// all-candidates scan, independent of worker count.
-//
-// Deprecated: use Open(g).WMax(ctx, candidates, opts).  The bound and witness
-// under context.Background() are bit-identical at every worker count.
-func WMaxWithOptions(g *Graph, candidates []VertexID, opts WMaxOptions) (int, VertexID) {
-	ws, ctx := openBackground(g)
-	w, at, _ := ws.WMax(ctx, candidates, opts)
-	return w, at
-}
+// WMaxOptions configures the w^max candidate search of Workspace.WMax: the
+// worker-pool width (the workspace supplies its own solver pool).  The bound
+// and witness are identical at every worker count.
+type WMaxOptions = graphalg.WMaxOptions
 
 // --- Machines and balance ------------------------------------------------------
 
@@ -331,17 +231,6 @@ type AnalyzeOptions = core.Options
 
 // Analysis is the sequential analyzer's result.
 type Analysis = core.Analysis
-
-// Analyze computes lower bounds with every applicable technique and a
-// measured upper bound for the CDAG.
-//
-// Deprecated: use Open(g).Analyze(ctx, opts), which is cancellable and
-// amortizes the graph's derived state across repeated analyses.  Results
-// under context.Background() are bit-identical.
-func Analyze(g *Graph, opts AnalyzeOptions) (*Analysis, error) {
-	ws, ctx := openBackground(g)
-	return ws.Analyze(ctx, opts)
-}
 
 // Evaluation results for the paper's Section 5 analyses.
 type (

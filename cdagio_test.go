@@ -1,6 +1,7 @@
 package cdagio
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,9 +12,10 @@ import (
 )
 
 // TestFacadeEndToEnd exercises the public API the way the README shows it:
-// generate a CDAG, play games on it, analyze it, and run the paper's
-// evaluation entry points.
+// generate a CDAG, open a Workspace on it, play games, analyze it, and run
+// the paper's evaluation entry points.
 func TestFacadeEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	// Generators.
 	jr := Jacobi(2, 8, 3, StencilBox)
 	if jr.Graph.NumVertices() != 64*4 {
@@ -30,22 +32,23 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("generator facade wrong")
 	}
 
-	// Sequential game.
-	res, err := PlayTopological(jr.Graph, RBW, 32, Belady)
+	// Sequential game (a nil order plays the topological schedule).
+	ws := Open(jr.Graph)
+	res, err := ws.PlayCtx(ctx, RBW, 32, nil, Belady, false)
 	if err != nil {
-		t.Fatalf("PlayTopological: %v", err)
+		t.Fatalf("PlayCtx: %v", err)
 	}
 	if res.IO() < jr.Graph.NumInputs()+jr.Graph.NumOutputs() {
 		t.Fatalf("I/O below compulsory")
 	}
-	skewed, err := PlaySchedule(jr.Graph, RBW, 32, StencilSkewed(jr, 4), Belady, false)
+	skewed, err := ws.PlayCtx(ctx, RBW, 32, StencilSkewed(jr, 4), Belady, false)
 	if err != nil {
-		t.Fatalf("PlaySchedule: %v", err)
+		t.Fatalf("PlayCtx skewed: %v", err)
 	}
 	if skewed.IO() <= 0 {
 		t.Fatalf("skewed I/O zero")
 	}
-	if _, err := OptimalIO(Chain(4), RBW, 2, pebble.OptimalOptions{}); err != nil {
+	if _, err := Open(Chain(4)).OptimalIO(ctx, RBW, 2, pebble.OptimalOptions{}); err != nil {
 		t.Fatalf("OptimalIO: %v", err)
 	}
 
@@ -57,7 +60,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Analysis.
-	an, err := Analyze(jr.Graph, AnalyzeOptions{FastMemory: 32})
+	an, err := ws.Analyze(ctx, AnalyzeOptions{FastMemory: 32})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -67,17 +70,17 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	// Parallel game and simulator.
 	topo := Distributed(2, 1, 12, 64, 1<<16)
-	stats, err := PlayParallel(jr.Graph, topo, prbw.OwnerCompute(jr.Graph, BlockPartitionGrid(jr, 2)))
+	stats, err := ws.PlayParallel(ctx, topo, prbw.OwnerCompute(jr.Graph, BlockPartitionGrid(jr, 2)))
 	if err != nil {
 		t.Fatalf("PlayParallel: %v", err)
 	}
 	if stats.TotalComputes() != int64(jr.Graph.NumOperations()) {
 		t.Fatalf("parallel computes wrong")
 	}
-	sim, err := SimulateMemory(jr.Graph, memsim.Config{Nodes: 2, FastWords: 64, Policy: memsim.Belady},
+	sim, err := ws.Simulate(ctx, memsim.Config{Nodes: 2, FastWords: 64, Policy: memsim.Belady},
 		TopologicalSchedule(jr.Graph), BlockPartitionGrid(jr, 2))
 	if err != nil {
-		t.Fatalf("SimulateMemory: %v", err)
+		t.Fatalf("Simulate: %v", err)
 	}
 	if sim.VerticalTotal() <= 0 {
 		t.Fatalf("simulator measured nothing")
@@ -85,11 +88,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	// Wavefronts and closed-form bounds.
 	cg := CG(1, 6, 1)
-	if WavefrontAt(cg.Graph, cg.AlphaVertex[0]) < 12 {
-		t.Fatalf("CG wavefront too small")
+	cgws := Open(cg.Graph)
+	if w, err := cgws.WavefrontAt(ctx, cg.AlphaVertex[0]); err != nil || w < 12 {
+		t.Fatalf("CG wavefront too small: %d (%v)", w, err)
 	}
-	if w, at := WMax(cg.Graph, []VertexID{cg.AlphaVertex[0]}); w < 12 || at != cg.AlphaVertex[0] {
-		t.Fatalf("WMax wrong: %d at %d", w, at)
+	if w, at, err := cgws.WMax(ctx, []VertexID{cg.AlphaVertex[0]}, WMaxOptions{}); err != nil || w < 12 || at != cg.AlphaVertex[0] {
+		t.Fatalf("WMax wrong: %d at %d (%v)", w, at, err)
 	}
 	if MatMulLower(10, 8).Value <= 0 || FFTLower(64, 8).Value <= 0 {
 		t.Fatalf("closed forms not positive")

@@ -7,18 +7,10 @@
 //	iolb -kernel jacobi -dim 2 -n 32 -steps 8 -S 128
 //	iolb -kernel cg -dim 2 -n 16 -iters 3 -S 256 -candidates 64
 //	iolb -kernel jacobi -n 100 -steps 10 -candidates -1 -timeout 30s
-//	iolb -kernel jacobi -n 512 -steps 3 -candidates -1 -twophase=false
 //
 // The report lists every lower-bound technique that applied (compulsory I/O,
 // min-cut wavefront, 2S-partition, exact search on tiny CDAGs), the measured
 // I/O of a Belady-evicted schedule, and the resulting gap.
-//
-// The wavefront search runs two-phase by default: a degree-ranked seed sample
-// (-seed-sample vertices, default 32) is solved exactly first so the broad
-// candidate scan starts with the incumbent already at (or near) the final
-// maximum and prunes the tail cheaply.  -twophase=false disables the seeding
-// pass; neither flag changes the reported bound or witness, only the time a
-// full -candidates -1 scan takes.
 //
 // The analysis runs on a single cdagio.Workspace under a cancellable context:
 // -timeout bounds the wall-clock, and an interrupt (Ctrl-C / SIGTERM) stops
@@ -49,8 +41,6 @@ func main() {
 		s          = flag.Int("S", 64, "fast-memory capacity in words")
 		candidates = flag.Int("candidates", 0, "wavefront candidate vertices (0 = degree-ranked sample of 32, -1 = all)")
 		jobs       = flag.Int("j", 0, "worker goroutines for the wavefront search (0 = GOMAXPROCS)")
-		twoPhase   = flag.Bool("twophase", true, "seed the wavefront search with a solved degree-ranked sample before the broad scan")
-		seedSample = flag.Int("seed-sample", 0, "two-phase seed sample size (0 = 32, -1 = no sample)")
 		exact      = flag.Int("exact", 0, "run the exact optimal search on CDAGs up to this many vertices")
 		blocked    = flag.Bool("blocked", false, "use the blocked/skewed schedule instead of the topological one where available")
 		timeout    = flag.Duration("timeout", 0, "abort the analysis after this long (0 = no deadline); Ctrl-C cancels too")
@@ -76,8 +66,6 @@ func main() {
 		FastMemory:          *s,
 		WavefrontCandidates: *candidates,
 		Concurrency:         *jobs,
-		DisableTwoPhase:     !*twoPhase,
-		SeedSample:          *seedSample,
 		ExactOptimalLimit:   *exact,
 		Schedule:            schedule,
 	})

@@ -12,7 +12,7 @@
 //
 // The games run on a single cdagio.Workspace under a cancellable context:
 // -timeout bounds the wall-clock, and an interrupt (Ctrl-C / SIGTERM) stops
-// the w^max search and the P-RBW player at their next cancellation point.
+// the w^max search and both pebble players at their next cancellation point.
 package main
 
 import (
@@ -95,7 +95,7 @@ func main() {
 		p = pebble.LRU
 	}
 	// A nil order plays the workspace's memoized topological schedule.
-	res, err := ws.Play(v, *s, nil, p, false)
+	res, err := ws.PlayCtx(ctx, v, *s, nil, p, false)
 	exitOn(err)
 	fmt.Println(res)
 }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -50,8 +51,12 @@ func main() {
 		points *= n
 	}
 	fmt.Println("CG iteration CDAG:", cg.Graph)
+	ws := cdagio.Open(cg.Graph)
 	for t := 0; t < iters; t++ {
-		w := cdagio.WavefrontAt(cg.Graph, cg.AlphaVertex[t])
+		w, err := ws.WavefrontAt(context.Background(), cg.AlphaVertex[t])
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  iteration %d: wavefront at alpha >= %d (theory: 2·n^d = %d)\n",
 			t, w, 2*points)
 	}

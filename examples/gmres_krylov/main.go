@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -53,8 +54,12 @@ func main() {
 	// --- 2. The GMRES CDAG: growing iterations, growing wavefronts. ----------
 	gm := cdagio.GMRES(2, 10, 4)
 	fmt.Println("GMRES iteration CDAG:", gm.Graph)
+	ws := cdagio.Open(gm.Graph)
 	for i, set := range gm.IterationVertices {
-		w := cdagio.WavefrontAt(gm.Graph, gm.LastDotVertex[i])
+		w, err := ws.WavefrontAt(context.Background(), gm.LastDotVertex[i])
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  iteration %d: %5d vertices, wavefront at h_{%d,%d} >= %d\n",
 			i, set.Len(), i, i, w)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,11 +44,13 @@ func main() {
 		s     = 96 // fast-memory words
 	)
 	jr := cdagio.Jacobi(2, n, steps, cdagio.StencilBox)
-	naive, err := cdagio.PlayTopological(jr.Graph, cdagio.RBW, s, cdagio.Belady)
+	ctx := context.Background()
+	ws := cdagio.Open(jr.Graph)
+	naive, err := ws.PlayCtx(ctx, cdagio.RBW, s, nil, cdagio.Belady, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tiled, err := cdagio.PlaySchedule(jr.Graph, cdagio.RBW, s,
+	tiled, err := ws.PlayCtx(ctx, cdagio.RBW, s,
 		cdagio.StencilSkewed(jr, 8), cdagio.Belady, false)
 	if err != nil {
 		log.Fatal(err)
@@ -60,7 +63,7 @@ func main() {
 
 	// --- 3. Distributed execution: ghost cells are the horizontal traffic. ---
 	owner := cdagio.BlockPartitionGrid(jr, 4)
-	simStats, err := cdagio.SimulateMemory(jr.Graph,
+	simStats, err := ws.Simulate(ctx,
 		memsim.Config{Nodes: 4, FastWords: s, Policy: memsim.Belady},
 		cdagio.TopologicalSchedule(jr.Graph), owner)
 	if err != nil {
@@ -71,7 +74,7 @@ func main() {
 
 	topo := prbw.Distributed(2, 1, 16, s, 1<<20)
 	asg := prbw.OwnerCompute(jr.Graph, cdagio.BlockPartitionGrid(jr, 2))
-	pstats, err := cdagio.PlayParallel(jr.Graph, topo, asg)
+	pstats, err := ws.PlayParallel(ctx, topo, asg)
 	if err != nil {
 		log.Fatal(err)
 	}

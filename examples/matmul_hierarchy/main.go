@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,11 +26,13 @@ func main() {
 	// --- 1. Matmul: lower bound vs naive and blocked schedules. --------------
 	const n = 16
 	r := cdagio.MatMul(n)
+	ctx := context.Background()
+	ws := cdagio.Open(r.Graph)
 	fmt.Println("matrix multiplication CDAG:", r.Graph)
 	fmt.Printf("%6s %12s %12s %12s\n", "S", "lower bound", "naive I/O", "blocked I/O")
 	for _, s := range []int{16, 32, 64, 128} {
 		lb := cdagio.MatMulLower(n, s)
-		naive, err := cdagio.PlayTopological(r.Graph, cdagio.RBW, s, cdagio.Belady)
+		naive, err := ws.PlayCtx(ctx, cdagio.RBW, s, nil, cdagio.Belady, false)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,7 +40,7 @@ func main() {
 		for (block+1)*(block+1)*3 <= s {
 			block++
 		}
-		blocked, err := cdagio.PlaySchedule(r.Graph, cdagio.RBW, s,
+		blocked, err := ws.PlayCtx(ctx, cdagio.RBW, s,
 			cdagio.MatMulBlocked(r, block), cdagio.Belady, false)
 		if err != nil {
 			log.Fatal(err)
@@ -58,7 +61,7 @@ func main() {
 	// --- 3. Matmul through a hierarchy with the P-RBW game. -------------------
 	topo := prbw.Distributed(1, 4, 8, 64, 1<<20)
 	asg := prbw.RoundRobin(r.Graph, 4, 0)
-	stats, err := cdagio.PlayParallel(r.Graph, topo, asg)
+	stats, err := ws.PlayParallel(ctx, topo, asg)
 	if err != nil {
 		log.Fatal(err)
 	}

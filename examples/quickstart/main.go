@@ -56,7 +56,7 @@ func main() {
 	// --- 3. Play the pebble game: how much data moves with S words of cache?
 	// A nil order plays the workspace's memoized topological schedule.
 	const fastMemory = 24
-	res, err := ws.Play(cdagio.RBW, fastMemory, nil, cdagio.Belady, false)
+	res, err := ws.PlayCtx(ctx, cdagio.RBW, fastMemory, nil, cdagio.Belady, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func main() {
 	fmt.Print(analysis.Report())
 
 	// --- 5. A better schedule narrows the gap: skewed time tiles. ------------
-	tiled, err := ws.Play(cdagio.RBW, fastMemory,
+	tiled, err := ws.PlayCtx(ctx, cdagio.RBW, fastMemory,
 		cdagio.StencilSkewed(jr, 8), cdagio.Belady, false)
 	if err != nil {
 		log.Fatal(err)

@@ -478,12 +478,6 @@ func (g *Graph) PredecessorCSR() (off []int64, val []VertexID) {
 	return g.predOff, g.predVal
 }
 
-// Successors returns the successors of v.  Deprecated alias for Succ.
-func (g *Graph) Successors(v VertexID) []VertexID { return g.Succ(v) }
-
-// Predecessors returns the predecessors of v.  Deprecated alias for Pred.
-func (g *Graph) Predecessors(v VertexID) []VertexID { return g.Pred(v) }
-
 // OutDegree returns the number of successors of v.
 func (g *Graph) OutDegree(v VertexID) int {
 	g.ensure()

@@ -67,7 +67,7 @@ func TestDuplicateEdgeIgnored(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1 after duplicate insert", g.NumEdges())
 	}
-	if len(g.Successors(a)) != 1 || len(g.Predecessors(b)) != 1 {
+	if len(g.Succ(a)) != 1 || len(g.Pred(b)) != 1 {
 		t.Fatalf("adjacency contains duplicates")
 	}
 }
@@ -131,7 +131,7 @@ func TestTopoOrder(t *testing.T) {
 		pos[u] = i
 	}
 	for u := 0; u < g.NumVertices(); u++ {
-		for _, w := range g.Successors(VertexID(u)) {
+		for _, w := range g.Succ(VertexID(u)) {
 			if pos[VertexID(u)] >= pos[w] {
 				t.Fatalf("topological order violated: %d before %d", w, u)
 			}
@@ -423,7 +423,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		if back.Label(id) != g.Label(id) {
 			t.Errorf("label mismatch at %d", v)
 		}
-		if len(back.Successors(id)) != len(g.Successors(id)) {
+		if len(back.Succ(id)) != len(g.Succ(id)) {
 			t.Errorf("adjacency mismatch at %d", v)
 		}
 	}
@@ -514,7 +514,7 @@ func TestTopoOrderProperty(t *testing.T) {
 			pos[v] = i
 		}
 		for u := 0; u < n; u++ {
-			for _, w := range g.Successors(VertexID(u)) {
+			for _, w := range g.Succ(VertexID(u)) {
 				if pos[u] >= pos[w] {
 					return false
 				}
@@ -577,7 +577,7 @@ func TestSortAdjacency(t *testing.T) {
 	g.AddEdge(a, b)
 	g.AddEdge(a, c)
 	g.SortAdjacency()
-	succ := g.Successors(a)
+	succ := g.Succ(a)
 	for i := 1; i < len(succ); i++ {
 		if succ[i-1] > succ[i] {
 			t.Fatalf("successors not sorted: %v", succ)
@@ -596,5 +596,5 @@ func TestValidVertexAndPanics(t *testing.T) {
 			t.Fatalf("expected panic for out-of-range vertex")
 		}
 	}()
-	g.Successors(99)
+	g.Succ(99)
 }

@@ -7,15 +7,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"cdagio/internal/bounds"
 	"cdagio/internal/cdag"
-	"cdagio/internal/graphalg"
-	"cdagio/internal/memsim"
-	"cdagio/internal/prbw"
 )
 
 // Options configures a sequential CDAG analysis.
@@ -29,15 +25,6 @@ type Options struct {
 	// Concurrency bounds the worker pool of the min-cut wavefront search
 	// (≤ 0 selects GOMAXPROCS).
 	Concurrency int
-	// DisableTwoPhase turns off the wavefront search's two-phase incumbent
-	// seeding (solving a degree-ranked seed sample before the broad candidate
-	// scan).  Purely a performance toggle: the bound and witness are
-	// identical either way.
-	DisableTwoPhase bool
-	// SeedSample overrides the size of the two-phase seed sample (0 selects
-	// 32, negative disables the sample so only engine-internal selection
-	// applies).  Ignored when DisableTwoPhase is set.
-	SeedSample int
 	// ExactPartitionLimit is the largest operation count for which the exact
 	// U(2S) search (and with it the Corollary 1 bound) runs.  Zero selects 20.
 	ExactPartitionLimit int
@@ -90,20 +77,6 @@ func (a *Analysis) Gap() float64 {
 	return a.Upper.Value / lb
 }
 
-// Analyze performs a sequential data-movement analysis of g with S words of
-// fast memory: every applicable lower-bound technique plus a measured
-// schedule as the upper bound.
-//
-// Deprecated: Analyze opens a fresh Workspace per call, re-deriving the
-// per-graph state (schedules, candidate samples, solver networks) every time
-// and offering no cancellation.  Use NewWorkspace(g).Analyze(ctx, opts) —
-// cdagio.Open at the facade — and reuse the handle across analyses of the
-// same graph.  The results are bit-identical.
-func Analyze(g *cdag.Graph, opts Options) (*Analysis, error) {
-	//cdaglint:allow ctxflow deprecated pre-PR-5 entry point; contract is a never-cancelled run
-	return NewWorkspace(g).Analyze(context.Background(), opts)
-}
-
 // Report renders the analysis as a human-readable block.
 func (a *Analysis) Report() string {
 	var b strings.Builder
@@ -118,65 +91,4 @@ func (a *Analysis) Report() string {
 		fmt.Fprintf(&b, "  upper/lower gap: %.3g\n", gap)
 	}
 	return b.String()
-}
-
-// ParallelOptions configures a parallel analysis.
-type ParallelOptions struct {
-	// Topology is the storage hierarchy to simulate.
-	Topology prbw.Topology
-	// Assignment maps the schedule onto processors; the zero value selects a
-	// single-processor run.
-	Assignment prbw.Assignment
-	// SequentialLower, when positive, is a sequential I/O lower bound for the
-	// CDAG with fast memory S_{L−1}·N_{L−1}/N_L per node, used by the
-	// Theorem 5 conversion.
-	SequentialLower float64
-}
-
-// ParallelAnalysis reports the parallel data movement of a CDAG.
-type ParallelAnalysis struct {
-	Stats *prbw.Stats
-	// VerticalLower and HorizontalLower are the Theorem 5/7 conversions when
-	// enough information was supplied (zero otherwise).
-	VerticalLower   bounds.Bound
-	HorizontalLower bounds.Bound
-}
-
-// AnalyzeParallel plays the assignment on the topology with the P-RBW game
-// and derives the parallel bounds.
-func AnalyzeParallel(g *cdag.Graph, opts ParallelOptions) (*ParallelAnalysis, error) {
-	asg := opts.Assignment
-	if len(asg.Order) == 0 {
-		asg = prbw.SingleProcessor(g)
-	}
-	stats, err := prbw.Play(g, opts.Topology, asg)
-	if err != nil {
-		return nil, err
-	}
-	pa := &ParallelAnalysis{Stats: stats}
-	L := opts.Topology.NumLevels()
-	if opts.SequentialLower > 0 {
-		pa.VerticalLower = bounds.VerticalFromSequential(bounds.Bound{
-			Value: opts.SequentialLower, Kind: bounds.Lower, Technique: "sequential bound",
-		}, opts.Topology.Units(L))
-	}
-	return pa, nil
-}
-
-// MemsimUpperBound runs the lightweight simulator on the schedule/partition
-// and returns the measured vertical and horizontal traffic, which serve as
-// upper bounds for the corresponding lower bounds.
-func MemsimUpperBound(g *cdag.Graph, nodes, fastWords int, order []cdag.VertexID, owner []int) (*memsim.Stats, error) {
-	return memsim.Run(g, memsim.Config{Nodes: nodes, FastWords: fastWords, Policy: memsim.Belady}, order, owner)
-}
-
-// DominatorLowerBound returns the Hong–Kung style bound obtained from the
-// minimum dominator of the output set: every path from the inputs to the
-// outputs crosses the dominator, and each dominator vertex must pass through
-// fast memory, so the I/O is at least max(0, |Dom| − S) ... reported here
-// simply as the dominator size for diagnostic purposes.
-func DominatorLowerBound(g *cdag.Graph) (int, []cdag.VertexID) {
-	outs := cdag.NewVertexSet(g.NumVertices())
-	outs.AddAll(g.Outputs())
-	return graphalg.MinDominatorSize(g, outs)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cdagio/internal/gen"
+	"cdagio/internal/graphalg"
 	"cdagio/internal/memsim"
 	"cdagio/internal/wavefront"
 )
@@ -28,7 +29,7 @@ func TestCancellationRaceLeavesNoGoroutinesAndNoPoison(t *testing.T) {
 	cands := wavefront.TopCandidates(g, 24)
 
 	// Uncancelled baselines, taken before the storm.
-	baseW, baseAt, err := ws.WMax(context.Background(), cands, wavefront.WMaxOptions{Concurrency: 4})
+	baseW, baseAt, err := ws.WMax(context.Background(), cands, graphalg.WMaxOptions{Concurrency: 4})
 	if err != nil {
 		t.Fatalf("baseline wmax: %v", err)
 	}
@@ -57,7 +58,7 @@ func TestCancellationRaceLeavesNoGoroutinesAndNoPoison(t *testing.T) {
 				timer := time.AfterFunc(delay, cancel)
 				var err error
 				if rng.Intn(2) == 0 {
-					_, _, err = ws.WMax(ctx, cands, wavefront.WMaxOptions{Concurrency: 4})
+					_, _, err = ws.WMax(ctx, cands, graphalg.WMaxOptions{Concurrency: 4})
 				} else {
 					_, err = ws.SimulateSweep(ctx, jobs, 2)
 				}
@@ -99,7 +100,7 @@ func TestCancellationRaceLeavesNoGoroutinesAndNoPoison(t *testing.T) {
 
 	// The Workspace must be unpoisoned: fresh uncancelled runs reproduce the
 	// baselines bit for bit.
-	w, at, err := ws.WMax(context.Background(), cands, wavefront.WMaxOptions{Concurrency: 4})
+	w, at, err := ws.WMax(context.Background(), cands, graphalg.WMaxOptions{Concurrency: 4})
 	if err != nil {
 		t.Fatalf("post-storm wmax: %v", err)
 	}

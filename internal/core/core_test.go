@@ -1,16 +1,24 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"cdagio/internal/bounds"
+	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
 	"cdagio/internal/machine"
+	"cdagio/internal/memsim"
 	"cdagio/internal/prbw"
 	"cdagio/internal/sched"
 )
+
+// analyze runs a one-off analysis of g on a fresh Workspace.
+func analyze(g *cdag.Graph, opts Options) (*Analysis, error) {
+	return NewWorkspace(g).Analyze(context.Background(), opts)
+}
 
 func TestAnalyzeSmallGraphs(t *testing.T) {
 	for _, tc := range []struct {
@@ -19,7 +27,7 @@ func TestAnalyzeSmallGraphs(t *testing.T) {
 	}{
 		{"fft4", func(t *testing.T) {
 			g := gen.FFT(4)
-			a, err := Analyze(g, Options{FastMemory: 3, ExactOptimalLimit: 16, WavefrontCandidates: -1})
+			a, err := analyze(g, Options{FastMemory: 3, ExactOptimalLimit: 16, WavefrontCandidates: -1})
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
@@ -42,7 +50,7 @@ func TestAnalyzeSmallGraphs(t *testing.T) {
 		}},
 		{"jacobi", func(t *testing.T) {
 			jr := gen.Jacobi(1, 16, 4, gen.StencilStar)
-			a, err := Analyze(jr.Graph, Options{FastMemory: 6})
+			a, err := analyze(jr.Graph, Options{FastMemory: 6})
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
@@ -55,7 +63,7 @@ func TestAnalyzeSmallGraphs(t *testing.T) {
 		}},
 		{"cg-wavefront", func(t *testing.T) {
 			cg := gen.CG(1, 8, 1)
-			a, err := Analyze(cg.Graph, Options{FastMemory: 4, WavefrontCandidates: 64})
+			a, err := analyze(cg.Graph, Options{FastMemory: 4, WavefrontCandidates: 64})
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
@@ -72,71 +80,81 @@ func TestAnalyzeSmallGraphs(t *testing.T) {
 func TestAnalyzeCustomScheduleAndErrors(t *testing.T) {
 	r := gen.MatMul(4)
 	blocked := sched.MatMulBlocked(r, 2)
-	a, err := Analyze(r.Graph, Options{FastMemory: 20, Schedule: blocked})
+	a, err := analyze(r.Graph, Options{FastMemory: 20, Schedule: blocked})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	if a.ScheduleUsed != "caller-supplied" {
 		t.Errorf("schedule label = %q", a.ScheduleUsed)
 	}
-	naive, err := Analyze(r.Graph, Options{FastMemory: 20})
+	naive, err := analyze(r.Graph, Options{FastMemory: 20})
 	if err != nil {
 		t.Fatalf("Analyze naive: %v", err)
 	}
 	if a.MeasuredIO > naive.MeasuredIO {
 		t.Errorf("blocked schedule I/O %d worse than naive %d", a.MeasuredIO, naive.MeasuredIO)
 	}
-	if _, err := Analyze(r.Graph, Options{FastMemory: 0}); err == nil {
+	if _, err := analyze(r.Graph, Options{FastMemory: 0}); err == nil {
 		t.Errorf("expected error for S=0")
 	}
-	if _, err := Analyze(gen.DotProduct(8), Options{FastMemory: 2}); err == nil {
+	if _, err := analyze(gen.DotProduct(8), Options{FastMemory: 2}); err == nil {
 		t.Errorf("expected error for S below in-degree")
 	}
 }
 
+// TestAnalyzeParallel plays a round-robin assignment of a dot product on a
+// two-node hierarchy through the Workspace, converts a sequential bound to a
+// per-node vertical bound with Theorem 5, and checks that the
+// single-processor assignment on one node moves no data between nodes.
 func TestAnalyzeParallel(t *testing.T) {
 	g := gen.DotProduct(16)
+	ws := NewWorkspace(g)
+	ctx := context.Background()
 	topo := prbw.Distributed(2, 1, 4, 32, 4096)
-	pa, err := AnalyzeParallel(g, ParallelOptions{
-		Topology:        topo,
-		Assignment:      prbw.RoundRobin(g, 2, 8),
-		SequentialLower: 34,
-	})
+	stats, err := ws.PlayParallel(ctx, topo, prbw.RoundRobin(g, 2, 8))
 	if err != nil {
-		t.Fatalf("AnalyzeParallel: %v", err)
+		t.Fatalf("PlayParallel: %v", err)
 	}
-	if pa.Stats.TotalComputes() != int64(g.NumOperations()) {
-		t.Errorf("computes = %d", pa.Stats.TotalComputes())
+	if stats.TotalComputes() != int64(g.NumOperations()) {
+		t.Errorf("computes = %d", stats.TotalComputes())
 	}
-	if pa.VerticalLower.Value != 17 {
-		t.Errorf("Theorem 5 conversion = %v, want 17", pa.VerticalLower.Value)
+	seq := bounds.Bound{Value: 34, Kind: bounds.Lower, Technique: "sequential bound"}
+	if v := bounds.VerticalFromSequential(seq, topo.Units(topo.NumLevels())); v.Value != 17 {
+		t.Errorf("Theorem 5 conversion = %v, want 17", v.Value)
 	}
-	// Default assignment (single processor) also works.
-	pa2, err := AnalyzeParallel(g, ParallelOptions{Topology: prbw.TwoLevel(1, 4, 1024)})
+	single, err := ws.PlayParallel(ctx, prbw.TwoLevel(1, 4, 1024), prbw.SingleProcessor(g))
 	if err != nil {
-		t.Fatalf("AnalyzeParallel default: %v", err)
+		t.Fatalf("PlayParallel single processor: %v", err)
 	}
-	if pa2.Stats.HorizontalTraffic() != 0 {
+	if single.HorizontalTraffic() != 0 {
 		t.Errorf("single node should have no horizontal traffic")
 	}
 }
 
+// TestMemsimUpperBoundHelper measures a two-node block partition of a Jacobi
+// sweep with the Workspace's simulator: its traffic is the measured upper
+// bound the vertical and horizontal lower bounds are compared against.
 func TestMemsimUpperBoundHelper(t *testing.T) {
 	jr := gen.Jacobi(1, 32, 4, gen.StencilStar)
-	stats, err := MemsimUpperBound(jr.Graph, 2, 64, sched.Topological(jr.Graph), sched.BlockPartitionGrid(jr, 2))
+	cfg := memsim.Config{Nodes: 2, FastWords: 64, Policy: memsim.Belady}
+	stats, err := NewWorkspace(jr.Graph).Simulate(context.Background(), cfg,
+		sched.Topological(jr.Graph), sched.BlockPartitionGrid(jr, 2))
 	if err != nil {
-		t.Fatalf("MemsimUpperBound: %v", err)
+		t.Fatalf("Simulate: %v", err)
 	}
 	if stats.VerticalTotal() <= 0 {
 		t.Errorf("no vertical traffic measured")
 	}
 }
 
+// TestDominatorLowerBound checks the minimum dominator of the FFT outputs.
 func TestDominatorLowerBound(t *testing.T) {
 	g := gen.FFT(8)
-	k, dom := DominatorLowerBound(g)
-	if k != 8 || len(dom) != 8 {
-		t.Errorf("FFT dominator = %d (%v), want 8", k, dom)
+	outs := cdag.NewVertexSet(g.NumVertices())
+	outs.AddAll(g.Outputs())
+	k, dom, err := NewWorkspace(g).MinDominatorSize(context.Background(), outs)
+	if err != nil || k != 8 || len(dom) != 8 {
+		t.Errorf("FFT dominator = %d (%v, %v), want 8", k, dom, err)
 	}
 }
 

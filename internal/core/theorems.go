@@ -4,6 +4,7 @@ import (
 	"cdagio/internal/bounds"
 	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
+	"cdagio/internal/graphalg"
 	"cdagio/internal/wavefront"
 )
 
@@ -41,7 +42,7 @@ func wavefrontInPiece(g *cdag.Graph, iter *cdag.VertexSet, x cdag.VertexID) int 
 	if sx == cdag.InvalidVertex {
 		return 0
 	}
-	return wavefront.MinWavefrontAt(sub, sx)
+	return graphalg.MinWavefrontLowerBoundStrip(sub, sx)
 }
 
 // CGMinCutBound executes the Theorem 8 recipe on a generated CG CDAG: for

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cdagio/internal/bounds"
@@ -69,7 +70,7 @@ func TestMinCutBoundBelowMeasuredIO(t *testing.T) {
 	s := 6
 	cg := gen.CG(1, 8, 2)
 	tbCG := CGMinCutBound(cg, s)
-	resCG, err := pebble.PlaySchedule(cg.Graph, pebble.RBW, s, sched.Topological(cg.Graph), pebble.Belady, false)
+	resCG, err := pebble.PlayScheduleCtx(context.Background(), cg.Graph, pebble.RBW, s, sched.Topological(cg.Graph), pebble.Belady, false)
 	if err != nil {
 		t.Fatalf("CG play: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestMinCutBoundBelowMeasuredIO(t *testing.T) {
 
 	gm := gen.GMRES(1, 8, 2)
 	tbGM := GMRESMinCutBound(gm, s)
-	resGM, err := pebble.PlaySchedule(gm.Graph, pebble.RBW, s, sched.Topological(gm.Graph), pebble.Belady, false)
+	resGM, err := pebble.PlayScheduleCtx(context.Background(), gm.Graph, pebble.RBW, s, sched.Topological(gm.Graph), pebble.Belady, false)
 	if err != nil {
 		t.Fatalf("GMRES play: %v", err)
 	}

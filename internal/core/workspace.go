@@ -33,11 +33,11 @@ import (
 // concurrent use.
 //
 // Every engine method is deterministic under a never-cancelled context: the
-// results are bit-identical to the package-level free functions at every
-// worker count.  Once the context is cancelled, engines return ctx.Err()
-// promptly — candidate scans stop at pruning-tier boundaries, sweeps between
-// jobs, the exact search between state settlements, the P-RBW player between
-// steps — while individual Dinic solves and game moves stay atomic.
+// results are bit-identical at every worker count.  Once the context is
+// cancelled, engines return ctx.Err() promptly — candidate scans stop at
+// pruning-tier boundaries, sweeps between jobs, the exact search between
+// state settlements, the players between steps — while individual Dinic
+// solves and game moves stay atomic.
 type Workspace struct {
 	g    *cdag.Graph
 	pool *graphalg.SolverPool
@@ -125,9 +125,9 @@ func (w *Workspace) candidates(k int) []cdag.VertexID {
 // WMax returns the min-cut wavefront lower bound w^max over the candidates
 // (all vertices when candidates is nil) and a vertex attaining it, computed
 // by the parallel pruned search on the workspace's solver pool.  The result
-// is bit-identical to the free-function search at every worker count; a
-// cancelled context yields (0, InvalidVertex, ctx.Err()).
-func (w *Workspace) WMax(ctx context.Context, candidates []cdag.VertexID, opts wavefront.WMaxOptions) (int, cdag.VertexID, error) {
+// is bit-identical to graphalg.MaxMinWavefrontLowerBoundSerial at every
+// worker count; a cancelled context yields (0, InvalidVertex, ctx.Err()).
+func (w *Workspace) WMax(ctx context.Context, candidates []cdag.VertexID, opts graphalg.WMaxOptions) (int, cdag.VertexID, error) {
 	if candidates == nil {
 		if err := ctx.Err(); err != nil {
 			return 0, cdag.InvalidVertex, err
@@ -135,18 +135,7 @@ func (w *Workspace) WMax(ctx context.Context, candidates []cdag.VertexID, opts w
 		candidates = w.vertices()
 	}
 	opts.Pool = w.pool
-	// Hand the engine's two-phase pass the workspace's memoized degree-ranked
-	// sample as its seed set, so repeated analyses never re-rank the vertices.
-	// The engine drops seeds outside the candidate list, so this is safe for
-	// candidate subsets too.
-	if !opts.DisablePruning && !opts.DisableTwoPhase && opts.Seeds == nil && opts.SeedSample >= 0 {
-		k := opts.SeedSample
-		if k == 0 {
-			k = defaultCandidates
-		}
-		opts.Seeds = w.candidates(k)
-	}
-	return wavefront.WMaxCtx(ctx, w.g, candidates, opts)
+	return graphalg.MaxMinWavefrontLowerBoundCtx(ctx, w.g, candidates, opts)
 }
 
 // WavefrontAt returns the min-cut wavefront lower bound induced by x,
@@ -178,17 +167,9 @@ func (w *Workspace) OptimalIO(ctx context.Context, variant pebble.Variant, s int
 	return pebble.OptimalIOCtx(ctx, w.g, variant, s, opts)
 }
 
-// Play executes a vertex schedule as a complete sequential pebble game; a nil
-// order selects the workspace's memoized topological schedule.  Play never
-// cancels; callers serving request traffic should use PlayCtx so deadlines
-// and forced drains reach long plays on large graphs.
-func (w *Workspace) Play(variant pebble.Variant, s int, order []cdag.VertexID,
-	policy pebble.EvictionPolicy, record bool) (pebble.Result, error) {
-	//cdaglint:allow ctxflow Play's documented contract is an uncancellable run; PlayCtx is the ctx path
-	return w.PlayCtx(context.Background(), variant, s, order, policy, record)
-}
-
-// PlayCtx is Play bounded by ctx (checked every 4096 schedule steps).
+// PlayCtx executes a vertex schedule as a complete sequential pebble game; a
+// nil order selects the workspace's memoized topological schedule.  ctx
+// bounds the play (checked every 4096 schedule steps).
 func (w *Workspace) PlayCtx(ctx context.Context, variant pebble.Variant, s int, order []cdag.VertexID,
 	policy pebble.EvictionPolicy, record bool) (pebble.Result, error) {
 	if order == nil {
@@ -235,11 +216,11 @@ func (w *Workspace) SimulateSweep(ctx context.Context, jobs []memsim.Job, worker
 }
 
 // Analyze computes lower bounds with every applicable technique and a
-// measured upper bound for the workspace's CDAG, exactly as the package-level
-// Analyze does, but on the workspace's memoized schedules, candidate samples
-// and solver pool, under ctx: each stage — candidate scan, partition search,
-// exact search, schedule playback — starts only while ctx is live, and the
-// scan itself stops at pruning-tier boundaries once ctx is cancelled.
+// measured upper bound for the workspace's CDAG, on the workspace's memoized
+// schedules, candidate samples and solver pool, under ctx: each stage —
+// candidate scan, partition search, exact search, schedule playback — starts
+// only while ctx is live, and the scan itself stops at pruning-tier
+// boundaries once ctx is cancelled.
 func (w *Workspace) Analyze(ctx context.Context, opts Options) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -271,11 +252,7 @@ func (w *Workspace) Analyze(ctx context.Context, opts Options) (*Analysis, error
 		candidateSet = w.candidates(candidates)
 	}
 	var err error
-	a.WMax, a.WMaxAt, err = w.WMax(ctx, candidateSet, wavefront.WMaxOptions{
-		Concurrency:     opts.Concurrency,
-		DisableTwoPhase: opts.DisableTwoPhase,
-		SeedSample:      opts.SeedSample,
-	})
+	a.WMax, a.WMaxAt, err = w.WMax(ctx, candidateSet, graphalg.WMaxOptions{Concurrency: opts.Concurrency})
 	if err != nil {
 		return nil, err
 	}

@@ -8,11 +8,11 @@ import (
 
 	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
+	"cdagio/internal/graphalg"
 	"cdagio/internal/memsim"
 	"cdagio/internal/pebble"
 	"cdagio/internal/prbw"
 	"cdagio/internal/sched"
-	"cdagio/internal/wavefront"
 )
 
 // TestWorkspacePreCancelled drives every context-taking Workspace method with
@@ -27,7 +27,7 @@ func TestWorkspacePreCancelled(t *testing.T) {
 	if a, err := ws.Analyze(ctx, Options{FastMemory: 4}); !errors.Is(err, context.Canceled) || a != nil {
 		t.Fatalf("Analyze: (%v, %v), want (nil, context.Canceled)", a, err)
 	}
-	if w, at, err := ws.WMax(ctx, nil, wavefront.WMaxOptions{}); !errors.Is(err, context.Canceled) || w != 0 || at != cdag.InvalidVertex {
+	if w, at, err := ws.WMax(ctx, nil, graphalg.WMaxOptions{}); !errors.Is(err, context.Canceled) || w != 0 || at != cdag.InvalidVertex {
 		t.Fatalf("WMax: (%d, %d, %v), want (0, InvalidVertex, context.Canceled)", w, at, err)
 	}
 	if w, err := ws.WavefrontAt(ctx, 0); !errors.Is(err, context.Canceled) || w != 0 {
@@ -55,21 +55,20 @@ func TestWorkspacePreCancelled(t *testing.T) {
 		t.Fatalf("PlayCtx: (%v, %v), want context.Canceled", res, err)
 	}
 	// A cancelled PlayCtx leaves the workspace serving bit-identically.
-	want, err := ws.Play(pebble.RBW, 4, nil, pebble.Belady, false)
+	want, err := NewWorkspace(g).PlayCtx(context.Background(), pebble.RBW, 4, nil, pebble.Belady, false)
 	if err != nil {
-		t.Fatalf("Play after cancelled PlayCtx: %v", err)
+		t.Fatalf("PlayCtx on a fresh workspace: %v", err)
 	}
 	got, err := ws.PlayCtx(context.Background(), pebble.RBW, 4, nil, pebble.Belady, false)
 	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("PlayCtx diverges from Play: (%+v, %v) vs %+v", got, err, want)
+		t.Fatalf("PlayCtx after a cancelled play diverges: (%+v, %v) vs %+v", got, err, want)
 	}
 }
 
-// TestWorkspaceAnalyzeEquivalence proves the context-first path bit-identical
-// to the free-function facade under context.Background(): the same Analysis —
-// bounds, witnesses, measured I/O, report — from a reused handle (twice, so
-// memoized state is exercised) and from the deprecated per-call path, at
-// several worker counts.
+// TestWorkspaceAnalyzeEquivalence proves memoization and worker count
+// invisible under context.Background(): a reused handle (twice, so memoized
+// state is exercised) returns the same Analysis — bounds, witnesses, measured
+// I/O, report — as a fresh handle's first analysis, at several worker counts.
 func TestWorkspaceAnalyzeEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -82,9 +81,9 @@ func TestWorkspaceAnalyzeEquivalence(t *testing.T) {
 		{"cg-allcands", gen.CG(2, 6, 2).Graph, Options{FastMemory: 32, WavefrontCandidates: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := Analyze(tc.g, tc.opts)
+			want, err := NewWorkspace(tc.g).Analyze(ctx, tc.opts)
 			if err != nil {
-				t.Fatalf("free-function Analyze: %v", err)
+				t.Fatalf("fresh-workspace Analyze: %v", err)
 			}
 			ws := NewWorkspace(tc.g)
 			for _, conc := range []int{0, 1, 2, 7} {
@@ -111,36 +110,36 @@ func TestWorkspaceAnalyzeEquivalence(t *testing.T) {
 }
 
 // TestWorkspaceEnginesMatchFreeFunctions pins the remaining Workspace engine
-// methods against their pre-Workspace free-function counterparts under
-// context.Background().
+// methods against the package-level engines they run on, called directly
+// under context.Background().
 func TestWorkspaceEnginesMatchFreeFunctions(t *testing.T) {
 	ctx := context.Background()
 	g := gen.CG(2, 8, 2).Graph
 	ws := NewWorkspace(g)
 
-	// WMax vs the PR-4 engine entry point, across worker counts.
-	wantW, wantAt := wavefront.WMaxOpts(g, nil, wavefront.WMaxOptions{})
+	// WMax vs the serial reference scan, across worker counts.
+	wantW, wantAt := graphalg.MaxMinWavefrontLowerBoundSerial(g, nil)
 	for _, conc := range []int{0, 1, 3} {
-		w, at, err := ws.WMax(ctx, nil, wavefront.WMaxOptions{Concurrency: conc})
+		w, at, err := ws.WMax(ctx, nil, graphalg.WMaxOptions{Concurrency: conc})
 		if err != nil || w != wantW || at != wantAt {
 			t.Fatalf("WMax conc=%d: (%d, %d, %v), want (%d, %d, nil)", conc, w, at, err, wantW, wantAt)
 		}
 	}
 
-	// WavefrontAt vs the free function on a sample of vertices.
+	// WavefrontAt vs the full-network reference on a sample of vertices.
 	for x := 0; x < g.NumVertices(); x += 97 {
-		want := wavefront.MinWavefrontAt(g, cdag.VertexID(x))
+		want := graphalg.MinWavefrontLowerBound(g, cdag.VertexID(x))
 		got, err := ws.WavefrontAt(ctx, cdag.VertexID(x))
 		if err != nil || got != want {
-			t.Fatalf("WavefrontAt(%d): (%d, %v), want (%d, nil)", x, got, want, err)
+			t.Fatalf("WavefrontAt(%d): (%d, %v), want (%d, nil)", x, got, err, want)
 		}
 	}
 
-	// OptimalIO vs the free function, on the success path and on the budget
+	// OptimalIO vs the exact search, on the success path and on the budget
 	// error path.
 	small := gen.FFT(4)
 	wsSmall := NewWorkspace(small)
-	wantIO, wantErr := pebble.OptimalIO(small, pebble.RBW, 3, pebble.OptimalOptions{})
+	wantIO, wantErr := pebble.OptimalIOCtx(ctx, small, pebble.RBW, 3, pebble.OptimalOptions{})
 	gotIO, gotErr := wsSmall.OptimalIO(ctx, pebble.RBW, 3, pebble.OptimalOptions{})
 	if gotIO != wantIO || !errors.Is(gotErr, wantErr) {
 		t.Fatalf("OptimalIO: (%d, %v), want (%d, %v)", gotIO, gotErr, wantIO, wantErr)
@@ -149,30 +148,31 @@ func TestWorkspaceEnginesMatchFreeFunctions(t *testing.T) {
 		t.Fatalf("OptimalIO budget error = %v, want ErrSearchBudget", err)
 	}
 
-	// Play (nil order = memoized topological) vs the free-standing player.
-	wantRes, err := pebble.PlayTopological(g, pebble.RBW, 48, pebble.Belady)
+	// PlayCtx (nil order = memoized topological) vs the schedule player.
+	order := sched.Topological(g)
+	wantRes, err := pebble.PlayScheduleCtx(ctx, g, pebble.RBW, 48, order, pebble.Belady, false)
 	if err != nil {
-		t.Fatalf("PlayTopological: %v", err)
+		t.Fatalf("PlayScheduleCtx: %v", err)
 	}
-	gotRes, err := ws.Play(pebble.RBW, 48, nil, pebble.Belady, false)
+	gotRes, err := ws.PlayCtx(ctx, pebble.RBW, 48, nil, pebble.Belady, false)
 	if err != nil || !reflect.DeepEqual(gotRes, wantRes) {
-		t.Fatalf("Play: (%+v, %v), want (%+v, nil)", gotRes, err, wantRes)
+		t.Fatalf("PlayCtx: (%+v, %v), want (%+v, nil)", gotRes, err, wantRes)
 	}
 
-	// PlayParallel vs prbw.Play.
+	// PlayParallel vs prbw.PlayCtx.
 	topo := prbw.TwoLevel(4, 64, 1<<20)
 	asg := prbw.SingleProcessor(g)
-	wantStats, err := prbw.Play(g, topo, asg)
+	wantStats, err := prbw.PlayCtx(ctx, g, topo, asg)
 	if err != nil {
-		t.Fatalf("prbw.Play: %v", err)
+		t.Fatalf("prbw.PlayCtx: %v", err)
 	}
 	gotStats, err := ws.PlayParallel(ctx, topo, asg)
 	if err != nil || !reflect.DeepEqual(gotStats, wantStats) {
 		t.Fatalf("PlayParallel diverges: %v", err)
 	}
 
-	// Simulate / SimulateSweep vs serial memsim.Run, at several worker counts.
-	order := sched.Topological(g)
+	// Simulate / SimulateSweep vs serial memsim.RunCtx, at several worker
+	// counts.
 	cfgs := []memsim.Config{
 		{Nodes: 1, FastWords: 32, Policy: memsim.Belady},
 		{Nodes: 1, FastWords: 64, Policy: memsim.Belady},
@@ -181,9 +181,9 @@ func TestWorkspaceEnginesMatchFreeFunctions(t *testing.T) {
 	var jobs []memsim.Job
 	var wantSweep []*memsim.Stats
 	for _, cfg := range cfgs {
-		st, err := memsim.Run(g, cfg, order, nil)
+		st, err := memsim.RunCtx(ctx, g, cfg, order, nil)
 		if err != nil {
-			t.Fatalf("memsim.Run: %v", err)
+			t.Fatalf("memsim.RunCtx: %v", err)
 		}
 		wantSweep = append(wantSweep, st)
 		jobs = append(jobs, memsim.Job{Cfg: cfg, Order: order})
@@ -199,10 +199,10 @@ func TestWorkspaceEnginesMatchFreeFunctions(t *testing.T) {
 		}
 	}
 
-	// MinDominatorSize vs the free-function route.
+	// MinDominatorSize vs the pooled package-level route.
 	outs := cdag.NewVertexSet(g.NumVertices())
 	outs.AddAll(g.Outputs())
-	wantK, wantDom := DominatorLowerBound(g)
+	wantK, wantDom := graphalg.MinDominatorSize(g, outs)
 	gotK, gotDom, err := ws.MinDominatorSize(ctx, outs)
 	if err != nil || gotK != wantK || !reflect.DeepEqual(gotDom, wantDom) {
 		t.Fatalf("MinDominatorSize: (%d, %v, %v), want (%d, %v, nil)", gotK, gotDom, err, wantK, wantDom)

@@ -36,22 +36,7 @@ func BenchmarkWMaxEngine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, _ := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{})
-		if w < 1 {
-			b.Fatal("bogus bound")
-		}
-	}
-}
-
-// BenchmarkWMaxEngineNoPrune isolates the scratch-reuse contribution: every
-// candidate is still solved with Dinic, but on the shared per-worker network
-// instead of a fresh allocation.
-func BenchmarkWMaxEngineNoPrune(b *testing.B) {
-	g := benchGraph()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, _ := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{DisablePruning: true})
+		w, _ := wmax(b, g, nil, WMaxOptions{})
 		if w < 1 {
 			b.Fatal("bogus bound")
 		}
@@ -65,7 +50,7 @@ func BenchmarkWMaxEngineCG(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, _ := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{})
+		w, _ := wmax(b, g, nil, WMaxOptions{})
 		if w < 1 {
 			b.Fatal("bogus bound")
 		}
@@ -84,7 +69,7 @@ func BenchmarkWMaxScaleJacobi100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, _ := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{})
+		w, _ := wmax(b, g, nil, WMaxOptions{})
 		if w < 1 {
 			b.Fatal("bogus bound")
 		}
@@ -110,7 +95,7 @@ func BenchmarkWMaxScaleJacobi1M(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, _ := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{})
+		w, _ := wmax(b, g, nil, WMaxOptions{})
 		if w < 1 {
 			b.Fatal("bogus bound")
 		}

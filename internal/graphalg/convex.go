@@ -83,10 +83,10 @@ func LatestConvexCutAround(g *cdag.Graph, x cdag.VertexID) ConvexCut {
 //
 // This is the reference implementation: it materializes the ancestor and
 // descendant sets and solves on the full 2|V|+2-node vertex-split network via
-// MinVertexCut.  Production paths (the w^max engine, wavefront.MinWavefrontAt)
-// use the strip-local CutSolver engine instead, which computes the identical
-// value at a cost proportional to the cone boundary and free strip; tests pin
-// the two against each other.
+// MinVertexCut.  Production paths (the w^max engine,
+// MinWavefrontLowerBoundStrip) use the strip-local CutSolver engine instead,
+// which computes the identical value at a cost proportional to the cone
+// boundary and free strip; tests pin the two against each other.
 func MinWavefrontLowerBound(g *cdag.Graph, x cdag.VertexID) int {
 	desc := Descendants(g, x)
 	if desc.Len() == 0 {
@@ -125,22 +125,11 @@ func WavefrontUpperBound(g *cdag.Graph, x cdag.VertexID) int {
 	return best
 }
 
-// MaxMinWavefrontLowerBound returns max_x of MinWavefrontLowerBound(g, x)
-// over the supplied candidate vertices (all vertices when candidates is nil).
-// This is a lower bound on w^max_G from Section 3.3 and feeds Lemma 2.
-// It also reports a vertex achieving the maximum.
-//
-// The search runs on the parallel pruned engine with default options; see
-// MaxMinWavefrontLowerBoundOpts for knobs and the exact determinism contract,
-// and MaxMinWavefrontLowerBoundSerial for the straightforward reference scan.
-func MaxMinWavefrontLowerBound(g *cdag.Graph, candidates []cdag.VertexID) (int, cdag.VertexID) {
-	return MaxMinWavefrontLowerBoundOpts(g, candidates, WMaxOptions{})
-}
-
 // MaxMinWavefrontLowerBoundSerial is the reference implementation of the
 // w^max candidate search: a serial scan solving one fresh min-cut instance
-// per candidate.  It returns the first candidate attaining the maximum.  Tests
-// and benchmarks compare the parallel engine against it.
+// per candidate (all vertices when candidates is nil).  It returns the first
+// candidate attaining the maximum.  Tests and benchmarks compare the
+// parallel engine, MaxMinWavefrontLowerBoundCtx, against it.
 func MaxMinWavefrontLowerBoundSerial(g *cdag.Graph, candidates []cdag.VertexID) (int, cdag.VertexID) {
 	if candidates == nil {
 		candidates = g.Vertices()

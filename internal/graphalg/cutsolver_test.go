@@ -33,7 +33,7 @@ func randomDAG(rng *rand.Rand, n, extraEdges int) *cdag.Graph {
 // full-network reference on randomized DAGs: per-vertex bound values
 // (MinWavefrontLowerBoundStrip vs MinWavefrontLowerBound) and the complete
 // search result — bound AND witness — against the serial all-candidates scan,
-// across worker counts and pruning modes.
+// across worker counts.
 func TestStripEquivalenceRandomDAGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
@@ -48,15 +48,10 @@ func TestStripEquivalenceRandomDAGs(t *testing.T) {
 		}
 		wantW, wantV := MaxMinWavefrontLowerBoundSerial(g, nil)
 		for _, conc := range []int{1, 3} {
-			for _, noPrune := range []bool{false, true} {
-				gotW, gotV := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{
-					Concurrency:    conc,
-					DisablePruning: noPrune,
-				})
-				if gotW != wantW || gotV != wantV {
-					t.Fatalf("trial %d (conc=%d noPrune=%v): (bound, witness) = (%d, %d), serial (%d, %d)",
-						trial, conc, noPrune, gotW, gotV, wantW, wantV)
-				}
+			gotW, gotV := wmax(t, g, nil, WMaxOptions{Concurrency: conc})
+			if gotW != wantW || gotV != wantV {
+				t.Fatalf("trial %d (conc=%d): (bound, witness) = (%d, %d), serial (%d, %d)",
+					trial, conc, gotW, gotV, wantW, wantV)
 			}
 		}
 	}

@@ -43,8 +43,8 @@
 // epoch-stamped BFS levels, and dirty-arc capacity restoration for networks
 // cached across solves.
 //
-// MinVertexCut, MinDominatorSize, MaxVertexDisjointPaths and the wavefront
-// facades all route through pooled CutSolvers; results — cut values, cut
+// MinVertexCut, MinDominatorSize, MaxVertexDisjointPaths and
+// MinWavefrontLowerBoundStrip all route through pooled CutSolvers; results — cut values, cut
 // sets, bounds and witnesses — are bit-identical to the historical per-call
 // slice-of-slices networks, which survive as the reference implementations
 // (MinWavefrontLowerBound, MaxMinWavefrontLowerBoundSerial) that the

@@ -24,7 +24,8 @@ import (
 // exactly the paths the full network carries; vertices outside the strip can
 // carry no flow in the full network and therefore never participate in a
 // minimum cut that this instance cannot also express.  The bound value is
-// identical to the full-network route (MinDominatorSizeFull); only the cost —
+// identical to a MinVertexCut from the inputs to the target on the full
+// vertex-split network (the tests pin the two together); only the cost —
 // O(strip) instead of O(V+E) per call — and, on graphs with several minimum
 // dominators, the particular witness set may differ.
 //
@@ -118,20 +119,4 @@ func (cs *CutSolver) MinDominatorSize(g *cdag.Graph, target *cdag.VertexSet) (in
 	}
 	sort.Slice(cut, func(i, j int) bool { return cut[i] < cut[j] })
 	return int(flow), cut
-}
-
-// MinDominatorSizeFull is the historical full-network route to the dominator
-// bound: a MinVertexCut from the inputs to the target on the cached static
-// vertex-split network.  It is retained as the reference the strip-local
-// MinDominatorSize is tested against; the bound values are always identical.
-func MinDominatorSizeFull(g *cdag.Graph, target *cdag.VertexSet) (int, []cdag.VertexID) {
-	inputs := g.Inputs()
-	if len(inputs) == 0 || target.Len() == 0 {
-		return 0, nil
-	}
-	k, cut := MinVertexCut(g, inputs, target.Elements(), CutOptions{})
-	if k < 0 {
-		return 0, nil
-	}
-	return k, cut
 }

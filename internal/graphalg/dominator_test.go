@@ -140,3 +140,19 @@ func TestMinDominatorStripDegenerate(t *testing.T) {
 		t.Fatalf("input target: (%d, %v), want (1, [0])", k, dom)
 	}
 }
+
+// MinDominatorSizeFull is the full-network route to the dominator bound: a
+// MinVertexCut from the inputs to the target on the cached static
+// vertex-split network.  It is the reference the strip-local
+// MinDominatorSize is tested against; the bound values are always identical.
+func MinDominatorSizeFull(g *cdag.Graph, target *cdag.VertexSet) (int, []cdag.VertexID) {
+	inputs := g.Inputs()
+	if len(inputs) == 0 || target.Len() == 0 {
+		return 0, nil
+	}
+	k, cut := MinVertexCut(g, inputs, target.Elements(), CutOptions{})
+	if k < 0 {
+		return 0, nil
+	}
+	return k, cut
+}

@@ -19,7 +19,7 @@ func TestWMaxWorkerPanicIsIsolated(t *testing.T) {
 	g := gen.Jacobi(2, 10, 4, gen.StencilBox).Graph
 	pool := NewSolverPool(g)
 
-	wantW, wantAt := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{Concurrency: 4})
+	wantW, wantAt := wmax(t, g, nil, WMaxOptions{Concurrency: 4})
 
 	var fired atomic.Int64
 	restore := fault.SetHook(func(point string) {
@@ -48,25 +48,6 @@ func TestWMaxWorkerPanicIsIsolated(t *testing.T) {
 			t.Fatalf("post-crash search %d = (%d, %d), want (%d, %d)", i, w, at, wantW, wantAt)
 		}
 	}
-}
-
-// TestWMaxLegacyEntryPropagatesPanic pins the legacy (no-error) entry point's
-// contract: a worker panic propagates instead of being swallowed into a
-// zero bound.
-func TestWMaxLegacyEntryPropagatesPanic(t *testing.T) {
-	g := gen.Chain(16)
-	restore := fault.SetHook(func(point string) {
-		if point == fault.PointWMaxWorker {
-			panic("injected")
-		}
-	})
-	defer restore()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("legacy entry point swallowed the worker panic")
-		}
-	}()
-	MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{Concurrency: 2})
 }
 
 // TestSolverPoolLimit checks the in-flight cap: Get blocks at the limit until
@@ -101,8 +82,8 @@ func TestSolverPoolLimit(t *testing.T) {
 	}
 	// The capped pool still serves searches correctly even when the worker
 	// count exceeds the cap (excess workers wait their turn).
-	w1, at1 := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{Concurrency: 4, Pool: pool})
-	w2, at2 := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{Concurrency: 1})
+	w1, at1 := wmax(t, g, nil, WMaxOptions{Concurrency: 4, Pool: pool})
+	w2, at2 := wmax(t, g, nil, WMaxOptions{Concurrency: 1})
 	if w1 != w2 || at1 != at2 {
 		t.Fatalf("capped pool search = (%d,%d), want (%d,%d)", w1, at1, w2, at2)
 	}

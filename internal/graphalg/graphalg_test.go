@@ -215,7 +215,7 @@ func TestDominatorVerification(t *testing.T) {
 		if target.Contains(u) {
 			t.Fatalf("dominator %v does not dominate: reached %d", dom, u)
 		}
-		for _, w := range g.Successors(u) {
+		for _, w := range g.Succ(u) {
 			if !removed.Contains(w) {
 				stack = append(stack, w)
 			}
@@ -327,7 +327,7 @@ func TestWavefrontUpperBoundAtLeastLower(t *testing.T) {
 
 func TestMaxMinWavefrontLowerBound(t *testing.T) {
 	g, v := butterfly()
-	w, at := MaxMinWavefrontLowerBound(g, nil)
+	w, at := wmax(t, g, nil, WMaxOptions{})
 	if w < 2 {
 		t.Errorf("max wavefront LB = %d, want >= 2", w)
 	}
@@ -335,7 +335,7 @@ func TestMaxMinWavefrontLowerBound(t *testing.T) {
 		t.Errorf("no vertex reported")
 	}
 	// Restricting candidates to a sink yields 1.
-	w2, _ := MaxMinWavefrontLowerBound(g, []cdag.VertexID{v[4]})
+	w2, _ := wmax(t, g, []cdag.VertexID{v[4]}, WMaxOptions{})
 	if w2 != 1 {
 		t.Errorf("sink wavefront LB = %d, want 1", w2)
 	}
@@ -384,18 +384,18 @@ func TestMinVertexCutProperty(t *testing.T) {
 			if !seen.Add(u) {
 				continue
 			}
-			for _, w := range g.Successors(u) {
+			for _, w := range g.Succ(u) {
 				if !removed.Contains(w) {
 					stack = append(stack, w)
 				}
 			}
 		}
 		for _, snk := range sinks {
-			if seen.Contains(snk) && len(g.Predecessors(snk)) > 0 {
+			if seen.Contains(snk) && len(g.Pred(snk)) > 0 {
 				// A reachable true sink (has predecessors) not cut: invalid cut.
 				return false
 			}
-			if seen.Contains(snk) && len(g.Predecessors(snk)) == 0 {
+			if seen.Contains(snk) && len(g.Pred(snk)) == 0 {
 				// Isolated vertex that is both source and sink: it can only be
 				// "separated" by cutting it, so it must not be reachable here.
 				return false

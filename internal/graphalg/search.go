@@ -12,50 +12,18 @@ import (
 )
 
 // WMaxOptions configures the w^max candidate search of
-// MaxMinWavefrontLowerBoundOpts.  Every knob is a performance toggle only:
-// bound value and witness vertex are identical in every combination.
+// MaxMinWavefrontLowerBoundCtx.  Neither knob changes the result: bound value
+// and witness vertex are identical for every worker count and pool.
 type WMaxOptions struct {
 	// Concurrency is the number of worker goroutines scanning candidates.
 	// Zero or negative selects runtime.GOMAXPROCS(0).
 	Concurrency int
-	// DisablePruning turns off the cheap upper-bound pre-pass that skips
-	// candidates which cannot beat the best bound found so far.  Pruning
-	// never changes the result — bound value and witness vertex are identical
-	// in every mode — so disabling it is only useful for benchmarking the
-	// unpruned search.  It also turns off the two-phase seeding pass and the
-	// mid-solve abort, which exist to feed and exploit the pruning tiers.
-	DisablePruning bool
 	// Pool supplies the per-worker CutSolvers.  Workers of a search draw
 	// their solver from it and return it afterwards, so searches sharing a
 	// pool (repeated analyses through one cdagio.Workspace) amortize the
 	// solvers' networks and scratch.  A nil pool allocates fresh solvers for
-	// the search, matching the historical behavior.  The pool, when set, must
-	// be bound to the searched graph.
+	// the search.  A pool bound to another graph is ignored.
 	Pool *SolverPool
-	// DisableTwoPhase turns off the two-phase incumbent seeding pass: by
-	// default a small degree-ranked sample of the candidates (Seeds, or the
-	// engine's own top-SeedSample selection) is solved exactly before the
-	// main scan, so the best-so-far starts at (or near) the final maximum and
-	// the pruning tiers kill the tail before any further flow is pushed.
-	DisableTwoPhase bool
-	// SeedSample is the size of the degree-ranked seed sample the two-phase
-	// pass selects when Seeds is nil.  Zero selects the default (32);
-	// negative disables the internal selection (then only explicit Seeds are
-	// used).
-	SeedSample int
-	// Seeds supplies the seed vertices of the two-phase pass explicitly — a
-	// Workspace passes its memoized wavefront.TopCandidates sample here.
-	// Seeds that do not occur in the candidate list are ignored.
-	Seeds []cdag.VertexID
-	// DisableWarmStart turns off flow reuse across consecutive candidates of
-	// a worker: by default each solved candidate's flow paths are harvested
-	// and re-seeded — trimmed to the new cones — into the next candidate's
-	// network, so Dinic augments from a feasible flow instead of from zero.
-	DisableWarmStart bool
-	// DisableAbort turns off the mid-solve level-cut abort: by default a
-	// Dinic solve stops as soon as a BFS level cut proves the candidate
-	// cannot beat the incumbent.
-	DisableAbort bool
 }
 
 // packEntry encodes a (bound, candidate index) pair into one int64 so the
@@ -120,58 +88,32 @@ func sortByBoundDesc(order []int, ub []int32) {
 	}
 }
 
-// seedIndices resolves the two-phase pass's seed set to candidate indices.
-// Explicit Seeds win; vertices that do not occur in the candidate list are
-// dropped, repeats keep their first occurrence, and — matching the scan's
-// witness rule — a vertex appearing multiple times among the candidates maps
-// to its earliest index.  Without explicit Seeds a degree-ranked top-k sample
-// (k = SeedSample, default 32) is selected, mirroring wavefront.TopCandidates.
-func seedIndices(g *cdag.Graph, candidates []cdag.VertexID, fullRange bool, opts WMaxOptions) []int {
-	nc := len(candidates)
-	if opts.Seeds != nil {
-		var idxOf map[cdag.VertexID]int
-		if !fullRange {
-			idxOf = make(map[cdag.VertexID]int, nc)
-			for i := nc - 1; i >= 0; i-- {
-				idxOf[candidates[i]] = i
-			}
-		}
-		seen := make(map[int]bool, len(opts.Seeds))
-		idxs := make([]int, 0, len(opts.Seeds))
-		for _, v := range opts.Seeds {
-			i := -1
-			if fullRange {
-				// candidates is g.Vertices(): candidate index == vertex id.
-				if int(v) < nc {
-					i = int(v)
-				}
-			} else if j, ok := idxOf[v]; ok {
-				i = j
-			}
-			if i >= 0 && !seen[i] {
-				seen[i] = true
-				idxs = append(idxs, i)
-			}
-		}
-		return idxs
+const (
+	// seedSample is the size of the degree-ranked sample the two-phase pass
+	// solves before the main scan.
+	seedSample = 32
+	// anchorCount is the size of the degree-ranked prefix anchorSeeds moves
+	// to the front of the processing order.
+	anchorCount = 16
+)
+
+// topByDegree returns the indices of the (up to) k candidates of largest
+// in+out degree, strongest first, ties broken by the smaller candidate index.
+// That is the ranking wavefront.TopCandidates applies to vertex IDs, so on a
+// full scan (candidate index == vertex ID) it selects exactly
+// TopCandidates(g, k), in the same order.  The ranking is a total order, so
+// the first j entries of a top-k list are the top-j list for every j ≤ k.
+func topByDegree(g *cdag.Graph, candidates []cdag.VertexID, k int) []int {
+	if k > len(candidates) {
+		k = len(candidates)
 	}
-	k := opts.SeedSample
-	if k == 0 {
-		k = defaultSeedSample
-	}
-	if k <= 0 {
-		return nil
-	}
-	if k > nc {
-		k = nc
-	}
-	// Bounded insertion sort keeps the k candidates of largest in+out degree,
-	// ties by smaller candidate index — the same ranking TopCandidates uses.
 	sOff, _, pOff, _ := g.AdjacencyCSR()
 	type seed struct {
 		deg int64
 		idx int
 	}
+	// Bounded insertion sort: a candidate enters only if it beats the
+	// weakest kept entry, and equal degrees never overtake an earlier index.
 	seeds := make([]seed, 0, k)
 	for i, x := range candidates {
 		d := (sOff[x+1] - sOff[x]) + (pOff[x+1] - pOff[x])
@@ -197,47 +139,32 @@ func seedIndices(g *cdag.Graph, candidates []cdag.VertexID, fullRange bool, opts
 	return idxs
 }
 
-// defaultSeedSample is the seed-sample size of the two-phase pass when the
-// caller sets neither Seeds nor SeedSample.
-const defaultSeedSample = 32
-
-// MaxMinWavefrontLowerBoundOpts is the engine behind
-// MaxMinWavefrontLowerBound: a parallel search over the candidate vertices
-// with per-worker CutSolver scratch (strip-local min-cut networks, epoch-
-// stamped vertex marks, reusable traversal stacks) and upper-bound pruning.
+// MaxMinWavefrontLowerBoundCtx returns max_x of MinWavefrontLowerBound(g, x)
+// over the candidate vertices (all vertices when candidates is nil) and the
+// first candidate attaining it: a lower bound on w^max_G from Section 3.3,
+// which feeds Lemma 2.  The scan is a parallel search over the candidates
+// with per-worker CutSolver scratch (strip-local min-cut networks,
+// epoch-stamped vertex marks, reusable traversal stacks), upper-bound
+// pruning, warm-started solves, the mid-solve level-cut abort and a
+// two-phase pass seeded with the candidates' degree-ranked top 32.
 //
 // The result is exactly that of MaxMinWavefrontLowerBoundSerial — the same
-// bound value and the same witness vertex (the first candidate attaining the
-// maximum), independent of worker count and timing.  Pruning compares packed
-// (upper bound, candidate index) entries against the packed best-so-far (see
-// packEntry): a candidate is skipped only when it provably cannot raise the
-// bound AND cannot displace the witness — either its upper bound is strictly
-// below the established best, or it could at most tie it at a later
-// candidate index than a bound-attaining candidate already solved.  Skipped
-// candidates therefore never affect the packed maximum the search returns.
-func MaxMinWavefrontLowerBoundOpts(g *cdag.Graph, candidates []cdag.VertexID, opts WMaxOptions) (int, cdag.VertexID) {
-	// context.Background() is never cancelled, so the only possible error is a
-	// captured worker panic; this legacy entry point has no error return, so
-	// the crash propagates as it always did instead of being silently
-	// swallowed into a zero bound.
-	//cdaglint:allow ctxflow deprecated no-ctx entry point; documented as a never-cancelled run
-	w, at, err := MaxMinWavefrontLowerBoundCtx(context.Background(), g, candidates, opts)
-	if err != nil {
-		panic(err)
-	}
-	return w, at
-}
-
-// MaxMinWavefrontLowerBoundCtx is MaxMinWavefrontLowerBoundOpts under a
-// context: the candidate scan checks ctx at its pruning-tier boundaries —
-// before a candidate is claimed, and again between the descendant-cone and
-// ancestor-cone explorations of candidates that survive the precomputed
-// bound — and returns ctx.Err() promptly once the context is cancelled.
-// Individual Dinic solves stay atomic: cancellation latency is bounded by the
-// worker count times the cost of one candidate, never by the length of the
-// candidate list.  Under a never-cancelled context (context.Background()) the
-// scan is bit-identical to MaxMinWavefrontLowerBoundOpts — same bound, same
-// witness — at every worker count.
+// bound value and the same witness vertex — independent of worker count and
+// timing.  Pruning compares packed (upper bound, candidate index) entries
+// against the packed best-so-far (see packEntry): a candidate is skipped only
+// when it provably cannot raise the bound AND cannot displace the witness —
+// either its upper bound is strictly below the established best, or it could
+// at most tie it at a later candidate index than a bound-attaining candidate
+// already solved.  Skipped candidates therefore never affect the packed
+// maximum the search returns.
+//
+// The scan checks ctx at its pruning-tier boundaries — before a candidate is
+// claimed, and again between the descendant-cone and ancestor-cone
+// explorations of candidates that survive the precomputed bound — and
+// returns ctx.Err() promptly once the context is cancelled.  Individual
+// Dinic solves stay atomic: cancellation latency is bounded by the worker
+// count times the cost of one candidate, never by the length of the
+// candidate list.  A panic inside a worker surfaces as a *fault.PanicError.
 func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates []cdag.VertexID, opts WMaxOptions) (int, cdag.VertexID, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, cdag.InvalidVertex, err
@@ -251,7 +178,6 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 	if opts.Pool != nil && opts.Pool.g != g {
 		opts.Pool = nil
 	}
-	fullRange := candidates == nil
 	if candidates == nil {
 		candidates = g.Vertices()
 	}
@@ -268,25 +194,23 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 
 	nc := len(candidates)
 
-	// Processing order: with pruning enabled, compute the schedule-wavefront
-	// upper bound for every candidate — one O(V+E) sweep for all of them, no
-	// per-candidate cone exploration — and scan in decreasing upper-bound
-	// order.  The first few max-flow solves then establish a large best-so-far
-	// that prunes the long tail of candidates outright: most are rejected on
-	// the precomputed bound alone, the rest get two more chances to be
-	// rejected on the tighter convex-cut bounds (descendant-side first, so a
-	// candidate pruned by its late cut never explores its ancestor cone), and
-	// only what survives all three tiers pays for a Dinic solve.
+	// Processing order: compute the schedule-wavefront upper bound for every
+	// candidate — one O(V+E) sweep for all of them, no per-candidate cone
+	// exploration — and scan in decreasing upper-bound order.  The first few
+	// max-flow solves then establish a large best-so-far that prunes the long
+	// tail of candidates outright: most are rejected on the precomputed bound
+	// alone, the rest get two more chances to be rejected on the tighter
+	// convex-cut bounds (descendant-side first, so a candidate pruned by its
+	// late cut never explores its ancestor cone), and only what survives all
+	// three tiers pays for a Dinic solve.
 	order := make([]int, nc)
 	for i := range order {
 		order[i] = i
 	}
-	var ub []int32
-	if !opts.DisablePruning {
-		ub = scheduleWavefrontUB(g, candidates)
-		sortByBoundDesc(order, ub)
-		anchorSeeds(g, candidates, order)
-	}
+	ub := scheduleWavefrontUB(g, candidates)
+	sortByBoundDesc(order, ub)
+	seedIdx := topByDegree(g, candidates, seedSample)
+	anchorSeeds(seedIdx[:min(anchorCount, len(seedIdx))], order)
 
 	// best holds packEntry(bound, index of the earliest candidate attaining
 	// it) and only ever increases in packed order.  Pruning a candidate when
@@ -305,8 +229,6 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 			}
 		}
 	}
-	warm := !opts.DisableWarmStart
-	abort := ub != nil && !opts.DisableAbort
 	// scan runs the tiered treatment of candidate index i: precomputed bound,
 	// then the descendant-side convex bound (with early exit at the survival
 	// threshold), then the ancestor-side bound, then an exact strip-local
@@ -316,7 +238,7 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 	// maximum is independent of phase split, worker count and timing.
 	scan := func(cs *CutSolver, i int) {
 		x := candidates[i]
-		if ub != nil && packEntry(int(ub[i]), i) < best.Load() {
+		if packEntry(int(ub[i]), i) < best.Load() {
 			return
 		}
 		cs.exploreDesc(x)
@@ -325,57 +247,45 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 			record(1, i)
 			return
 		}
-		if ub != nil {
-			need := needAgainst(best.Load(), i)
-			if cs.lateBound(need) < need {
-				return
-			}
-			// Tier boundary: the descendant cone is explored, the ancestor
-			// cone is not yet paid for — the one spot inside a candidate
-			// where bailing out early saves real work.
-			if ctx.Err() != nil {
-				return
-			}
-			cs.exploreAnc(x)
-			if packEntry(cs.earlyBound(x), i) < best.Load() {
-				return
-			}
-		} else {
-			cs.exploreAnc(x)
+		need := needAgainst(best.Load(), i)
+		if cs.lateBound(need) < need {
+			return
 		}
-		need := 0
-		if abort {
-			need = needAgainst(best.Load(), i)
+		// Tier boundary: the descendant cone is explored, the ancestor cone
+		// is not yet paid for — the one spot inside a candidate where bailing
+		// out early saves real work.
+		if ctx.Err() != nil {
+			return
 		}
-		w, pruned := cs.minWavefrontRun(x, need, warm)
+		cs.exploreAnc(x)
+		if packEntry(cs.earlyBound(x), i) < best.Load() {
+			return
+		}
+		w, pruned := cs.minWavefrontRun(x, needAgainst(best.Load(), i), true)
 		if !pruned {
 			record(w, i)
 		}
 	}
 
-	// Phase 1 — incumbent seeding: solve a small degree-ranked sample of the
-	// candidates to completion before the broad scan, so the best-so-far
-	// starts at (or near) the final maximum and tier 1 kills the tail of the
+	// Phase 1 — incumbent seeding: solve the degree-ranked seed sample to
+	// completion before the broad scan, so the best-so-far starts at (or
+	// near) the final maximum and tier 1 kills the tail of the
 	// upper-bound-sorted order without any cone exploration.  Seeds record
 	// their exact bound at their true candidate index and are skipped by the
-	// main scan, so the phase split cannot change the result.
+	// main scan, so the phase split cannot change the result.  When the
+	// sample covers every candidate there is no tail to prune, and the main
+	// scan alone runs.
 	var isSeeded []bool
-	if ub != nil && !opts.DisableTwoPhase {
-		seedIdx := seedIndices(g, candidates, fullRange, opts)
-		if len(seedIdx) > 0 && len(seedIdx) < nc {
-			isSeeded = make([]bool, nc)
-			for _, i := range seedIdx {
-				isSeeded[i] = true
-			}
-			sw := workers
-			if sw > len(seedIdx) {
-				sw = len(seedIdx)
-			}
-			if err := parallelFor(ctx, opts.Pool, g, sw, len(seedIdx), func(cs *CutSolver, k int) {
-				scan(cs, seedIdx[k])
-			}); err != nil {
-				return 0, cdag.InvalidVertex, err
-			}
+	if len(seedIdx) < nc {
+		isSeeded = make([]bool, nc)
+		for _, i := range seedIdx {
+			isSeeded[i] = true
+		}
+		sw := min(workers, len(seedIdx))
+		if err := parallelFor(ctx, opts.Pool, g, sw, len(seedIdx), func(cs *CutSolver, k int) {
+			scan(cs, seedIdx[k])
+		}); err != nil {
+			return 0, cdag.InvalidVertex, err
 		}
 	}
 
@@ -576,53 +486,26 @@ func (cs *CutSolver) upperBound(x cdag.VertexID) int {
 	return best
 }
 
-// anchorSeeds moves a small degree-ranked seed set to the front of the
-// processing order: the candidates with the largest in+out degree (ties by
-// smaller index), solved first so the best-so-far jumps to (or near) the
-// final maximum immediately.  On the paper's workloads the maximum wavefront
-// sits at reduction roots whose schedule wavefront is unremarkable but whose
-// degree is extreme — without the anchor, the broad crowd of mid-bound
-// candidates is processed before the true maximum is known and cannot be
-// pruned.  The order is purely a performance heuristic: the packed-maximum
-// search returns an identical bound and witness under any processing order.
-func anchorSeeds(g *cdag.Graph, candidates []cdag.VertexID, order []int) {
-	const seedCount = 16
-	if len(order) <= seedCount {
+// anchorSeeds moves the anchors — the head of the degree-ranked seed sample
+// (topByDegree) — to the front of the processing order, so the best-so-far
+// jumps to (or near) the final maximum immediately.  On the paper's workloads
+// the maximum wavefront sits at reduction roots whose schedule wavefront is
+// unremarkable but whose degree is extreme — without the anchor, the broad
+// crowd of mid-bound candidates is processed before the true maximum is known
+// and cannot be pruned.  The order is purely a performance heuristic: the
+// packed-maximum search returns an identical bound and witness under any
+// processing order.  Nothing moves when the anchors cover the whole order.
+func anchorSeeds(anchors, order []int) {
+	if len(order) <= len(anchors) {
 		return
 	}
-	sOff, _, pOff, _ := g.AdjacencyCSR()
-	type seed struct {
-		deg int64
-		idx int
+	isAnchor := make(map[int]bool, len(anchors))
+	for _, i := range anchors {
+		isAnchor[i] = true
 	}
-	var seeds []seed
-	for i, x := range candidates {
-		d := (sOff[x+1] - sOff[x]) + (pOff[x+1] - pOff[x])
-		if len(seeds) == seedCount && d <= seeds[len(seeds)-1].deg {
-			continue
-		}
-		pos := len(seeds)
-		if pos < seedCount {
-			seeds = append(seeds, seed{})
-		} else {
-			pos--
-		}
-		for pos > 0 && seeds[pos-1].deg < d {
-			seeds[pos] = seeds[pos-1]
-			pos--
-		}
-		seeds[pos] = seed{d, i}
-	}
-	isSeed := make(map[int]bool, len(seeds))
-	for _, s := range seeds {
-		isSeed[s.idx] = true
-	}
-	reordered := make([]int, 0, len(order))
-	for _, s := range seeds {
-		reordered = append(reordered, s.idx)
-	}
+	reordered := append(make([]int, 0, len(order)), anchors...)
 	for _, o := range order {
-		if !isSeed[o] {
+		if !isAnchor[o] {
 			reordered = append(reordered, o)
 		}
 	}

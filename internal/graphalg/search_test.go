@@ -1,6 +1,10 @@
 package graphalg
 
 import (
+	"context"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"cdagio/internal/cdag"
@@ -35,10 +39,19 @@ func generatorGraphs(t testing.TB) map[string]*cdag.Graph {
 	}
 }
 
+// wmax runs the w^max engine under a never-cancelled context.
+func wmax(t testing.TB, g *cdag.Graph, candidates []cdag.VertexID, opts WMaxOptions) (int, cdag.VertexID) {
+	t.Helper()
+	w, at, err := MaxMinWavefrontLowerBoundCtx(context.Background(), g, candidates, opts)
+	if err != nil {
+		t.Fatalf("MaxMinWavefrontLowerBoundCtx: %v", err)
+	}
+	return w, at
+}
+
 // TestParallelWMaxMatchesSerial checks, for every generator family, that the
-// parallel pruned engine returns exactly the serial all-candidates bound under
-// every combination of worker count and pruning mode, and that the reported
-// witness vertex attains the bound.
+// parallel pruned engine returns exactly the serial all-candidates bound at
+// every worker count, and that the reported witness vertex attains the bound.
 func TestParallelWMaxMatchesSerial(t *testing.T) {
 	for name, g := range generatorGraphs(t) {
 		wantW, wantV := MaxMinWavefrontLowerBoundSerial(g, nil)
@@ -46,30 +59,24 @@ func TestParallelWMaxMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: serial search found no witness", name)
 		}
 		for _, conc := range []int{1, 2, 4, 7} {
-			for _, noPrune := range []bool{false, true} {
-				gotW, gotV := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{
-					Concurrency:    conc,
-					DisablePruning: noPrune,
-				})
-				if gotW != wantW {
-					t.Errorf("%s (conc=%d, noPrune=%v): bound = %d, serial = %d",
-						name, conc, noPrune, gotW, wantW)
-				}
-				if gotV != wantV {
-					// Strict pruning never skips a candidate that could tie
-					// the maximum, so the witness (earliest maximizer in
-					// candidate order) must match the serial scan exactly in
-					// every mode.
-					t.Errorf("%s (conc=%d, noPrune=%v): witness = %d, serial = %d",
-						name, conc, noPrune, gotV, wantV)
-				}
+			gotW, gotV := wmax(t, g, nil, WMaxOptions{Concurrency: conc})
+			if gotW != wantW {
+				t.Errorf("%s (conc=%d): bound = %d, serial = %d", name, conc, gotW, wantW)
+			}
+			if gotV != wantV {
+				// Strict pruning never skips a candidate that could tie the
+				// maximum, so the witness (earliest maximizer in candidate
+				// order) must match the serial scan exactly.
+				t.Errorf("%s (conc=%d): witness = %d, serial = %d", name, conc, gotV, wantV)
 			}
 		}
 	}
 }
 
 // TestParallelWMaxSubsetCandidates checks agreement on explicit candidate
-// subsets, including single candidates and empty candidate lists.
+// subsets, including single candidates, empty candidate lists, and lists
+// longer than the two-phase seed sample whose candidate indices are not
+// vertex IDs or repeat a vertex.
 func TestParallelWMaxSubsetCandidates(t *testing.T) {
 	g := gen.Jacobi(1, 10, 3, gen.StencilStar).Graph
 	all := g.Vertices()
@@ -79,16 +86,51 @@ func TestParallelWMaxSubsetCandidates(t *testing.T) {
 		all[:5],
 		all[len(all)/2:],
 		{all[3], all[17], all[9]},
+		all[2:],
+		append(append([]cdag.VertexID{}, all[5:]...), all[5:20]...),
 	}
 	for i, cs := range subsets {
 		wantW, wantV := MaxMinWavefrontLowerBoundSerial(g, cs)
-		gotW, gotV := MaxMinWavefrontLowerBoundOpts(g, cs, WMaxOptions{Concurrency: 3})
+		gotW, gotV := wmax(t, g, cs, WMaxOptions{Concurrency: 3})
 		if gotW != wantW || gotV != wantV {
 			t.Errorf("subset %d: (bound, witness) = (%d, %d), want (%d, %d)", i, gotW, gotV, wantW, wantV)
 		}
 	}
-	if w, v := MaxMinWavefrontLowerBoundOpts(g, []cdag.VertexID{}, WMaxOptions{}); w != 0 || v != cdag.InvalidVertex {
+	if w, v := wmax(t, g, []cdag.VertexID{}, WMaxOptions{}); w != 0 || v != cdag.InvalidVertex {
 		t.Errorf("empty candidates: got (%d, %d), want (0, invalid)", w, v)
+	}
+}
+
+// TestTopByDegreeMatchesFullSort pins the seed ranking of the two-phase pass
+// and the anchor against a full sort of the candidate indices by in+out
+// degree (descending, ties by index), on candidate lists with repeats and for
+// sample sizes below, at and above the list length.  On the full vertex list
+// that is wavefront.TopCandidates' order.
+func TestTopByDegreeMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := gen.Jacobi(2, 6, 3, gen.StencilBox).Graph
+	all := g.Vertices()
+	lists := [][]cdag.VertexID{all, all[:20]}
+	for trial := 0; trial < 5; trial++ {
+		var cands []cdag.VertexID
+		for i := 0; i < 60; i++ {
+			cands = append(cands, all[rng.Intn(len(all))])
+		}
+		lists = append(lists, cands)
+	}
+	for li, cands := range lists {
+		deg := func(i int) int { return g.InDegree(cands[i]) + g.OutDegree(cands[i]) }
+		full := make([]int, len(cands))
+		for i := range full {
+			full[i] = i
+		}
+		sort.SliceStable(full, func(a, b int) bool { return deg(full[a]) > deg(full[b]) })
+		for _, k := range []int{1, anchorCount, seedSample, len(cands), len(cands) + 5} {
+			want := full[:min(k, len(full))]
+			if got := topByDegree(g, cands, k); !slices.Equal(got, want) {
+				t.Fatalf("list %d k=%d: topByDegree = %v, full sort %v", li, k, got, want)
+			}
+		}
 	}
 }
 

@@ -70,8 +70,8 @@ func MaxVertexDisjointPaths(g *cdag.Graph, sources, targets []cdag.VertexID) int
 //
 // The instance is solved strip-locally on a pooled CutSolver: only the
 // vertices on some input→target path become flow-network nodes, so repeated
-// dominator queries cost O(strip), not O(V+E).  The value is identical to the
-// full-network reference MinDominatorSizeFull.
+// dominator queries cost O(strip), not O(V+E).  The value is identical to a
+// MinVertexCut from the inputs to the target on the full network.
 func MinDominatorSize(g *cdag.Graph, target *cdag.VertexSet) (int, []cdag.VertexID) {
 	cs := acquireSolver()
 	defer releaseSolver(cs)

@@ -141,64 +141,25 @@ func TestAbortCertificateSound(t *testing.T) {
 	}
 }
 
-// TestIncrementalModesMatchSerial extends the serial-equivalence matrix to the
-// PR-6 toggles: every combination of two-phase seeding, warm start and
-// mid-solve abort — at one and at four workers — must reproduce the serial
-// all-candidates bound and witness bit-for-bit on every generator family.
+// TestIncrementalModesMatchSerial checks the incremental-flow machinery —
+// two-phase seeding, warm starts and the mid-solve abort — against the serial
+// all-candidates bound and witness on every generator family, at one and at
+// four workers, with the scans repeated on one solver pool: the second round
+// starts from solvers still carrying the flow paths harvested by the first,
+// which the warm start must trim or drop, never trust.
 func TestIncrementalModesMatchSerial(t *testing.T) {
 	for name, g := range generatorGraphs(t) {
 		wantW, wantV := MaxMinWavefrontLowerBoundSerial(g, nil)
-		for _, conc := range []int{1, 4} {
-			for mode := 0; mode < 8; mode++ {
-				opts := WMaxOptions{
-					Concurrency:      conc,
-					DisableTwoPhase:  mode&1 != 0,
-					DisableWarmStart: mode&2 != 0,
-					DisableAbort:     mode&4 != 0,
-				}
-				gotW, gotV := MaxMinWavefrontLowerBoundOpts(g, nil, opts)
+		pool := NewSolverPool(g)
+		for round := 0; round < 2; round++ {
+			for _, conc := range []int{1, 4} {
+				gotW, gotV := wmax(t, g, nil, WMaxOptions{Concurrency: conc, Pool: pool})
 				if gotW != wantW || gotV != wantV {
-					t.Errorf("%s (conc=%d mode=%03b): (bound, witness) = (%d, %d), serial (%d, %d)",
-						name, conc, mode, gotW, gotV, wantW, wantV)
+					t.Errorf("%s (round=%d conc=%d): (bound, witness) = (%d, %d), serial (%d, %d)",
+						name, round, conc, gotW, gotV, wantW, wantV)
 				}
 			}
 		}
-	}
-}
-
-// TestTwoPhaseSeedVariants checks the seeding controls: explicit Seeds
-// (including repeats, vertices outside the candidate subset, and seeds
-// covering every candidate), SeedSample overrides, and the disabled-sample
-// setting all leave bound and witness identical to the serial scan.
-func TestTwoPhaseSeedVariants(t *testing.T) {
-	g := gen.Jacobi(2, 8, 3, gen.StencilBox).Graph
-	all := g.Vertices()
-	wantW, wantV := MaxMinWavefrontLowerBoundSerial(g, nil)
-	seedSets := [][]cdag.VertexID{
-		nil,
-		{},
-		{all[0], all[0], all[len(all)-1]},
-		all[:40],
-		all, // every candidate seeded: phase 2 must be skipped, not emptied
-	}
-	for i, seeds := range seedSets {
-		gotW, gotV := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{Concurrency: 2, Seeds: seeds})
-		if gotW != wantW || gotV != wantV {
-			t.Errorf("seed set %d: (bound, witness) = (%d, %d), serial (%d, %d)", i, gotW, gotV, wantW, wantV)
-		}
-	}
-	for _, sample := range []int{-1, 1, 5, len(all) + 10} {
-		gotW, gotV := MaxMinWavefrontLowerBoundOpts(g, nil, WMaxOptions{Concurrency: 2, SeedSample: sample})
-		if gotW != wantW || gotV != wantV {
-			t.Errorf("sample %d: (bound, witness) = (%d, %d), serial (%d, %d)", sample, gotW, gotV, wantW, wantV)
-		}
-	}
-	// Candidate subset: explicit seeds outside the subset must be ignored.
-	sub := all[len(all)/3 : 2*len(all)/3]
-	wantW, wantV = MaxMinWavefrontLowerBoundSerial(g, sub)
-	gotW, gotV := MaxMinWavefrontLowerBoundOpts(g, sub, WMaxOptions{Concurrency: 2, Seeds: []cdag.VertexID{all[0], sub[3], sub[0]}})
-	if gotW != wantW || gotV != wantV {
-		t.Errorf("subset with external seeds: (bound, witness) = (%d, %d), serial (%d, %d)", gotW, gotV, wantW, wantV)
 	}
 }
 

@@ -10,10 +10,9 @@ import (
 )
 
 // HotLoopAnalyzer enforces the PR-4 hoisted-CSR convention in the hot
-// packages: a loop body must not call g.Succ/g.Pred (or their deprecated
-// Successors/Predecessors aliases) — each call re-derives the CSR row bounds
-// per iteration, which is exactly the per-step overhead the hoisted
-// SuccessorCSR/PredecessorCSR rows were introduced to eliminate.  Passing
+// packages: a loop body must not call g.Succ/g.Pred — each call re-derives
+// the CSR row bounds per iteration, which is exactly the per-step overhead
+// the hoisted SuccessorCSR/PredecessorCSR rows were introduced to eliminate.  Passing
 // g.Succ as a method value is flagged too, because it smuggles the same
 // per-call cost into some other function's loop where no analyzer can see
 // the receiver anymore.
@@ -28,10 +27,8 @@ var HotLoopAnalyzer = &analysis.Analyzer{
 // adjacencyMethods are the per-vertex adjacency accessors the convention
 // covers, mapped to the hoisted accessor the diagnostic recommends.
 var adjacencyMethods = map[string]string{
-	"Succ":         "SuccessorCSR",
-	"Pred":         "PredecessorCSR",
-	"Successors":   "SuccessorCSR",
-	"Predecessors": "PredecessorCSR",
+	"Succ": "SuccessorCSR",
+	"Pred": "PredecessorCSR",
 }
 
 func runHotLoop(pass *analysis.Pass) (any, error) {

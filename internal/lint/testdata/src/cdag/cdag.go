@@ -21,12 +21,6 @@ func (g *Graph) Succ(v VertexID) []VertexID { return nil }
 // Pred returns the predecessor row of v.
 func (g *Graph) Pred(v VertexID) []VertexID { return nil }
 
-// Successors is the deprecated alias of Succ.
-func (g *Graph) Successors(v VertexID) []VertexID { return g.Succ(v) }
-
-// Predecessors is the deprecated alias of Pred.
-func (g *Graph) Predecessors(v VertexID) []VertexID { return g.Pred(v) }
-
 // SuccessorCSR returns the hoisted successor rows.
 func (g *Graph) SuccessorCSR() (off []int64, val []VertexID) { return nil, nil }
 

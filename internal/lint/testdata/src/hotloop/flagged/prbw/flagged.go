@@ -16,15 +16,6 @@ func SumDegrees(g *cdag.Graph, order []cdag.VertexID) int {
 	return total
 }
 
-// DeprecatedAlias exercises the Successors alias.
-func DeprecatedAlias(g *cdag.Graph, order []cdag.VertexID) int {
-	total := 0
-	for _, v := range order {
-		total += len(g.Successors(v)) // want `Successors called inside a loop in hot package prbw`
-	}
-	return total
-}
-
 // Walk smuggles the per-call row lookup into the callee as a method value.
 func Walk(g *cdag.Graph) {
 	visit(g.Succ) // want `Succ used as a method value in hot package prbw`

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"context"
 	"testing"
 
 	"cdagio/internal/gen"
@@ -27,7 +28,7 @@ func BenchmarkMemsimRunBelady(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(jr.Graph, Config{Nodes: 2, FastWords: 64, Policy: Belady}, order, owner); err != nil {
+		if _, err := RunCtx(context.Background(), jr.Graph, Config{Nodes: 2, FastWords: 64, Policy: Belady}, order, owner); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +42,7 @@ func BenchmarkMemsimRunLRU(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(jr.Graph, Config{Nodes: 2, FastWords: 64, Policy: LRU}, order, owner); err != nil {
+		if _, err := RunCtx(context.Background(), jr.Graph, Config{Nodes: 2, FastWords: 64, Policy: LRU}, order, owner); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +64,7 @@ func BenchmarkMemsimSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sweep(jr.Graph, jobs, 0); err != nil {
+		if _, err := SweepCtx(context.Background(), jr.Graph, jobs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ func TestSweepWorkerPanicIsIsolated(t *testing.T) {
 		{Cfg: Config{Nodes: 1, FastWords: 16, Policy: LRU}, Order: topo},
 		{Cfg: Config{Nodes: 1, FastWords: 64, Policy: LRU}, Order: topo},
 	}
-	want, err := Sweep(g, jobs, 2)
+	want, err := SweepCtx(context.Background(), g, jobs, 2)
 	if err != nil {
 		t.Fatalf("baseline sweep: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestSweepWorkerPanicIsIsolated(t *testing.T) {
 		t.Fatalf("injected panic surfaced as %v, want *fault.PanicError", err)
 	}
 
-	got, err := Sweep(g, jobs, 2)
+	got, err := SweepCtx(context.Background(), g, jobs, 2)
 	if err != nil {
 		t.Fatalf("post-crash sweep: %v", err)
 	}

@@ -116,7 +116,7 @@ func (s *Stats) String() string {
 		s.VerticalTotal(), s.MaxNodeVertical(), s.HorizontalTotal(), s.MaxNodeHorizontal())
 }
 
-// Run simulates the schedule on the configured machine.
+// RunCtx simulates the schedule on the configured machine.
 //
 // order lists the non-input vertices in execution order; owner[v] gives the
 // node that computes v (and that owns input v's initial copy).  A vertex with
@@ -130,17 +130,10 @@ func (s *Stats) String() string {
 //     another node;
 //   - one store when a value still needed later (or tagged as an output) is
 //     evicted from fast memory without a durable copy.
-func Run(g *cdag.Graph, cfg Config, order []cdag.VertexID, owner []int) (*Stats, error) {
-	// context.Background() is never cancelled, so RunCtx degenerates to the
-	// historical behavior.
-	//cdaglint:allow ctxflow deprecated no-ctx entry point; documented as a never-cancelled run
-	return RunCtx(context.Background(), g, cfg, order, owner)
-}
-
-// RunCtx is Run under a context: the simulation loop checks ctx every 4096
-// schedule steps (individual steps stay atomic) and returns ctx.Err()
-// promptly once the context is cancelled.  Under a never-cancelled context
-// the simulation — every charge, every statistic — is bit-identical to Run.
+//
+// ctx bounds the simulation: the loop checks it every 4096 schedule steps
+// (individual steps stay atomic) and returns ctx.Err() promptly once the
+// context is cancelled.
 func RunCtx(ctx context.Context, g *cdag.Graph, cfg Config, order []cdag.VertexID, owner []int) (*Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

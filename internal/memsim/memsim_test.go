@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func TestRunChain(t *testing.T) {
 	g := gen.Chain(20)
-	stats, err := Run(g, Config{Nodes: 1, FastWords: 2, Policy: Belady}, sched.Topological(g), nil)
+	stats, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 2, Policy: Belady}, sched.Topological(g), nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -38,7 +39,7 @@ func TestRunMatMulCacheSizes(t *testing.T) {
 	var prev int64 = -1
 	// Shrinking the cache must not decrease vertical traffic.
 	for _, s := range []int{4096, 64, 16} {
-		stats, err := Run(g, Config{Nodes: 1, FastWords: s, Policy: Belady}, order, nil)
+		stats, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: s, Policy: Belady}, order, nil)
 		if err != nil {
 			t.Fatalf("Run S=%d: %v", s, err)
 		}
@@ -49,7 +50,7 @@ func TestRunMatMulCacheSizes(t *testing.T) {
 		prev = v
 	}
 	// With an ample cache the traffic is exactly the compulsory 2n²+n².
-	stats, err := Run(g, Config{Nodes: 1, FastWords: 1 << 20, Policy: Belady}, order, nil)
+	stats, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 1 << 20, Policy: Belady}, order, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -62,11 +63,11 @@ func TestRunBlockedBeatsNaiveMatMul(t *testing.T) {
 	r := gen.MatMul(12)
 	g := r.Graph
 	s := 40 // fast memory of 40 values: blocked reuse should pay off
-	naive, err := Run(g, Config{Nodes: 1, FastWords: s, Policy: Belady}, sched.Topological(g), nil)
+	naive, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: s, Policy: Belady}, sched.Topological(g), nil)
 	if err != nil {
 		t.Fatalf("naive: %v", err)
 	}
-	blocked, err := Run(g, Config{Nodes: 1, FastWords: s, Policy: Belady}, sched.MatMulBlocked(r, 3), nil)
+	blocked, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: s, Policy: Belady}, sched.MatMulBlocked(r, 3), nil)
 	if err != nil {
 		t.Fatalf("blocked: %v", err)
 	}
@@ -80,7 +81,7 @@ func TestRunTwoNodesGhostExchange(t *testing.T) {
 	jr := gen.Jacobi(1, 64, 8, gen.StencilStar)
 	g := jr.Graph
 	owner := sched.BlockPartitionGrid(jr, 2)
-	stats, err := Run(g, Config{Nodes: 2, FastWords: 256, Policy: Belady}, sched.Topological(g), owner)
+	stats, err := RunCtx(context.Background(), g, Config{Nodes: 2, FastWords: 256, Policy: Belady}, sched.Topological(g), owner)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -103,11 +104,11 @@ func TestRunTwoNodesGhostExchange(t *testing.T) {
 func TestRunPolicies(t *testing.T) {
 	g := gen.FFT(32)
 	order := sched.Topological(g)
-	belady, err := Run(g, Config{Nodes: 1, FastWords: 12, Policy: Belady}, order, nil)
+	belady, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 12, Policy: Belady}, order, nil)
 	if err != nil {
 		t.Fatalf("belady: %v", err)
 	}
-	lru, err := Run(g, Config{Nodes: 1, FastWords: 12, Policy: LRU}, order, nil)
+	lru, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 12, Policy: LRU}, order, nil)
 	if err != nil {
 		t.Fatalf("lru: %v", err)
 	}
@@ -122,29 +123,29 @@ func TestRunPolicies(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	g := gen.Chain(4)
 	order := sched.Topological(g)
-	if _, err := Run(g, Config{Nodes: 0, FastWords: 4}, order, nil); err == nil {
+	if _, err := RunCtx(context.Background(), g, Config{Nodes: 0, FastWords: 4}, order, nil); err == nil {
 		t.Errorf("expected error for zero nodes")
 	}
-	if _, err := Run(g, Config{Nodes: 1, FastWords: 0}, order, nil); err == nil {
+	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 0}, order, nil); err == nil {
 		t.Errorf("expected error for zero fast memory")
 	}
-	if _, err := Run(g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{0, 1, 2, 3}, nil); err == nil {
+	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{0, 1, 2, 3}, nil); err == nil {
 		t.Errorf("expected error for scheduled input")
 	}
-	if _, err := Run(g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{1, 1, 2, 3}, nil); err == nil {
+	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{1, 1, 2, 3}, nil); err == nil {
 		t.Errorf("expected error for duplicate vertex")
 	}
-	if _, err := Run(g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{1, 2}, nil); err == nil {
+	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{1, 2}, nil); err == nil {
 		t.Errorf("expected error for missing vertex")
 	}
-	if _, err := Run(g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{2, 1, 3}, nil); err == nil {
+	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{2, 1, 3}, nil); err == nil {
 		t.Errorf("expected error for out-of-order schedule")
 	}
-	if _, err := Run(g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{1, 2, 99}, nil); err == nil {
+	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{1, 2, 99}, nil); err == nil {
 		t.Errorf("expected error for out-of-range vertex")
 	}
 	d := gen.DotProduct(4)
-	if _, err := Run(d, Config{Nodes: 1, FastWords: 2}, sched.Topological(d), nil); err == nil {
+	if _, err := RunCtx(context.Background(), d, Config{Nodes: 1, FastWords: 2}, sched.Topological(d), nil); err == nil {
 		t.Errorf("expected error for fast memory below in-degree+1")
 	}
 }
@@ -156,7 +157,7 @@ func TestRunAgreesWithPebblePlayerOnOuterProduct(t *testing.T) {
 	// outputs.
 	n := 5
 	g := gen.OuterProduct(n)
-	stats, err := Run(g, Config{Nodes: 1, FastWords: 1024, Policy: Belady}, sched.Topological(g), nil)
+	stats, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 1024, Policy: Belady}, sched.Topological(g), nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

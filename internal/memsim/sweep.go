@@ -32,8 +32,8 @@ type Job struct {
 	Owner []int
 }
 
-// Sweep runs the jobs over a bounded worker pool and returns one Stats per
-// job, in job order.  Each job is an independent Run against the shared
+// SweepCtx runs the jobs over a bounded worker pool and returns one Stats per
+// job, in job order.  Each job is an independent RunCtx against the shared
 // (read-only) graph, so the results — including the error, which is the one
 // the lowest-indexed failing job produced — are deterministically identical
 // to running the jobs serially, for every worker count.  workers ≤ 0 selects
@@ -42,20 +42,13 @@ type Job struct {
 // This is the engine behind the per-S tightness sweeps and per-schedule
 // ablations of Section 5.4: the schedules are precomputed and the memory
 // simulations, which dominate the sweep, fan out.
-func Sweep(g *cdag.Graph, jobs []Job, workers int) ([]*Stats, error) {
-	// context.Background() is never cancelled, so SweepCtx degenerates to the
-	// historical behavior.
-	//cdaglint:allow ctxflow deprecated no-ctx entry point; documented as a never-cancelled run
-	return SweepCtx(context.Background(), g, jobs, workers)
-}
-
-// SweepCtx is Sweep under a context: workers re-check ctx before claiming
-// each job, and the jobs themselves run under ctx (RunCtx checks it every
-// 4096 schedule steps), so cancellation latency is bounded by a few thousand
-// simulation steps per in-flight worker — never by the length of the job
-// list or the size of one job.  A cancelled sweep returns (nil, ctx.Err());
-// partial results are discarded.  Under a never-cancelled context the results
-// are bit-identical to Sweep at every worker count.
+//
+// ctx bounds the sweep: workers re-check it before claiming each job, and the
+// jobs themselves run under it (RunCtx checks it every 4096 schedule steps),
+// so cancellation latency is bounded by a few thousand simulation steps per
+// in-flight worker — never by the length of the job list or the size of one
+// job.  A cancelled sweep returns (nil, ctx.Err()); partial results are
+// discarded.
 func SweepCtx(ctx context.Context, g *cdag.Graph, jobs []Job, workers int) ([]*Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	// Serial reference: one Run per job.
 	want := make([]*Stats, len(jobs))
 	for i, j := range jobs {
-		s, err := Run(g, j.Cfg, j.Order, j.Owner)
+		s, err := RunCtx(context.Background(), g, j.Cfg, j.Order, j.Owner)
 		if err != nil {
 			t.Fatalf("serial job %d: %v", i, err)
 		}
@@ -37,7 +38,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 3, 4, 8, 0} {
-		got, err := Sweep(g, jobs, workers)
+		got, err := SweepCtx(context.Background(), g, jobs, workers)
 		if err != nil {
 			t.Fatalf("Sweep(workers=%d): %v", workers, err)
 		}
@@ -62,7 +63,7 @@ func TestSweepErrorDeterministic(t *testing.T) {
 	}
 	var wantErr string
 	for i, workers := range []int{1, 2, 4, 0} {
-		_, err := Sweep(g, jobs, workers)
+		_, err := SweepCtx(context.Background(), g, jobs, workers)
 		if err == nil {
 			t.Fatalf("Sweep(workers=%d): expected error", workers)
 		}

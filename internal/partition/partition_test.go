@@ -1,12 +1,14 @@
 package partition
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
 	"cdagio/internal/pebble"
+	"cdagio/internal/sched"
 )
 
 func TestSPartitionValidate(t *testing.T) {
@@ -85,9 +87,9 @@ func TestFromGameTrace(t *testing.T) {
 				order = append(order, v)
 			}
 		}
-		res, err := pebble.PlaySchedule(tc.g, pebble.RBW, tc.s, order, pebble.Belady, true)
+		res, err := pebble.PlayScheduleCtx(context.Background(), tc.g, pebble.RBW, tc.s, order, pebble.Belady, true)
 		if err != nil {
-			t.Fatalf("%s: PlaySchedule: %v", tc.name, err)
+			t.Fatalf("%s: PlayScheduleCtx: %v", tc.name, err)
 		}
 		p, err := FromGameTrace(tc.g, res)
 		if err != nil {
@@ -106,9 +108,9 @@ func TestFromGameTrace(t *testing.T) {
 
 func TestFromGameTraceNoTrace(t *testing.T) {
 	g := gen.Chain(4)
-	res, err := pebble.PlayTopological(g, pebble.RBW, 2, pebble.Belady)
+	res, err := pebble.PlayScheduleCtx(context.Background(), g, pebble.RBW, 2, sched.Topological(g), pebble.Belady, false)
 	if err != nil {
-		t.Fatalf("PlayTopological: %v", err)
+		t.Fatalf("PlayScheduleCtx: %v", err)
 	}
 	if _, err := FromGameTrace(g, res); err == nil {
 		t.Errorf("expected error for missing trace")
@@ -195,7 +197,7 @@ func TestCorollary1AgainstOptimal(t *testing.T) {
 			t.Fatalf("%s: U: %v", tc.name, err)
 		}
 		lb := Corollary1Bound(tc.s, tc.g.NumOperations(), u)
-		opt, err := pebble.OptimalIO(tc.g, pebble.RBW, tc.s, pebble.OptimalOptions{})
+		opt, err := pebble.OptimalIOCtx(context.Background(), tc.g, pebble.RBW, tc.s, pebble.OptimalOptions{})
 		if err != nil {
 			t.Fatalf("%s: OptimalIO: %v", tc.name, err)
 		}

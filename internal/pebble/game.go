@@ -8,11 +8,11 @@
 //   - Game: a rule-checking state machine.  Every move is validated against
 //     the game definition, so any sequence of successful Apply calls is a
 //     legal (partial) game and the I/O count it reports is trustworthy.
-//   - PlaySchedule: a deterministic player that executes a given vertex
+//   - PlayScheduleCtx: a deterministic player that executes a given vertex
 //     schedule with S red pebbles and a Belady or LRU eviction policy,
 //     producing a complete legal game.  Its I/O count is an upper bound on
 //     the CDAG's I/O complexity.
-//   - OptimalIO: an exact solver (Dijkstra over game states) for small CDAGs,
+//   - OptimalIOCtx: an exact solver (Dijkstra over game states) for small CDAGs,
 //     used to validate the lower-bound machinery end to end.
 package pebble
 

@@ -10,7 +10,7 @@ import (
 	"cdagio/internal/iheap"
 )
 
-// ErrTooLarge is returned by OptimalIO when the CDAG exceeds the size the
+// ErrTooLarge is returned by OptimalIOCtx when the CDAG exceeds the size the
 // exact solver supports.
 var ErrTooLarge = errors.New("pebble: CDAG too large for exact optimal search")
 
@@ -57,26 +57,18 @@ func (q *stateQueue) pop() (gameState, int, bool) {
 	return q.arena[idx], int(cost), true
 }
 
-// OptimalIO computes the exact minimum number of I/O operations of a complete
-// pebble game on g with s red pebbles, by Dijkstra search over the game's
-// state space (loads and stores cost 1, computes and deletes cost 0).
+// OptimalIOCtx computes the exact minimum number of I/O operations of a
+// complete pebble game on g with s red pebbles, by Dijkstra search over the
+// game's state space (loads and stores cost 1, computes and deletes cost 0).
 //
 // The search is exponential in general; it is intended for the small CDAGs
 // (≲ 20 vertices) used to validate the lower-bound machinery.  Graphs with
 // more than 64 vertices are rejected with ErrTooLarge, and searches that
 // exceed opts.MaxStates settled states fail with ErrSearchBudget.
-func OptimalIO(g *cdag.Graph, variant Variant, s int, opts OptimalOptions) (int, error) {
-	// context.Background() is never cancelled, so OptimalIOCtx degenerates to
-	// the historical behavior.
-	//cdaglint:allow ctxflow deprecated no-ctx entry point; documented as a never-cancelled run
-	return OptimalIOCtx(context.Background(), g, variant, s, opts)
-}
-
-// OptimalIOCtx is OptimalIO under a context: the state-space search checks
-// ctx every 1024 settled states (individual state expansions stay atomic) and
-// returns ctx.Err() promptly once the context is cancelled.  Under a
-// never-cancelled context the search — settle order, cost, error — is
-// bit-identical to OptimalIO.
+//
+// ctx bounds the search: it is checked every 1024 settled states (individual
+// state expansions stay atomic), and ctx.Err() is returned promptly once the
+// context is cancelled.
 func OptimalIOCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int, opts OptimalOptions) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

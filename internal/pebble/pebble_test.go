@@ -1,6 +1,7 @@
 package pebble
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -9,6 +10,12 @@ import (
 	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
 )
+
+// playTopological plays the topological schedule of g's non-input vertices
+// under a never-cancelled context.
+func playTopological(g *cdag.Graph, variant Variant, s int, policy EvictionPolicy) (Result, error) {
+	return PlayScheduleCtx(context.Background(), g, variant, s, nonInputTopo(g), policy, false)
+}
 
 // mustApply applies a move the test believes legal, failing the test (not
 // panicking the process) if the game disagrees.
@@ -152,9 +159,9 @@ func TestNewGamePanics(t *testing.T) {
 
 func TestPlayScheduleChain(t *testing.T) {
 	g := gen.Chain(10)
-	res, err := PlayTopological(g, RBW, 2, Belady)
+	res, err := playTopological(g, RBW, 2, Belady)
 	if err != nil {
-		t.Fatalf("PlayTopological: %v", err)
+		t.Fatalf("playTopological: %v", err)
 	}
 	// One load of the input, one store of the output.
 	if res.IO() != 2 {
@@ -166,18 +173,18 @@ func TestPlayScheduleOuterProduct(t *testing.T) {
 	n := 6
 	g := gen.OuterProduct(n)
 	// With ample fast memory the cost is exactly 2n loads + n² stores.
-	res, err := PlayTopological(g, RBW, 2*n+n*n+4, Belady)
+	res, err := playTopological(g, RBW, 2*n+n*n+4, Belady)
 	if err != nil {
-		t.Fatalf("PlayTopological: %v", err)
+		t.Fatalf("playTopological: %v", err)
 	}
 	if res.Loads != 2*n || res.Stores != n*n {
 		t.Fatalf("outer product I/O = %d loads + %d stores, want %d + %d",
 			res.Loads, res.Stores, 2*n, n*n)
 	}
 	// With minimal fast memory the cost cannot drop below 2n + n².
-	resSmall, err := PlayTopological(g, RBW, 3, Belady)
+	resSmall, err := playTopological(g, RBW, 3, Belady)
 	if err != nil {
-		t.Fatalf("PlayTopological small: %v", err)
+		t.Fatalf("playTopological small: %v", err)
 	}
 	if resSmall.IO() < 2*n+n*n {
 		t.Fatalf("outer product small-S I/O = %d below the unconditional minimum %d",
@@ -190,17 +197,17 @@ func TestPlayScheduleMatMul(t *testing.T) {
 	r := gen.MatMul(n)
 	g := r.Graph
 	// Large S: every value fits, so I/O = 2n² loads + n² stores.
-	big, err := PlayTopological(g, RBW, g.NumVertices()+1, Belady)
+	big, err := playTopological(g, RBW, g.NumVertices()+1, Belady)
 	if err != nil {
-		t.Fatalf("PlayTopological big: %v", err)
+		t.Fatalf("playTopological big: %v", err)
 	}
 	if big.Loads != 2*n*n || big.Stores != n*n {
 		t.Fatalf("matmul big-S I/O = %d + %d, want %d + %d", big.Loads, big.Stores, 2*n*n, n*n)
 	}
 	// Small S forces extra traffic.
-	small, err := PlayTopological(g, RBW, 8, Belady)
+	small, err := playTopological(g, RBW, 8, Belady)
 	if err != nil {
-		t.Fatalf("PlayTopological small: %v", err)
+		t.Fatalf("playTopological small: %v", err)
 	}
 	if small.IO() <= big.IO() {
 		t.Fatalf("small-S I/O %d not larger than big-S I/O %d", small.IO(), big.IO())
@@ -209,11 +216,11 @@ func TestPlayScheduleMatMul(t *testing.T) {
 
 func TestPlayScheduleBeladyVsLRU(t *testing.T) {
 	g := gen.FFT(16)
-	belady, err := PlayTopological(g, RBW, 8, Belady)
+	belady, err := playTopological(g, RBW, 8, Belady)
 	if err != nil {
 		t.Fatalf("belady: %v", err)
 	}
-	lru, err := PlayTopological(g, RBW, 8, LRU)
+	lru, err := playTopological(g, RBW, 8, LRU)
 	if err != nil {
 		t.Fatalf("lru: %v", err)
 	}
@@ -221,7 +228,7 @@ func TestPlayScheduleBeladyVsLRU(t *testing.T) {
 		t.Fatalf("Belady (%d) should not lose to LRU (%d) on the same schedule", belady.IO(), lru.IO())
 	}
 	// More fast memory never hurts for the same schedule and policy.
-	bigger, err := PlayTopological(g, RBW, 16, Belady)
+	bigger, err := playTopological(g, RBW, 16, Belady)
 	if err != nil {
 		t.Fatalf("bigger: %v", err)
 	}
@@ -233,32 +240,32 @@ func TestPlayScheduleBeladyVsLRU(t *testing.T) {
 func TestPlayScheduleErrors(t *testing.T) {
 	g := gen.Chain(4) // vertices 0(in),1,2,3(out)
 	// Input scheduled.
-	if _, err := PlaySchedule(g, RBW, 2, []cdag.VertexID{0, 1, 2, 3}, Belady, false); err == nil {
+	if _, err := PlayScheduleCtx(context.Background(), g, RBW, 2, []cdag.VertexID{0, 1, 2, 3}, Belady, false); err == nil {
 		t.Errorf("expected error for scheduled input")
 	}
 	// Duplicate vertex.
-	if _, err := PlaySchedule(g, RBW, 2, []cdag.VertexID{1, 1, 2, 3}, Belady, false); err == nil {
+	if _, err := PlayScheduleCtx(context.Background(), g, RBW, 2, []cdag.VertexID{1, 1, 2, 3}, Belady, false); err == nil {
 		t.Errorf("expected error for duplicate vertex")
 	}
 	// Missing vertex.
-	if _, err := PlaySchedule(g, RBW, 2, []cdag.VertexID{1, 2}, Belady, false); err == nil {
+	if _, err := PlayScheduleCtx(context.Background(), g, RBW, 2, []cdag.VertexID{1, 2}, Belady, false); err == nil {
 		t.Errorf("expected error for missing vertex")
 	}
 	// Dependence violated.
-	if _, err := PlaySchedule(g, RBW, 2, []cdag.VertexID{2, 1, 3}, Belady, false); err == nil {
+	if _, err := PlayScheduleCtx(context.Background(), g, RBW, 2, []cdag.VertexID{2, 1, 3}, Belady, false); err == nil {
 		t.Errorf("expected error for out-of-order schedule")
 	}
 	// Out of range vertex.
-	if _, err := PlaySchedule(g, RBW, 2, []cdag.VertexID{1, 2, 99}, Belady, false); err == nil {
+	if _, err := PlayScheduleCtx(context.Background(), g, RBW, 2, []cdag.VertexID{1, 2, 99}, Belady, false); err == nil {
 		t.Errorf("expected error for out-of-range vertex")
 	}
 	// S too small for the in-degree.
 	d := gen.DotProduct(4)
-	if _, err := PlayTopological(d, RBW, 2, Belady); err == nil {
+	if _, err := playTopological(d, RBW, 2, Belady); err == nil {
 		t.Errorf("expected error for S below in-degree+1")
 	}
 	var se *ScheduleError
-	_, err := PlayTopological(d, RBW, 2, Belady)
+	_, err := playTopological(d, RBW, 2, Belady)
 	if !errors.As(err, &se) {
 		t.Errorf("error type = %T, want *ScheduleError", err)
 	}
@@ -266,7 +273,7 @@ func TestPlayScheduleErrors(t *testing.T) {
 
 func TestOptimalIOChain(t *testing.T) {
 	g := gen.Chain(5)
-	io, err := OptimalIO(g, RBW, 2, OptimalOptions{})
+	io, err := OptimalIOCtx(context.Background(), g, RBW, 2, OptimalOptions{})
 	if err != nil {
 		t.Fatalf("OptimalIO: %v", err)
 	}
@@ -274,7 +281,7 @@ func TestOptimalIOChain(t *testing.T) {
 		t.Fatalf("optimal chain I/O = %d, want 2", io)
 	}
 	// The Hong-Kung variant can do no better on a chain.
-	ioHK, err := OptimalIO(g, HongKung, 2, OptimalOptions{})
+	ioHK, err := OptimalIOCtx(context.Background(), g, HongKung, 2, OptimalOptions{})
 	if err != nil {
 		t.Fatalf("OptimalIO HK: %v", err)
 	}
@@ -293,7 +300,7 @@ func TestOptimalIODiamond(t *testing.T) {
 	g.AddEdge(a, c)
 	g.AddEdge(b, d)
 	g.AddEdge(c, d)
-	io, err := OptimalIO(g, RBW, 3, OptimalOptions{})
+	io, err := OptimalIOCtx(context.Background(), g, RBW, 3, OptimalOptions{})
 	if err != nil {
 		t.Fatalf("OptimalIO: %v", err)
 	}
@@ -302,7 +309,7 @@ func TestOptimalIODiamond(t *testing.T) {
 	}
 	// With only 2 red pebbles no complete game exists (computing d requires
 	// both predecessors plus d itself to hold red pebbles).
-	if _, err := OptimalIO(g, RBW, 2, OptimalOptions{}); err == nil {
+	if _, err := OptimalIOCtx(context.Background(), g, RBW, 2, OptimalOptions{}); err == nil {
 		t.Fatalf("expected no complete game with S=2 on the diamond")
 	}
 }
@@ -327,7 +334,7 @@ func TestOptimalIOForcedSpill(t *testing.T) {
 	g.AddEdge(c, e)
 	g.AddEdge(d, out)
 	g.AddEdge(e, out)
-	opt, err := OptimalIO(g, RBW, 3, OptimalOptions{})
+	opt, err := OptimalIOCtx(context.Background(), g, RBW, 3, OptimalOptions{})
 	if err != nil {
 		t.Fatalf("OptimalIO: %v", err)
 	}
@@ -335,7 +342,7 @@ func TestOptimalIOForcedSpill(t *testing.T) {
 		t.Fatalf("optimal I/O = %d, want > 3 (forced spill)", opt)
 	}
 	// With S=6 everything fits: exactly 2 loads + 1 store.
-	roomy, err := OptimalIO(g, RBW, 6, OptimalOptions{})
+	roomy, err := OptimalIOCtx(context.Background(), g, RBW, 6, OptimalOptions{})
 	if err != nil {
 		t.Fatalf("OptimalIO roomy: %v", err)
 	}
@@ -344,9 +351,9 @@ func TestOptimalIOForcedSpill(t *testing.T) {
 	}
 	// The schedule player must reproduce the roomy optimum and stay legal in
 	// the tight case.
-	sched, err := PlayTopological(g, RBW, 3, Belady)
+	sched, err := playTopological(g, RBW, 3, Belady)
 	if err != nil {
-		t.Fatalf("PlayTopological: %v", err)
+		t.Fatalf("playTopological: %v", err)
 	}
 	if sched.IO() < opt {
 		t.Fatalf("scheduled I/O %d below optimum %d", sched.IO(), opt)
@@ -355,21 +362,21 @@ func TestOptimalIOForcedSpill(t *testing.T) {
 
 func TestOptimalIOSTooSmall(t *testing.T) {
 	g := gen.DotProduct(2) // has a vertex with in-degree 2, needs S >= 3
-	if _, err := OptimalIO(g, RBW, 2, OptimalOptions{MaxStates: 100000}); err == nil {
+	if _, err := OptimalIOCtx(context.Background(), g, RBW, 2, OptimalOptions{MaxStates: 100000}); err == nil {
 		t.Fatalf("expected failure when no complete game exists")
 	}
 }
 
 func TestOptimalIOErrors(t *testing.T) {
 	big := gen.Jacobi(2, 6, 2, gen.StencilStar).Graph // 108 vertices > 64
-	if _, err := OptimalIO(big, RBW, 4, OptimalOptions{}); !errors.Is(err, ErrTooLarge) {
+	if _, err := OptimalIOCtx(context.Background(), big, RBW, 4, OptimalOptions{}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("expected ErrTooLarge, got %v", err)
 	}
 	g := gen.FFT(8)
-	if _, err := OptimalIO(g, RBW, 4, OptimalOptions{MaxStates: 10}); !errors.Is(err, ErrSearchBudget) {
+	if _, err := OptimalIOCtx(context.Background(), g, RBW, 4, OptimalOptions{MaxStates: 10}); !errors.Is(err, ErrSearchBudget) {
 		t.Errorf("expected ErrSearchBudget, got %v", err)
 	}
-	if _, err := OptimalIO(gen.Chain(2), RBW, 0, OptimalOptions{}); err == nil {
+	if _, err := OptimalIOCtx(context.Background(), gen.Chain(2), RBW, 0, OptimalOptions{}); err == nil {
 		t.Errorf("expected error for S=0")
 	}
 }
@@ -389,13 +396,13 @@ func TestScheduledNeverBeatsOptimal(t *testing.T) {
 			}
 		}
 		s++ // a little slack
-		opt, err := OptimalIO(g, RBW, s, OptimalOptions{})
+		opt, err := OptimalIOCtx(context.Background(), g, RBW, s, OptimalOptions{})
 		if err != nil {
 			t.Fatalf("%s: OptimalIO: %v", g.Name(), err)
 		}
-		sched, err := PlayTopological(g, RBW, s, Belady)
+		sched, err := playTopological(g, RBW, s, Belady)
 		if err != nil {
-			t.Fatalf("%s: PlayTopological: %v", g.Name(), err)
+			t.Fatalf("%s: playTopological: %v", g.Name(), err)
 		}
 		if sched.IO() < opt {
 			t.Errorf("%s: scheduled I/O %d below proven optimum %d", g.Name(), sched.IO(), opt)
@@ -431,8 +438,8 @@ func TestHongKungNeverWorseThanRBW(t *testing.T) {
 			}
 		}
 		s := maxIn + 1 + int(sRaw%3)
-		hk, err1 := OptimalIO(g, HongKung, s, OptimalOptions{MaxStates: 300000})
-		rbw, err2 := OptimalIO(g, RBW, s, OptimalOptions{MaxStates: 300000})
+		hk, err1 := OptimalIOCtx(context.Background(), g, HongKung, s, OptimalOptions{MaxStates: 300000})
+		rbw, err2 := OptimalIOCtx(context.Background(), g, RBW, s, OptimalOptions{MaxStates: 300000})
 		if err1 != nil || err2 != nil {
 			return true // skip searches that blow the budget
 		}
@@ -447,7 +454,7 @@ func TestPlayScheduleMatchesOptimalOnTrees(t *testing.T) {
 	// For a reduction tree over 8 inputs with S=5 the greedy player reaches
 	// the optimum exactly: load each input once, store the single output.
 	g := gen.ReductionTree(8)
-	opt, err := OptimalIO(g, RBW, 5, OptimalOptions{})
+	opt, err := OptimalIOCtx(context.Background(), g, RBW, 5, OptimalOptions{})
 	if err != nil {
 		t.Fatalf("OptimalIO: %v", err)
 	}
@@ -458,23 +465,23 @@ func TestPlayScheduleMatchesOptimalOnTrees(t *testing.T) {
 	// optimum; the breadth-first topological order does not (it keeps all
 	// partial sums live at once and is forced to spill).
 	postOrder := []cdag.VertexID{8, 9, 12, 10, 11, 13, 14}
-	dfs, err := PlaySchedule(g, RBW, 5, postOrder, Belady, false)
+	dfs, err := PlayScheduleCtx(context.Background(), g, RBW, 5, postOrder, Belady, false)
 	if err != nil {
 		t.Fatalf("PlaySchedule post-order: %v", err)
 	}
 	if dfs.IO() != opt {
 		t.Errorf("post-order scheduled I/O %d != optimal %d", dfs.IO(), opt)
 	}
-	bfs, err := PlayTopological(g, RBW, 5, Belady)
+	bfs, err := playTopological(g, RBW, 5, Belady)
 	if err != nil {
-		t.Fatalf("PlayTopological: %v", err)
+		t.Fatalf("playTopological: %v", err)
 	}
 	if bfs.IO() < opt {
 		t.Errorf("breadth-first scheduled I/O %d below optimum %d", bfs.IO(), opt)
 	}
 	// With S=4 one partial result must spill and be reloaded: the proven
 	// optimum rises to 11 (9 loads + 2 stores).
-	tight, err := OptimalIO(g, RBW, 4, OptimalOptions{})
+	tight, err := OptimalIOCtx(context.Background(), g, RBW, 4, OptimalOptions{})
 	if err != nil {
 		t.Fatalf("OptimalIO tight: %v", err)
 	}
@@ -492,9 +499,9 @@ func TestUnconsumedInputIsStillLoadedInRBW(t *testing.T) {
 	c := g.AddOutput("c")
 	g.AddEdge(a, c)
 	_ = b
-	res, err := PlayTopological(g, RBW, 2, Belady)
+	res, err := playTopological(g, RBW, 2, Belady)
 	if err != nil {
-		t.Fatalf("PlayTopological: %v", err)
+		t.Fatalf("playTopological: %v", err)
 	}
 	if res.Loads != 2 {
 		t.Fatalf("loads = %d, want 2 (both inputs touched)", res.Loads)

@@ -36,7 +36,7 @@ type ScheduleError struct{ Reason string }
 
 func (e *ScheduleError) Error() string { return "pebble: invalid schedule: " + e.Reason }
 
-// PlaySchedule executes the given vertex schedule on g as a complete pebble
+// PlayScheduleCtx executes the given vertex schedule on g as a complete pebble
 // game with s red pebbles and returns the resulting I/O counts.  The schedule
 // must list every non-input vertex exactly once, in an order compatible with
 // the CDAG's edges (a topological order of the non-input vertices).  Input
@@ -46,22 +46,17 @@ func (e *ScheduleError) Error() string { return "pebble: invalid schedule: " + e
 // the I/O complexity of g for the given S.  With the Belady policy the count
 // is optimal for the fixed schedule up to the store-on-evict heuristic.
 //
-// PlaySchedule fails if s is smaller than the largest in-degree plus one
+// PlayScheduleCtx fails if s is smaller than the largest in-degree plus one
 // (a vertex and all its predecessors must hold red pebbles simultaneously).
 //
 // The player allocates only run-constant state: use lists are a flat CSR
 // table, pinned sets are epoch stamps, and the red-pebble set is mirrored in
 // a dense list so evictions scan occupancy instead of the whole vertex range.
-func PlaySchedule(g *cdag.Graph, variant Variant, s int, order []cdag.VertexID,
-	policy EvictionPolicy, record bool) (Result, error) {
-	//cdaglint:allow ctxflow deprecated no-ctx entry point; documented as a never-cancelled run
-	return PlayScheduleCtx(context.Background(), g, variant, s, order, policy, record)
-}
-
-// PlayScheduleCtx is PlaySchedule bounded by ctx: the player checks the
-// context on entry and every 4096 schedule steps (like prbw.PlayCtx and
-// memsim.RunCtx) and returns ctx.Err() once it is cancelled, so a serving
-// layer's deadlines and forced drain reach long plays on large graphs.
+//
+// ctx bounds the play: the player checks it on entry and every 4096 schedule
+// steps (like prbw.PlayCtx and memsim.RunCtx) and returns ctx.Err() once it
+// is cancelled, so a serving layer's deadlines and forced drain reach long
+// plays on large graphs.
 func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int, order []cdag.VertexID,
 	policy EvictionPolicy, record bool) (Result, error) {
 
@@ -355,16 +350,4 @@ func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int,
 		return Result{}, &ScheduleError{Reason: "game incomplete after schedule: " + game.Incomplete()}
 	}
 	return game.result(moves), nil
-}
-
-// PlayTopological runs PlaySchedule on the default topological order of the
-// non-input vertices of g.
-func PlayTopological(g *cdag.Graph, variant Variant, s int, policy EvictionPolicy) (Result, error) {
-	order := make([]cdag.VertexID, 0, g.NumOperations())
-	for _, v := range g.MustTopoOrder() {
-		if !g.IsInput(v) {
-			order = append(order, v)
-		}
-	}
-	return PlaySchedule(g, variant, s, order, policy, false)
 }

@@ -3,6 +3,7 @@ package pebble
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -57,13 +58,15 @@ func TestPlayScheduleCtxCancellation(t *testing.T) {
 		t.Fatalf("mid-run cancel: only %d Err checks, want the entry check plus an in-loop check", tc.calls)
 	}
 
-	// Under a live context the ctx variant is bit-identical to PlaySchedule.
-	want, err := PlaySchedule(g, RBW, 2, order, Belady, false)
+	// The checks never change a play they do not stop: a context that is
+	// polled but never trips plays exactly what context.Background() plays.
+	want, err := PlayScheduleCtx(context.Background(), g, RBW, 2, order, Belady, false)
 	if err != nil {
-		t.Fatalf("PlaySchedule: %v", err)
+		t.Fatalf("PlayScheduleCtx: %v", err)
 	}
-	got, err := PlayScheduleCtx(context.Background(), g, RBW, 2, order, Belady, false)
+	live := &trippingCtx{Context: context.Background(), after: math.MaxInt}
+	got, err := PlayScheduleCtx(live, g, RBW, 2, order, Belady, false)
 	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("PlayScheduleCtx diverges: (%+v, %v) vs %+v", got, err, want)
+		t.Fatalf("polled live context diverges: (%+v, %v) vs %+v", got, err, want)
 	}
 }

@@ -40,7 +40,7 @@ func TestPlayScheduleGolden(t *testing.T) {
 		case "dot":
 			g = gen.DotProduct(12)
 		}
-		res, err := PlayTopological(g, RBW, tc.s, tc.policy)
+		res, err := playTopological(g, RBW, tc.s, tc.policy)
 		if err != nil {
 			t.Fatalf("%s/%v: %v", tc.name, tc.policy, err)
 		}

@@ -1,6 +1,7 @@
 package prbw
 
 import (
+	"context"
 	"testing"
 
 	"cdagio/internal/cdag"
@@ -26,7 +27,7 @@ func BenchmarkPlay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Play(g, topo, asg); err != nil {
+		if _, err := PlayCtx(context.Background(), g, topo, asg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +56,7 @@ func BenchmarkPlaySingleProcessor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Play(g, topo, asg); err != nil {
+		if _, err := PlayCtx(context.Background(), g, topo, asg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ func TestPlayPanicIsIsolated(t *testing.T) {
 	topo := TwoLevel(1, 4, 1024)
 	asg := SingleProcessor(g)
 
-	want, err := Play(g, topo, asg)
+	want, err := PlayCtx(context.Background(), g, topo, asg)
 	if err != nil {
 		t.Fatalf("baseline play: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestPlayPanicIsIsolated(t *testing.T) {
 		t.Fatalf("PanicError label %q, want %q", pe.Label, fault.PointPRBWPlay)
 	}
 
-	got, err := Play(g, topo, asg)
+	got, err := PlayCtx(context.Background(), g, topo, asg)
 	if err != nil {
 		t.Fatalf("post-crash play: %v", err)
 	}

@@ -138,7 +138,7 @@ func (p pinSet) has(v cdag.VertexID) bool {
 // noPins returns the empty pin set.
 func noPins() pinSet { return pinSet{extra: cdag.InvalidVertex} }
 
-// player carries the bookkeeping of one Play run.  Unlike the reference
+// player carries the bookkeeping of one PlayCtx run.  Unlike the reference
 // player it keeps no per-unit maps and allocates nothing per compute step:
 // recency and deadness live in dense per-vertex arrays and per-unit indexed
 // heaps, and pinned sets are epoch stamps.
@@ -184,26 +184,19 @@ type player struct {
 	stashT []int64
 }
 
-// Play executes the assignment on g over the topology and returns the
+// PlayCtx executes the assignment on g over the topology and returns the
 // resulting data-movement statistics of a complete legal P-RBW game.  The
 // assignment must schedule every non-input vertex exactly once in dependence
 // order, and the register capacity must exceed the largest in-degree.
 //
-// Play produces statistics identical to PlayReference — the eviction order is
-// the same (dead values first, then least recently touched, ties by vertex
-// ID) — but chooses each victim in O(log capacity) instead of scanning the
-// unit, and performs no per-step allocations.
-func Play(g *cdag.Graph, topo Topology, asg Assignment) (*Stats, error) {
-	// context.Background() is never cancelled, so PlayCtx degenerates to the
-	// historical behavior.
-	//cdaglint:allow ctxflow deprecated no-ctx entry point; documented as a never-cancelled run
-	return PlayCtx(context.Background(), g, topo, asg)
-}
-
-// PlayCtx is Play under a context: the schedule loop checks ctx every 4096
-// compute steps (individual game moves stay atomic) and returns ctx.Err()
-// promptly once the context is cancelled.  Under a never-cancelled context
-// the game — every move, every statistic — is bit-identical to Play.
+// The player's eviction order is that of the map-based reference player its
+// tests pin it against (dead values first, then least recently touched, ties
+// by vertex ID), but it chooses each victim in O(log capacity) instead of
+// scanning the unit, and performs no per-step allocations.
+//
+// ctx bounds the game: the schedule loop checks it every 4096 compute steps
+// (individual game moves stay atomic) and returns ctx.Err() promptly once the
+// context is cancelled.
 //
 // The whole play runs under a recover wrapper: a panic inside the player (or
 // injected at the fault.PointPRBWPlay point) is returned as a

@@ -1,6 +1,7 @@
 package prbw
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -51,7 +52,7 @@ func equivScenarios() []struct {
 func TestPlayMatchesReference(t *testing.T) {
 	for _, sc := range equivScenarios() {
 		want, errRef := PlayReference(sc.g, sc.topo, sc.asg)
-		got, errNew := Play(sc.g, sc.topo, sc.asg)
+		got, errNew := PlayCtx(context.Background(), sc.g, sc.topo, sc.asg)
 		if (errRef == nil) != (errNew == nil) {
 			t.Fatalf("%s: reference err = %v, optimized err = %v", sc.name, errRef, errNew)
 		}
@@ -98,7 +99,7 @@ func TestPlayMatchesReferenceEvictionChurn(t *testing.T) {
 					asg.Proc[i] = rng.Intn(procs)
 				}
 				want, errRef := PlayReference(g, tp.topo, asg)
-				got, errNew := Play(g, tp.topo, asg)
+				got, errNew := PlayCtx(context.Background(), g, tp.topo, asg)
 				if (errRef == nil) != (errNew == nil) {
 					t.Fatalf("%s/%s trial %d: reference err = %v, optimized err = %v",
 						gname, tp.name, trial, errRef, errNew)
@@ -129,7 +130,7 @@ func TestPlayErrorMatchesReference(t *testing.T) {
 	topo := Distributed(2, 2, 10, 64, 1<<16)
 	asg := RoundRobin(cg, 4, 16)
 	_, errRef := PlayReference(cg, topo, asg)
-	_, errNew := Play(cg, topo, asg)
+	_, errNew := PlayCtx(context.Background(), cg, topo, asg)
 	if errRef == nil || errNew == nil {
 		t.Fatalf("expected both players to fail, got reference=%v optimized=%v", errRef, errNew)
 	}
@@ -174,7 +175,7 @@ func TestPlayGoldenSeed(t *testing.T) {
 		if !ok {
 			continue
 		}
-		st, err := Play(sc.g, sc.topo, sc.asg)
+		st, err := PlayCtx(context.Background(), sc.g, sc.topo, sc.asg)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
@@ -203,8 +204,8 @@ func TestPlayGoldenSeed(t *testing.T) {
 // or any other run-to-run nondeterminism.
 func TestPlayDeterministic(t *testing.T) {
 	for _, sc := range equivScenarios() {
-		first, err1 := Play(sc.g, sc.topo, sc.asg)
-		second, err2 := Play(sc.g, sc.topo, sc.asg)
+		first, err1 := PlayCtx(context.Background(), sc.g, sc.topo, sc.asg)
+		second, err2 := PlayCtx(context.Background(), sc.g, sc.topo, sc.asg)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s: nondeterministic error: %v vs %v", sc.name, err1, err2)
 		}
@@ -231,7 +232,7 @@ func TestPlayCapacityExhausted(t *testing.T) {
 		{Name: "mem", Units: 1, Capacity: 1 << 12},
 	}}
 	asg := SingleProcessor(g)
-	_, errNew := Play(g, topo, asg)
+	_, errNew := PlayCtx(context.Background(), g, topo, asg)
 	if errNew == nil {
 		t.Fatal("expected capacity-exhausted error, got success")
 	}

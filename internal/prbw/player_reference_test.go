@@ -6,12 +6,12 @@ import (
 	"cdagio/internal/cdag"
 )
 
-// PlayReference executes the assignment exactly like Play but with the
+// PlayReference executes the assignment exactly like PlayCtx but with the
 // straightforward bookkeeping the optimized player replaced: per-unit
 // map[vertex]clock recency tables scanned in full on every eviction, and
 // freshly allocated pinned-vertex maps on every compute step and fetch.  It is
-// kept as the executable specification of the player's eviction semantics —
-// tests assert that Play produces byte-identical statistics, and benchmarks
+// the executable specification of the player's eviction semantics — tests
+// assert that PlayCtx produces byte-identical statistics, and benchmarks
 // measure the win of the dense rewrite against it.
 func PlayReference(g *cdag.Graph, topo Topology, asg Assignment) (*Stats, error) {
 	if err := topo.Validate(); err != nil {
@@ -31,7 +31,7 @@ func PlayReference(g *cdag.Graph, topo Topology, asg Assignment) (*Stats, error)
 	n := g.NumVertices()
 	// Even the reference player hoists the predecessor CSR: the rows are
 	// identical to g.Pred(v), and reading them directly keeps the measured
-	// Play-vs-PlayReference gap about eviction bookkeeping, not facade calls.
+	// PlayCtx-vs-PlayReference gap about eviction bookkeeping, not facade calls.
 	predOff, predVal := g.PredecessorCSR()
 	pl := &refPlayer{game: game, g: g, topo: topo, asg: asg,
 		uses: make([][]int, n), usePtr: make([]int, n)}

@@ -1,6 +1,7 @@
 package prbw
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -239,7 +240,7 @@ func errorsAs(err error, target **RuleError) bool {
 func TestPlaySingleNode(t *testing.T) {
 	g := gen.DotProduct(8)
 	topo := TwoLevel(1, 4, 1024)
-	stats, err := Play(g, topo, SingleProcessor(g))
+	stats, err := PlayCtx(context.Background(), g, topo, SingleProcessor(g))
 	if err != nil {
 		t.Fatalf("Play: %v", err)
 	}
@@ -269,7 +270,7 @@ func TestPlayTwoNodesHorizontalTraffic(t *testing.T) {
 	g := gen.DotProduct(16)
 	topo := Distributed(2, 1, 4, 16, 4096)
 	asg := RoundRobin(g, 2, 4)
-	stats, err := Play(g, topo, asg)
+	stats, err := PlayCtx(context.Background(), g, topo, asg)
 	if err != nil {
 		t.Fatalf("Play: %v", err)
 	}
@@ -290,11 +291,11 @@ func TestPlaySmallCacheIncreasesVerticalTraffic(t *testing.T) {
 	big := Distributed(1, 1, 8, 256, 8192)
 	small := Distributed(1, 1, 8, 16, 8192)
 	asg := SingleProcessor(g)
-	bigStats, err := Play(g, big, asg)
+	bigStats, err := PlayCtx(context.Background(), g, big, asg)
 	if err != nil {
 		t.Fatalf("Play big: %v", err)
 	}
-	smallStats, err := Play(g, small, asg)
+	smallStats, err := PlayCtx(context.Background(), g, small, asg)
 	if err != nil {
 		t.Fatalf("Play small: %v", err)
 	}
@@ -323,7 +324,7 @@ func TestPlayJacobiBlockPartition(t *testing.T) {
 	}
 	topo := Distributed(2, 1, 4, 64, 8192)
 	asg := OwnerCompute(g, owner)
-	stats, err := Play(g, topo, asg)
+	stats, err := PlayCtx(context.Background(), g, topo, asg)
 	if err != nil {
 		t.Fatalf("Play: %v", err)
 	}
@@ -345,33 +346,33 @@ func TestPlayErrors(t *testing.T) {
 	g := gen.Chain(4)
 	topo := TwoLevel(2, 4, 64)
 	// Mismatched order/proc lengths.
-	if _, err := Play(g, topo, Assignment{Order: []cdag.VertexID{1}, Proc: []int{0, 1}}); err == nil {
+	if _, err := PlayCtx(context.Background(), g, topo, Assignment{Order: []cdag.VertexID{1}, Proc: []int{0, 1}}); err == nil {
 		t.Errorf("expected length mismatch error")
 	}
 	// Scheduled input.
-	if _, err := Play(g, topo, Assignment{Order: []cdag.VertexID{0, 1, 2, 3}, Proc: []int{0, 0, 0, 0}}); err == nil {
+	if _, err := PlayCtx(context.Background(), g, topo, Assignment{Order: []cdag.VertexID{0, 1, 2, 3}, Proc: []int{0, 0, 0, 0}}); err == nil {
 		t.Errorf("expected scheduled-input error")
 	}
 	// Processor out of range.
-	if _, err := Play(g, topo, Assignment{Order: []cdag.VertexID{1, 2, 3}, Proc: []int{0, 0, 9}}); err == nil {
+	if _, err := PlayCtx(context.Background(), g, topo, Assignment{Order: []cdag.VertexID{1, 2, 3}, Proc: []int{0, 0, 9}}); err == nil {
 		t.Errorf("expected processor range error")
 	}
 	// Missing vertex.
-	if _, err := Play(g, topo, Assignment{Order: []cdag.VertexID{1, 2}, Proc: []int{0, 0}}); err == nil {
+	if _, err := PlayCtx(context.Background(), g, topo, Assignment{Order: []cdag.VertexID{1, 2}, Proc: []int{0, 0}}); err == nil {
 		t.Errorf("expected missing-vertex error")
 	}
 	// Dependence violation.
-	if _, err := Play(g, topo, Assignment{Order: []cdag.VertexID{2, 1, 3}, Proc: []int{0, 0, 0}}); err == nil {
+	if _, err := PlayCtx(context.Background(), g, topo, Assignment{Order: []cdag.VertexID{2, 1, 3}, Proc: []int{0, 0, 0}}); err == nil {
 		t.Errorf("expected dependence error")
 	}
 	// Register file too small for the in-degree.
 	d := gen.DotProduct(4)
 	tiny := TwoLevel(1, 2, 64)
-	if _, err := Play(d, tiny, SingleProcessor(d)); err == nil {
+	if _, err := PlayCtx(context.Background(), d, tiny, SingleProcessor(d)); err == nil {
 		t.Errorf("expected register-capacity error")
 	}
 	// Invalid topology.
-	if _, err := Play(g, Topology{}, SingleProcessor(g)); err == nil {
+	if _, err := PlayCtx(context.Background(), g, Topology{}, SingleProcessor(g)); err == nil {
 		t.Errorf("expected topology error")
 	}
 }

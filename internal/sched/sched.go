@@ -141,7 +141,7 @@ func appendTileCells(order *[]cdag.VertexID, r *gen.JacobiResult, tileCoord []in
 // splitting the spatial grid into equal slabs along the first dimension
 // (owner-compute: every time step of a cell stays on the cell's owner).
 // It returns the per-vertex owner array used by prbw.OwnerCompute and
-// memsim.Run.
+// memsim.RunCtx.
 func BlockPartitionGrid(r *gen.JacobiResult, nodes int) []int {
 	if nodes < 1 {
 		panic("sched: need at least one node")

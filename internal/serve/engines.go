@@ -8,6 +8,7 @@ import (
 
 	"cdagio/internal/cdag"
 	"cdagio/internal/core"
+	"cdagio/internal/graphalg"
 	"cdagio/internal/memsim"
 	"cdagio/internal/pebble"
 	"cdagio/internal/prbw"
@@ -152,7 +153,7 @@ func RunEngine(ctx context.Context, ws *core.Workspace, engine string, body []by
 			}
 			cands = wavefront.TopCandidates(g, k)
 		}
-		w, at, err := ws.WMax(ctx, cands, wavefront.WMaxOptions{Concurrency: req.Concurrency})
+		w, at, err := ws.WMax(ctx, cands, graphalg.WMaxOptions{Concurrency: req.Concurrency})
 		if err != nil {
 			return nil, err
 		}
@@ -160,11 +161,10 @@ func RunEngine(ctx context.Context, ws *core.Workspace, engine string, body []by
 
 	case "analyze":
 		var req struct {
-			S           int  `json:"s"`
-			Candidates  int  `json:"candidates,omitempty"`
-			Concurrency int  `json:"concurrency,omitempty"`
-			ExactLimit  int  `json:"exact_optimal_limit,omitempty"`
-			NoTwoPhase  bool `json:"disable_two_phase,omitempty"`
+			S           int `json:"s"`
+			Candidates  int `json:"candidates,omitempty"`
+			Concurrency int `json:"concurrency,omitempty"`
+			ExactLimit  int `json:"exact_optimal_limit,omitempty"`
 		}
 		if err := decodeBody(body, &req); err != nil {
 			return nil, err
@@ -174,7 +174,6 @@ func RunEngine(ctx context.Context, ws *core.Workspace, engine string, body []by
 			WavefrontCandidates: req.Candidates,
 			Concurrency:         req.Concurrency,
 			ExactOptimalLimit:   req.ExactLimit,
-			DisableTwoPhase:     req.NoTwoPhase,
 		})
 		if err != nil {
 			return nil, err

@@ -163,6 +163,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"s too small", "POST", "/v1/graphs/" + id + "/optimal", `{"s":0}`, 400, "invalid_input"},
 		{"exact search too large", "POST", "/v1/graphs/" + id + "/optimal", `{"s":2,"max_states":10}`, 413, "resource_limit"},
 		{"sweep without jobs", "POST", "/v1/graphs/" + id + "/sweep", `{"jobs":[]}`, 400, "invalid_input"},
+		{"unknown engine field", "POST", "/v1/graphs/" + id + "/analyze", `{"s":4,"disable_two_phase":true}`, 400, "invalid_input"},
 		{"wrong method", "DELETE", "/v1/graphs/" + id, "", 404, "not_found"},
 	}
 	for _, c := range cases {

@@ -1,12 +1,14 @@
 package trace
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
 	"cdagio/internal/pebble"
+	"cdagio/internal/sched"
 )
 
 func TestTracerBasicOps(t *testing.T) {
@@ -126,9 +128,10 @@ func TestTracedGraphIsPebbleable(t *testing.T) {
 	y := tr.InputVector("y", []float64{4, 3, 2, 1})
 	d := tr.Dot(x, y)
 	tr.Output(d)
-	res, err := pebble.PlayTopological(tr.Graph(), pebble.RBW, 4, pebble.Belady)
+	g := tr.Graph()
+	res, err := pebble.PlayScheduleCtx(context.Background(), g, pebble.RBW, 4, sched.Topological(g), pebble.Belady, false)
 	if err != nil {
-		t.Fatalf("PlayTopological: %v", err)
+		t.Fatalf("PlayScheduleCtx: %v", err)
 	}
 	if res.IO() < tr.Graph().NumInputs()+tr.Graph().NumOutputs() {
 		t.Errorf("I/O %d below compulsory minimum", res.IO())

@@ -1,7 +1,9 @@
-// Package wavefront implements the min-cut based lower-bound technique of
-// Section 3.3: schedule wavefronts, minimum-cardinality wavefronts obtained
-// from vertex min-cuts, the w^max quantity, and the Lemma 2 I/O lower bound
-// 2·(w^max − S).
+// Package wavefront implements the schedule-side half of the min-cut based
+// lower-bound technique of Section 3.3: schedule wavefronts, the
+// degree-ranked candidate samples the w^max scan is run on, and the Lemma 2
+// I/O lower bound 2·(w^max − S).  The minimum-cardinality wavefronts and the
+// w^max scan itself are vertex min-cut computations and live in graphalg
+// (MinWavefrontLowerBoundStrip, MaxMinWavefrontLowerBoundCtx).
 //
 // The bounds computed here remain valid for CDAGs with tagged inputs because
 // untagging inputs can only decrease the I/O complexity (Theorem 3), and the
@@ -9,11 +11,9 @@
 package wavefront
 
 import (
-	"context"
 	"fmt"
 
 	"cdagio/internal/cdag"
-	"cdagio/internal/graphalg"
 )
 
 // ScheduleWavefronts returns, for a complete firing order of all vertices of
@@ -93,51 +93,6 @@ func MaxScheduleWavefront(g *cdag.Graph, order []cdag.VertexID) (int, error) {
 	return max, nil
 }
 
-// MinWavefrontAt returns a lower bound on the minimum-cardinality wavefront
-// induced by x (Section 3.3), computed as the maximum number of vertex-
-// disjoint paths from {x} ∪ Anc(x) to Desc(x).  It runs on the pooled
-// strip-local CutSolver engine: the ancestor and descendant cones are
-// contracted into the flow terminals, so repeated queries (the per-piece
-// wavefronts of the Theorem 8/9 decompositions) cost O(strip), not O(V), and
-// allocate nothing after warm-up.  The value is identical to the reference
-// graphalg.MinWavefrontLowerBound.
-func MinWavefrontAt(g *cdag.Graph, x cdag.VertexID) int {
-	return graphalg.MinWavefrontLowerBoundStrip(g, x)
-}
-
-// WMax returns a lower bound on w^max_G = max_x |W^min_G(x)| over the given
-// candidate vertices (all vertices when candidates is nil), along with a
-// vertex attaining it.  It runs on the parallel pruned search engine with
-// default options; use WMaxOpts to control concurrency and pruning.
-func WMax(g *cdag.Graph, candidates []cdag.VertexID) (int, cdag.VertexID) {
-	return graphalg.MaxMinWavefrontLowerBound(g, candidates)
-}
-
-// WMaxOptions configures the WMaxOpts search engine: worker-pool width,
-// pruning, two-phase incumbent seeding (Seeds/SeedSample), warm-started
-// solves and the mid-solve level-cut abort.  Every knob is performance-only;
-// bound and witness never change.
-type WMaxOptions = graphalg.WMaxOptions
-
-// WMaxOpts is WMax with explicit search options: a bounded worker pool over
-// the candidates (Concurrency ≤ 0 selects GOMAXPROCS) with per-worker
-// reusable max-flow scratch and cheap upper-bound pruning.  The result —
-// bound value and witness vertex — is always identical to the serial
-// all-candidates scan, independent of worker count.
-func WMaxOpts(g *cdag.Graph, candidates []cdag.VertexID, opts WMaxOptions) (int, cdag.VertexID) {
-	return graphalg.MaxMinWavefrontLowerBoundOpts(g, candidates, opts)
-}
-
-// WMaxCtx is WMaxOpts under a context: the candidate scan checks ctx at its
-// pruning-tier boundaries and returns ctx.Err() promptly once the context is
-// cancelled (individual Dinic solves stay atomic).  Under a never-cancelled
-// context the result is bit-identical to WMaxOpts at every worker count.
-// opts.Pool, when set, supplies the per-worker cut solvers — this is how a
-// Workspace routes repeated searches through its own solver cache.
-func WMaxCtx(ctx context.Context, g *cdag.Graph, candidates []cdag.VertexID, opts WMaxOptions) (int, cdag.VertexID, error) {
-	return graphalg.MaxMinWavefrontLowerBoundCtx(ctx, g, candidates, opts)
-}
-
 // Lemma2Bound returns the I/O lower bound of Lemma 2: 2·(wmax − S), never
 // negative.
 func Lemma2Bound(wmax, s int) int64 {
@@ -151,7 +106,7 @@ func Lemma2Bound(wmax, s int) int64 {
 // TopCandidates returns up to k vertices of g ordered by decreasing
 // (in-degree + out-degree), with ties broken by increasing vertex ID — a
 // cheap heuristic for where large wavefronts occur (reduction roots and
-// broadcast sources).  It lets callers bound WMax computations on large
+// broadcast sources).  It lets callers bound w^max computations on large
 // CDAGs without scanning every vertex.
 //
 // The selection is partial: a size-k min-heap over the streamed degrees

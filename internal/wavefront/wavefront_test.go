@@ -1,14 +1,27 @@
 package wavefront
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
+	"cdagio/internal/graphalg"
 	"cdagio/internal/pebble"
+	"cdagio/internal/sched"
 )
+
+// wmax runs the w^max engine under a never-cancelled context.
+func wmax(t *testing.T, g *cdag.Graph, candidates []cdag.VertexID) (int, cdag.VertexID) {
+	t.Helper()
+	w, at, err := graphalg.MaxMinWavefrontLowerBoundCtx(context.Background(), g, candidates, graphalg.WMaxOptions{})
+	if err != nil {
+		t.Fatalf("MaxMinWavefrontLowerBoundCtx: %v", err)
+	}
+	return w, at
+}
 
 func TestScheduleWavefrontsChain(t *testing.T) {
 	g := gen.Chain(5)
@@ -85,18 +98,18 @@ func TestWavefrontIsScheduleFootprintLowerBound(t *testing.T) {
 		{"jacobi", gen.Jacobi(1, 10, 4, gen.StencilStar).Graph, 5},
 	}
 	for _, tc := range cases {
-		wmax, at := WMax(tc.g, nil)
-		if wmax < 1 || at == cdag.InvalidVertex {
-			t.Fatalf("%s: WMax = %d", tc.name, wmax)
+		w, at := wmax(t, tc.g, nil)
+		if w < 1 || at == cdag.InvalidVertex {
+			t.Fatalf("%s: w^max = %d", tc.name, w)
 		}
-		lb := Lemma2Bound(wmax, tc.s)
-		res, err := pebble.PlayTopological(tc.g, pebble.RBW, tc.s, pebble.Belady)
+		lb := Lemma2Bound(w, tc.s)
+		res, err := pebble.PlayScheduleCtx(context.Background(), tc.g, pebble.RBW, tc.s, sched.Topological(tc.g), pebble.Belady, false)
 		if err != nil {
-			t.Fatalf("%s: PlayTopological: %v", tc.name, err)
+			t.Fatalf("%s: PlayScheduleCtx: %v", tc.name, err)
 		}
 		if int64(res.IO()) < lb {
 			t.Errorf("%s: measured I/O %d below Lemma 2 bound %d (wmax=%d)",
-				tc.name, res.IO(), lb, wmax)
+				tc.name, res.IO(), lb, w)
 		}
 	}
 }
@@ -115,12 +128,12 @@ func TestMinWavefrontAtReduction(t *testing.T) {
 	// 1-D CG CDAG has a wavefront of at least 2n (vectors p and v are live).
 	n := 8
 	cg := gen.CG(1, n, 2)
-	w := MinWavefrontAt(cg.Graph, cg.AlphaVertex[0])
+	w := graphalg.MinWavefrontLowerBoundStrip(cg.Graph, cg.AlphaVertex[0])
 	if w < 2*n {
 		t.Errorf("CG alpha wavefront = %d, want >= %d", w, 2*n)
 	}
 	// The gamma vertex keeps at least the new residual vector live.
-	wg := MinWavefrontAt(cg.Graph, cg.GammaVertex[0])
+	wg := graphalg.MinWavefrontLowerBoundStrip(cg.Graph, cg.GammaVertex[0])
 	if wg < n {
 		t.Errorf("CG gamma wavefront = %d, want >= %d", wg, n)
 	}
@@ -158,8 +171,8 @@ func TestWMaxCandidatesRestriction(t *testing.T) {
 	// A dot product can be reduced as it goes, so its minimum wavefronts are
 	// tiny; a 1-D CG iteration in contrast must keep whole vectors live.
 	g := gen.DotProduct(6)
-	full, _ := WMax(g, nil)
-	restricted, _ := WMax(g, TopCandidates(g, 3))
+	full, _ := wmax(t, g, nil)
+	restricted, _ := wmax(t, g, TopCandidates(g, 3))
 	if restricted > full {
 		t.Errorf("restricted WMax %d exceeds full WMax %d", restricted, full)
 	}
@@ -167,7 +180,7 @@ func TestWMaxCandidatesRestriction(t *testing.T) {
 		t.Errorf("dot product WMax = %d, want >= 1", full)
 	}
 	cg := gen.CG(1, 6, 1)
-	wcg, _ := WMax(cg.Graph, []cdag.VertexID{cg.AlphaVertex[0], cg.GammaVertex[0]})
+	wcg, _ := wmax(t, cg.Graph, []cdag.VertexID{cg.AlphaVertex[0], cg.GammaVertex[0]})
 	if wcg < 2*6 {
 		t.Errorf("CG WMax = %d, want >= 12 (two live vectors)", wcg)
 	}

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Run the full benchmark suite once and record the results as BENCH_<n>.json
 # in the repo root, so the performance trajectory of the project is tracked
-# PR by PR.  The per-benchmark iteration budget defaults to 1x; override it
+# PR by PR, together with its code size ("loc").  The per-benchmark iteration budget defaults to 1x; override it
 # with `scripts/bench.sh --benchtime 5x`.
 #
 # After writing the new file, a per-benchmark delta table of ns/op against
@@ -39,6 +39,11 @@ go build -o "$expdir/cdagx" ./cmd/cdagx
 "$expdir/cdagx" run -q -cache-dir "$expdir/journal" -out "$expdir/out" \
 	-summary "$expdir/summary.json" specs/paper.yaml
 
+# Code size, tracked like ns/op: lines of non-test, non-vendored Go outside
+# the benchmark module and test fixtures.
+loc="$(find . \( -path ./vendor -o -path ./.git -o -path ./cdagbench -o -path ./.bench_build \) -prune -o -name '*.go' -print |
+	grep -v '_test\.go$' | grep -v '/testdata/' | xargs cat | wc -l | tr -d ' ')"
+
 # Emit one JSON object: metadata plus every benchmark line parsed into
 # {name, iterations, ns_per_op, extra metrics}.
 {
@@ -46,6 +51,7 @@ go build -o "$expdir/cdagx" ./cmd/cdagx
 	printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 	printf '  "go": "%s",\n' "$(go version | sed 's/"/\\"/g')"
 	printf '  "benchtime": "%s",\n' "$benchtime"
+	printf '  "loc": %s,\n' "$loc"
 	printf '  "exp": '
 	tr -d '\n' <"$expdir/summary.json" | sed 's/  */ /g'
 	printf ',\n'

@@ -1,10 +1,6 @@
 package cdagio
 
-import (
-	"context"
-
-	"cdagio/internal/core"
-)
+import "cdagio/internal/core"
 
 // Workspace is a reusable per-graph analysis handle, the package's primary
 // entry point: it owns the graph's compiled CSR rows, the cached static
@@ -23,8 +19,8 @@ import (
 //	w, at, err := ws.WMax(ctx, nil, cdagio.WMaxOptions{})
 //	stats, err := ws.SimulateSweep(ctx, jobs, 0)
 //
-// Under context.Background() every method is bit-identical to the deprecated
-// free functions, at every worker count.  The graph's structure and input
+// Under context.Background() every method is deterministic: results are
+// bit-identical at every worker count.  The graph's structure and input
 // tagging must stay fixed while a Workspace is bound to it (output-tag flips
 // remain legal); all methods are safe for concurrent use.
 type Workspace = core.Workspace
@@ -34,10 +30,3 @@ type Workspace = core.Workspace
 // else — cut networks, schedules, candidate samples — is derived lazily by
 // the first method that needs it and reused by every later call.
 func Open(g *Graph) *Workspace { return core.NewWorkspace(g) }
-
-// openBackground is the shim behind the deprecated free functions: a fresh
-// single-use Workspace under a never-cancelled context.
-func openBackground(g *Graph) (*Workspace, context.Context) {
-	//cdaglint:allow ctxflow deprecated free-function shim; pre-PR-5 API promised a never-cancelled run
-	return core.NewWorkspace(g), context.Background()
-}

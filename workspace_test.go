@@ -89,8 +89,9 @@ func TestWorkspaceSimulateSweepCancelPrompt(t *testing.T) {
 }
 
 // TestWorkspaceFacadeEquivalence pins the facade-level Workspace methods
-// against the PR-4 entry points under context.Background(): bounds, witnesses
-// and stats must be bit-identical at every worker count.
+// against the reference engines under context.Background(): bounds,
+// witnesses and stats must be bit-identical at every worker count, and a
+// reused handle must analyze exactly like a fresh one.
 func TestWorkspaceFacadeEquivalence(t *testing.T) {
 	g := Jacobi(2, 16, 4, StencilBox).Graph
 	ws := Open(g)
@@ -102,10 +103,6 @@ func TestWorkspaceFacadeEquivalence(t *testing.T) {
 		if err != nil || w != wantW || at != wantAt {
 			t.Fatalf("ws.WMax conc=%d: (%d, %d, %v), serial scan (%d, %d)", conc, w, at, err, wantW, wantAt)
 		}
-		fw, fat := WMaxWithOptions(g, nil, WMaxOptions{Concurrency: conc})
-		if fw != wantW || fat != wantAt {
-			t.Fatalf("deprecated WMaxWithOptions conc=%d: (%d, %d), serial scan (%d, %d)", conc, fw, fat, wantW, wantAt)
-		}
 	}
 
 	order := TopologicalSchedule(g)
@@ -113,9 +110,9 @@ func TestWorkspaceFacadeEquivalence(t *testing.T) {
 	var want []*memsim.Stats
 	for _, s := range []int{64, 96, 128, 192} {
 		cfg := MemSimConfig{Nodes: 2, FastWords: s, Policy: MemSimBelady}
-		st, err := memsim.Run(g, cfg, order, nil)
+		st, err := memsim.RunCtx(ctx, g, cfg, order, nil)
 		if err != nil {
-			t.Fatalf("memsim.Run S=%d: %v", s, err)
+			t.Fatalf("memsim.RunCtx S=%d: %v", s, err)
 		}
 		want = append(want, st)
 		jobs = append(jobs, MemorySweepJob{Cfg: cfg, Order: order})
@@ -125,20 +122,16 @@ func TestWorkspaceFacadeEquivalence(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("ws.SimulateSweep workers=%d diverges from serial runs: %v", workers, err)
 		}
-		free, err := SimulateMemorySweep(g, jobs, workers)
-		if err != nil || !reflect.DeepEqual(free, want) {
-			t.Fatalf("deprecated SimulateMemorySweep workers=%d diverges: %v", workers, err)
-		}
 	}
 
-	wantA, err := Analyze(g, AnalyzeOptions{FastMemory: 32})
+	wantA, err := Open(g).Analyze(ctx, AnalyzeOptions{FastMemory: 32})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	for round := 0; round < 2; round++ {
 		got, err := ws.Analyze(ctx, AnalyzeOptions{FastMemory: 32})
 		if err != nil || !reflect.DeepEqual(got, wantA) {
-			t.Fatalf("ws.Analyze round %d diverges from free function: %v", round, err)
+			t.Fatalf("ws.Analyze round %d diverges from a fresh handle: %v", round, err)
 		}
 	}
 }
