@@ -7,9 +7,10 @@
 //
 // EvictHeap is the storage-unit victim heap of the P-RBW schedule player
 // (ordered by an external deadness flag, then recency, then vertex ID).
-// PriorityHeap is a max-first heap over explicit int64 priorities used by the
-// memsim cache policies, with ties broken deterministically by smallest
-// vertex ID.
+// PriorityHeap is a max-first heap over explicit int64 priorities, with ties
+// broken deterministically by smallest vertex ID: it holds the red pebbles of
+// the RBW schedule player (package pebble) and the fast memories of the
+// memsim cache policies, both of which pop victims past pinned operands.
 package iheap
 
 import "cdagio/internal/cdag"
@@ -366,4 +367,36 @@ func (h *PriorityHeap) PopMax() (cdag.VertexID, int64, bool) {
 	v, p := h.verts[0], h.prio[0]
 	h.Remove(v)
 	return v, p, true
+}
+
+// PopMaxUnpinned removes and returns the first entry in heap order whose
+// stamp differs from epoch: stamp[v] == epoch marks v pinned, and pinned
+// entries stay in the heap with their priorities.  It reports false, leaving
+// the heap unchanged, when every entry is pinned.  The search descends only
+// through pinned entries, so it visits O(pinned) positions before the one
+// O(log n) removal.
+func (h *PriorityHeap) PopMaxUnpinned(stamp []int32, epoch int32) (cdag.VertexID, int64, bool) {
+	i := h.firstUnpinned(0, -1, stamp, epoch)
+	if i < 0 {
+		return cdag.InvalidVertex, 0, false
+	}
+	v, p := h.verts[i], h.prio[i]
+	h.Remove(v)
+	return v, p, true
+}
+
+// firstUnpinned returns the position of the first unpinned entry in heap
+// order within the subtree rooted at i, or best when none orders before the
+// entry at best (-1: no candidate yet).  Every entry orders after its parent,
+// so the descent stops at the first unpinned entry on each path and skips
+// subtrees whose root already orders after best.
+func (h *PriorityHeap) firstUnpinned(i, best int, stamp []int32, epoch int32) int {
+	if i >= len(h.verts) || (best >= 0 && !h.first(i, best)) {
+		return best
+	}
+	if stamp[h.verts[i]] != epoch {
+		return i
+	}
+	best = h.firstUnpinned(2*i+1, best, stamp, epoch)
+	return h.firstUnpinned(2*i+2, best, stamp, epoch)
 }

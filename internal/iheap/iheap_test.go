@@ -2,6 +2,7 @@ package iheap
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -63,6 +64,123 @@ func TestPriorityHeapOrder(t *testing.T) {
 		}
 		if _, _, ok := h.PopMax(); ok {
 			t.Fatalf("PopMax on empty heap reported ok")
+		}
+	}
+}
+
+// drain pops every entry of h in heap order.
+func drain(h *PriorityHeap) (vs []cdag.VertexID, ps []int64) {
+	for {
+		v, p, ok := h.PopMax()
+		if !ok {
+			return vs, ps
+		}
+		vs, ps = append(vs, v), append(ps, p)
+	}
+}
+
+// TestPopMaxUnpinned checks the pinned-skipping pop: it returns the first
+// unpinned entry in (priority descending, vertex ascending) order, keeps the
+// pinned entries it passed with their priorities, and reports false without
+// touching the heap when every entry is pinned.
+func TestPopMaxUnpinned(t *testing.T) {
+	build := func() *PriorityHeap {
+		var h PriorityHeap
+		h.Init(8)
+		for v, p := range []int64{5, 9, 9, 2, 9, 7, 5, 1} {
+			h.Update(cdag.VertexID(v), p)
+		}
+		return &h
+	}
+	stamp := make([]int32, 8)
+
+	// Every entry pinned: false, heap unchanged.
+	for v := range stamp {
+		stamp[v] = 3
+	}
+	h := build()
+	if v, p, ok := h.PopMaxUnpinned(stamp, 3); ok {
+		t.Fatalf("all pinned: got (%d,%d,true), want false", v, p)
+	}
+	gotV, gotP := drain(h)
+	wantV, wantP := drain(build())
+	if !reflect.DeepEqual(gotV, wantV) || !reflect.DeepEqual(gotP, wantP) {
+		t.Fatalf("all pinned: heap changed to %v/%v, want %v/%v", gotV, gotP, wantV, wantP)
+	}
+
+	// Pin the three priority-9 entries and vertex 6: the victim is vertex 5
+	// (priority 7); the next pop, with vertex 5 gone, is vertex 0 (priority
+	// 5, smaller than 6).  The pinned entries stay, priorities intact.
+	for v := range stamp {
+		stamp[v] = 0
+	}
+	stamp[1], stamp[2], stamp[4], stamp[6] = 4, 4, 4, 4
+	h = build()
+	for _, want := range []cdag.VertexID{5, 0, 3, 7} {
+		v, p, ok := h.PopMaxUnpinned(stamp, 4)
+		if !ok || v != want {
+			t.Fatalf("PopMaxUnpinned = (%d,%d,%v), want vertex %d", v, p, ok, want)
+		}
+	}
+	if _, _, ok := h.PopMaxUnpinned(stamp, 4); ok {
+		t.Fatalf("only pinned entries left, but PopMaxUnpinned reported ok")
+	}
+	gotV, gotP = drain(h)
+	if want := []cdag.VertexID{1, 2, 4, 6}; !reflect.DeepEqual(gotV, want) ||
+		!reflect.DeepEqual(gotP, []int64{9, 9, 9, 5}) {
+		t.Fatalf("pinned entries after the pops: %v/%v, want %v/[9 9 9 5]", gotV, gotP, want)
+	}
+
+	// Against a sorted reference on random heaps with random pins.
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		var h PriorityHeap
+		h.Init(n)
+		type entry struct {
+			v cdag.VertexID
+			p int64
+		}
+		var entries []entry
+		for v := 0; v < n; v++ {
+			if rng.Intn(4) > 0 {
+				p := int64(rng.Intn(6))
+				h.Update(cdag.VertexID(v), p)
+				entries = append(entries, entry{cdag.VertexID(v), p})
+			}
+		}
+		sort.Slice(entries, func(i, j int) bool {
+			if entries[i].p != entries[j].p {
+				return entries[i].p > entries[j].p
+			}
+			return entries[i].v < entries[j].v
+		})
+		stamp := make([]int32, n)
+		for v := range stamp {
+			if rng.Intn(3) == 0 {
+				stamp[v] = 1
+			}
+		}
+		want := entry{cdag.InvalidVertex, 0}
+		for _, e := range entries {
+			if stamp[e.v] != 1 {
+				want = e
+				break
+			}
+		}
+		v, p, ok := h.PopMaxUnpinned(stamp, 1)
+		if ok != (want.v != cdag.InvalidVertex) || v != want.v || p != want.p {
+			t.Fatalf("trial %d: PopMaxUnpinned = (%d,%d,%v), want (%d,%d)", trial, v, p, ok, want.v, want.p)
+		}
+		var restV []cdag.VertexID
+		var restP []int64
+		for _, e := range entries {
+			if e.v != v {
+				restV, restP = append(restV, e.v), append(restP, e.p)
+			}
+		}
+		if gotV, gotP := drain(&h); !reflect.DeepEqual(gotV, restV) || !reflect.DeepEqual(gotP, restP) {
+			t.Fatalf("trial %d: heap after the pop drains %v/%v, want %v/%v", trial, gotV, gotP, restV, restP)
 		}
 	}
 }

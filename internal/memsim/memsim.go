@@ -272,7 +272,7 @@ func RunCtx(ctx context.Context, g *cdag.Graph, cfg Config, order []cdag.VertexI
 	}
 
 	evict := func(node, pos int) error {
-		victim, ok := caches[node].chooseVictim(pinStamp, int32(pos))
+		victim, _, ok := caches[node].h.PopMaxUnpinned(pinStamp, int32(pos))
 		if !ok {
 			return fmt.Errorf("memsim: fast memory of node %d full of pinned values at step %d", node, pos)
 		}
@@ -280,7 +280,6 @@ func RunCtx(ctx context.Context, g *cdag.Graph, cfg Config, order []cdag.VertexI
 			stats.StoresPerNode[node]++
 			durable[victim] = node
 		}
-		caches[node].remove(victim)
 		return nil
 	}
 	ensureRoom := func(node, pos int) error {
@@ -371,10 +370,6 @@ type cache struct {
 	policy Policy
 	h      iheap.PriorityHeap
 	clock  int64
-
-	// scratch for chooseVictim's pinned-entry skip.
-	skipV []cdag.VertexID
-	skipP []int64
 }
 
 func newCache(universe int, policy Policy) *cache {
@@ -405,37 +400,4 @@ func (c *cache) touch(v cdag.VertexID, pos, nextUse int) {
 	if c.h.Contains(v) {
 		c.h.Update(v, c.priorityFor(pos, nextUse))
 	}
-}
-
-func (c *cache) remove(v cdag.VertexID) {
-	c.h.Remove(v)
-}
-
-// chooseVictim returns the entry with the highest eviction priority that is
-// not pinned (pinStamp[v] == step marks v pinned).  It reports false when
-// every entry is pinned.
-func (c *cache) chooseVictim(pinStamp []int32, step int32) (cdag.VertexID, bool) {
-	// Pop until an unpinned entry surfaces, then reinsert everything popped
-	// (the caller's remove() does the actual deletion of the victim).
-	c.skipV, c.skipP = c.skipV[:0], c.skipP[:0]
-	victim, found := cdag.InvalidVertex, false
-	for {
-		v, p, ok := c.h.PopMax()
-		if !ok {
-			break
-		}
-		c.skipV = append(c.skipV, v)
-		c.skipP = append(c.skipP, p)
-		if pinStamp[v] != step {
-			victim, found = v, true
-			break
-		}
-	}
-	for i, v := range c.skipV {
-		c.h.Update(v, c.skipP[i])
-	}
-	if !found {
-		return 0, false
-	}
-	return victim, true
 }

@@ -3,6 +3,7 @@ package pebble
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -381,36 +382,54 @@ func TestOptimalIOErrors(t *testing.T) {
 	}
 }
 
+// TestScheduledNeverBeatsOptimal is the lower/upper sandwich for the schedule
+// player: the exact optimum of the game never exceeds the I/O of the game the
+// player builds.  It runs four fixed graphs and random DAGs of four to eight
+// vertices, the topological and a random schedule, both variants, both
+// policies and the three smallest feasible S.
 func TestScheduledNeverBeatsOptimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
 	cases := []*cdag.Graph{
 		gen.Chain(6),
 		gen.DotProduct(3),
 		gen.ReductionTree(6),
 		gen.Pyramid(3),
 	}
+	randomCases := 40
+	if testing.Short() {
+		randomCases = 10
+	}
+	for k := 0; k < randomCases; k++ {
+		cases = append(cases, randomDAG(rng, 4+rng.Intn(5)))
+	}
+	ctx := context.Background()
 	for _, g := range cases {
-		s := 0
-		for _, v := range g.Vertices() {
-			if g.InDegree(v)+1 > s {
-				s = g.InDegree(v) + 1
+		orders := [][]cdag.VertexID{nonInputTopo(g), randomTopo(rng, g)}
+		maxIn := maxOpInDegree(g)
+		for _, variant := range []Variant{RBW, HongKung} {
+			for s := maxIn + 1; s <= maxIn+3; s++ {
+				opt, err := OptimalIOCtx(ctx, g, variant, s, OptimalOptions{})
+				if err != nil {
+					t.Fatalf("%s %v S=%d: OptimalIOCtx: %v", g.Name(), variant, s, err)
+				}
+				// A minimum amount of I/O is unavoidable: every input load
+				// and output store is an I/O in the RBW game.
+				if variant == RBW && opt < g.NumInputs()+g.NumOutputs() && g.NumInputs() > 0 {
+					t.Errorf("%s S=%d: optimal %d below |I|+|O| = %d", g.Name(), s, opt, g.NumInputs()+g.NumOutputs())
+				}
+				for oi, order := range orders {
+					for _, policy := range []EvictionPolicy{Belady, LRU} {
+						res, err := PlayScheduleCtx(ctx, g, variant, s, order, policy, false)
+						if err != nil {
+							t.Fatalf("%s order %d %v %v S=%d: PlayScheduleCtx: %v", g.Name(), oi, variant, policy, s, err)
+						}
+						if res.IO() < opt {
+							t.Errorf("%s order %d %v %v S=%d: played I/O %d below proven optimum %d",
+								g.Name(), oi, variant, policy, s, res.IO(), opt)
+						}
+					}
+				}
 			}
-		}
-		s++ // a little slack
-		opt, err := OptimalIOCtx(context.Background(), g, RBW, s, OptimalOptions{})
-		if err != nil {
-			t.Fatalf("%s: OptimalIO: %v", g.Name(), err)
-		}
-		sched, err := playTopological(g, RBW, s, Belady)
-		if err != nil {
-			t.Fatalf("%s: playTopological: %v", g.Name(), err)
-		}
-		if sched.IO() < opt {
-			t.Errorf("%s: scheduled I/O %d below proven optimum %d", g.Name(), sched.IO(), opt)
-		}
-		// A minimum amount of I/O is unavoidable: every input load and output
-		// store is an I/O in the RBW game.
-		if opt < g.NumInputs()+g.NumOutputs() && g.NumInputs() > 0 {
-			t.Errorf("%s: optimal %d below |I|+|O| = %d", g.Name(), opt, g.NumInputs()+g.NumOutputs())
 		}
 	}
 }

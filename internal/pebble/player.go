@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cdagio/internal/cdag"
+	"cdagio/internal/iheap"
 )
 
 // EvictionPolicy selects how the schedule player chooses a red pebble to
@@ -50,8 +51,11 @@ func (e *ScheduleError) Error() string { return "pebble: invalid schedule: " + e
 // (a vertex and all its predecessors must hold red pebbles simultaneously).
 //
 // The player allocates only run-constant state: use lists are a flat CSR
-// table, pinned sets are epoch stamps, and the red-pebble set is mirrored in
-// a dense list so evictions scan occupancy instead of the whole vertex range.
+// table, pinned sets are epoch stamps, and the red-pebble set is an indexed
+// max-heap (iheap.PriorityHeap) keyed by eviction preference, so each
+// eviction pops its victim in O(log S) instead of scanning every red pebble.
+// The heap's index holds one int32 per vertex and its entries one per
+// resident value, so memory does not depend on S.
 //
 // ctx bounds the play: the player checks it on entry and every 4096 schedule
 // steps (like prbw.PlayCtx and memsim.RunCtx) and returns ctx.Err() once it
@@ -141,25 +145,11 @@ func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int,
 	}
 	lastUse := make([]int, n)
 
-	// The red set mirrored as a dense list, so evictions scan the values
-	// actually resident instead of the whole vertex bitmap.
-	redList := make([]cdag.VertexID, 0, s+1)
-	redPos := make([]int32, n)
-	for v := range redPos {
-		redPos[v] = -1
-	}
-	redAdd := func(v cdag.VertexID) {
-		redPos[v] = int32(len(redList))
-		redList = append(redList, v)
-	}
-	redRemove := func(v cdag.VertexID) {
-		i := redPos[v]
-		last := len(redList) - 1
-		redList[i] = redList[last]
-		redPos[redList[i]] = i
-		redList = redList[:last]
-		redPos[v] = -1
-	}
+	// The red set as a max-heap over eviction keys (see evictKey).  A step's
+	// loaded operands and fired vertex enter it when the step ends; until
+	// then they are pinned, so no eviction can want them.
+	var red iheap.PriorityHeap
+	red.Init(n)
 
 	// Pinned sets as epoch stamps over a shared scratch array.
 	pinStamp := make([]int32, n)
@@ -187,56 +177,52 @@ func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int,
 		return g.IsOutput(v) && !game.HasBlue(v)
 	}
 
-	// evictOne frees a red pebble, avoiding pinned vertices.  It stores the
-	// victim first when its value would otherwise be lost.  Ties in the
-	// eviction score resolve to the smallest vertex ID, exactly like the
-	// original increasing-order scan of the red bitmap.
-	evictOne := func(i int) error {
-		var victim cdag.VertexID = cdag.InvalidVertex
-		victimScore := -1
-		victimFree := false
-		for _, v := range redList {
-			if pinStamp[v] == pinEpoch {
-				continue
-			}
-			free := !needsPreserve(v, i)
-			var score int
-			if free {
-				score = never
-			} else {
-				switch policy {
-				case LRU:
-					score = clock - lastUse[v]
-				default: // Belady
-					score = nextUse(v, i)
-					if g.IsOutput(v) && !game.HasBlue(v) && score == never {
-						// Output needed only for the final store: cheapest to
-						// evict among preserved vertices.
-						score = never - 1
-					}
-				}
-			}
-			if free && !victimFree {
-				victim, victimScore, victimFree = v, score, true
-				continue
-			}
-			if free == victimFree && (score > victimScore || (score == victimScore && v < victim)) {
-				victim, victimScore = v, score
-			}
+	// evictKey ranks resident v for eviction after schedule position i; the
+	// heap pops the largest key, ties to the smallest vertex ID.  A value
+	// nothing needs any more ranks first (never).  Among preserved values,
+	// Belady ranks by next use, an output needed only for its final store
+	// just below never; LRU ranks the least recently used first.  A key stays
+	// valid until v's next use, where v is pinned and then re-keyed, or until
+	// an output gains its blue pebble, after which every resident is re-keyed.
+	evictKey := func(v cdag.VertexID, i int) int64 {
+		switch {
+		case !needsPreserve(v, i):
+			return int64(never)
+		case policy == LRU:
+			return -int64(lastUse[v])
 		}
-		if victim == cdag.InvalidVertex {
+		if next := nextUse(v, i); next != never {
+			return int64(next)
+		}
+		return int64(never - 1)
+	}
+	// evictOne frees a red pebble, avoiding pinned vertices.  It stores the
+	// victim first when its value would otherwise be lost.
+	evictOne := func(i int) error {
+		victim, _, ok := red.PopMaxUnpinned(pinStamp, pinEpoch)
+		if !ok {
 			return &ScheduleError{Reason: fmt.Sprintf("S=%d too small at schedule position %d: all red pebbles pinned", s, i)}
 		}
-		if !victimFree && !game.HasBlue(victim) {
+		if needsPreserve(victim, i) && !game.HasBlue(victim) {
 			if err := game.Apply(Move{Store, victim}); err != nil {
 				return err
 			}
 		}
-		if err := game.Apply(Move{Delete, victim}); err != nil {
-			return err
+		return game.Apply(Move{Delete, victim})
+	}
+	// settle ends v's part in step i: a value that is dead from here on is
+	// dropped (free, no I/O), a survivor is re-keyed.
+	settle := func(v cdag.VertexID, i int) error {
+		if !game.HasRed(v) {
+			return nil
 		}
-		redRemove(victim)
-		return nil
+		key := evictKey(v, i)
+		if key != int64(never) {
+			red.Update(v, key)
+			return nil
+		}
+		red.Remove(v)
+		return game.Apply(Move{Delete, v})
 	}
 	ensureRoom := func(i int) error {
 		for game.RedInUse() >= s {
@@ -277,7 +263,6 @@ func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int,
 			if err := game.Apply(Move{Load, p}); err != nil {
 				return Result{}, err
 			}
-			redAdd(p)
 			lastUse[p] = clock
 			moves++
 		}
@@ -288,24 +273,17 @@ func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int,
 		if err := game.Apply(Move{Compute, v}); err != nil {
 			return Result{}, err
 		}
-		redAdd(v)
 		lastUse[v] = clock
 		moves++
 		clock++
-		// Drop values that are dead from here on (free, no I/O).
+		// Drop the step's dead values, re-key its survivors.
 		for _, p := range preds {
-			if game.HasRed(p) && !needsPreserve(p, i) {
-				if err := game.Apply(Move{Delete, p}); err != nil {
-					return Result{}, err
-				}
-				redRemove(p)
-			}
-		}
-		if game.HasRed(v) && !needsPreserve(v, i) {
-			if err := game.Apply(Move{Delete, v}); err != nil {
+			if err := settle(p, i); err != nil {
 				return Result{}, err
 			}
-			redRemove(v)
+		}
+		if err := settle(v, i); err != nil {
+			return Result{}, err
 		}
 	}
 
@@ -324,6 +302,13 @@ func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int,
 		}
 	}
 	if variant == RBW {
+		// The final stores freed the outputs still resident, so re-key every
+		// resident: free values go first, by smallest vertex ID.
+		for v := 0; v < n; v++ {
+			if id := cdag.VertexID(v); game.HasRed(id) {
+				red.Update(id, evictKey(id, len(order)))
+			}
+		}
 		for i, v := range g.Inputs() {
 			if i&4095 == 0 {
 				if err := ctx.Err(); err != nil {

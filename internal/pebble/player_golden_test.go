@@ -8,8 +8,9 @@ import (
 
 // TestPlayScheduleGolden pins the loads/stores of topological playback under
 // both eviction policies to the numbers the original map-and-bitmap player
-// produced, so the allocation-lean rewrite (CSR use lists, epoch-stamped
-// pins, dense red-set mirror) can never silently change eviction decisions.
+// produced, so the allocation-lean rewrites (CSR use lists, epoch-stamped
+// pins, the heap-ordered red set) can never silently change eviction
+// decisions.
 func TestPlayScheduleGolden(t *testing.T) {
 	cases := []struct {
 		name          string

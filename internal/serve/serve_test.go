@@ -135,6 +135,42 @@ func TestUploadAndAllEngines(t *testing.T) {
 	}
 }
 
+// TestHugeFastMemory sends play and analyze an S near the int64 limit.  No
+// engine may size anything by S, and every lower bound must stay at or below
+// the measured I/O: S exceeds every wavefront, so Lemma 2 gives 0.  Neither
+// play evicts, so the body equals the one for S = |V|.
+func TestHugeFastMemory(t *testing.T) {
+	_, hs := testServer(t, Config{})
+	for _, spec := range []string{`{"gen":{"kind":"chain","n":5}}`, `{"gen":{"kind":"fft","n":16}}`} {
+		id := upload(t, hs.URL, spec)
+		_, _, meta := do(t, "GET", hs.URL+"/v1/graphs/"+id, "")
+		base := hs.URL + "/v1/graphs/" + id
+		const huge = `{"s":9000000000000000000}`
+
+		status, _, hugeBody := doRaw(t, "POST", base+"/play", huge)
+		if status != http.StatusOK {
+			t.Fatalf("%s play %s: status %d body %s", spec, huge, status, hugeBody)
+		}
+		roomy := fmt.Sprintf(`{"s":%d}`, int(meta["vertices"].(float64)))
+		status, _, roomyBody := doRaw(t, "POST", base+"/play", roomy)
+		if status != http.StatusOK || !bytes.Equal(hugeBody, roomyBody) {
+			t.Fatalf("%s play: %s gave %s, %s gave status %d body %s", spec, huge, hugeBody, roomy, status, roomyBody)
+		}
+
+		status, _, a := do(t, "POST", base+"/analyze", huge)
+		if status != http.StatusOK {
+			t.Fatalf("%s analyze %s: status %d body %v", spec, huge, status, a)
+		}
+		measured := a["measured_io"].(float64)
+		for _, lb := range a["lower_bounds"].([]any) {
+			b := lb.(map[string]any)
+			if v := b["value"].(float64); v > measured {
+				t.Errorf("%s analyze: lower bound %v (%v) above measured I/O %v", spec, v, b["technique"], measured)
+			}
+		}
+	}
+}
+
 func TestErrorTaxonomy(t *testing.T) {
 	_, hs := testServer(t, Config{
 		JSONLimits: cdag.JSONLimits{MaxVertices: 64, MaxEdges: 256, MaxLabelBytes: 1 << 12},

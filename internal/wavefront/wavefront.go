@@ -94,13 +94,13 @@ func MaxScheduleWavefront(g *cdag.Graph, order []cdag.VertexID) (int, error) {
 }
 
 // Lemma2Bound returns the I/O lower bound of Lemma 2: 2·(wmax − S), never
-// negative.
+// negative.  It clamps before it multiplies, so an S near the int64 limit
+// yields 0 instead of a product that wraps around to a huge positive bound.
 func Lemma2Bound(wmax, s int) int64 {
-	v := int64(2) * int64(wmax-s)
-	if v < 0 {
+	if wmax <= s {
 		return 0
 	}
-	return v
+	return 2 * int64(wmax-s)
 }
 
 // TopCandidates returns up to k vertices of g ordered by decreasing

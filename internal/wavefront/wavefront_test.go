@@ -121,6 +121,11 @@ func TestLemma2Bound(t *testing.T) {
 	if Lemma2Bound(3, 8) != 0 {
 		t.Errorf("Lemma2Bound should clamp at 0")
 	}
+	// 2·(1 − S) wraps around int64 for S above about 4.6e18; the clamp must
+	// come first or the bound turns huge and positive.
+	if got := Lemma2Bound(1, 9000000000000000000); got != 0 {
+		t.Errorf("Lemma2Bound(1, 9e18) = %d, want 0", got)
+	}
 }
 
 func TestMinWavefrontAtReduction(t *testing.T) {
