@@ -72,6 +72,24 @@ func TestAnalyzeSmallGraphs(t *testing.T) {
 				t.Errorf("CG wmax = %d, want >= 8", a.WMax)
 			}
 		}},
+		{"dot-huge-S", func(t *testing.T) {
+			// 2S overflows int at S = 2^62; the exact U(2S) search must still
+			// run with every In/Out size in range, so all 7 operations form
+			// one set and Corollary 1 gives S·(7/7 − 1) = 0.
+			a, err := analyze(gen.DotProduct(4), Options{FastMemory: 1 << 62})
+			if err != nil {
+				t.Fatalf("Analyze: %v", err)
+			}
+			for _, b := range a.LowerBounds {
+				if b.Technique == "2S-partition (Corollary 1)" {
+					if b.Value != 0 || b.Assumptions != "exact U(2S) = 7" {
+						t.Fatalf("Corollary 1 entry = %+v, want value 0 with U(2S) = 7", b)
+					}
+					return
+				}
+			}
+			t.Fatalf("no Corollary 1 entry among %+v", a.LowerBounds)
+		}},
 	} {
 		t.Run(tc.name, tc.run)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"cdagio/internal/bounds"
@@ -273,7 +274,13 @@ func (w *Workspace) Analyze(ctx context.Context, opts Options) (*Analysis, error
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if u, err := partition.MaxVertexSetSizeExact(g, 2*s, exactLimit); err == nil && u > 0 {
+		// 2S saturates at math.MaxInt: any limit at least every In/Out size
+		// gives the same U, and 2S itself would wrap negative for S ≥ 2^62.
+		s2 := math.MaxInt
+		if s <= math.MaxInt/2 {
+			s2 = 2 * s
+		}
+		if u, err := partition.MaxVertexSetSizeExact(g, s2, exactLimit); err == nil && u > 0 {
 			a.LowerBounds = append(a.LowerBounds, bounds.Bound{
 				Value:       float64(partition.Corollary1Bound(s, g.NumOperations(), u)),
 				Kind:        bounds.Lower,

@@ -102,6 +102,48 @@ func BenchmarkWMaxScaleJacobi1M(b *testing.B) {
 	}
 }
 
+// BenchmarkWMaxSuite times the all-candidates w^max scan of each iolb-suite
+// kernel at the suite's size, so a change to the scan shows per kernel.  Each
+// iteration scans through a fresh SolverPool, as an iolb invocation does
+// through its fresh Workspace.  Short mode (the CI bench smoke) shrinks every
+// kernel.
+func BenchmarkWMaxSuite(b *testing.B) {
+	for _, k := range []struct {
+		name        string
+		full, small func() *cdag.Graph
+	}{
+		{"jacobi",
+			func() *cdag.Graph { return gen.Jacobi(2, 128, 3, gen.StencilBox).Graph },
+			func() *cdag.Graph { return gen.Jacobi(2, 32, 3, gen.StencilBox).Graph }},
+		{"fft",
+			func() *cdag.Graph { return gen.FFT(1024) },
+			func() *cdag.Graph { return gen.FFT(128) }},
+		{"composite",
+			func() *cdag.Graph { return gen.Composite(12).Graph },
+			func() *cdag.Graph { return gen.Composite(6).Graph }},
+		{"cg",
+			func() *cdag.Graph { return gen.CG(3, 8, 2).Graph },
+			func() *cdag.Graph { return gen.CG(2, 8, 2).Graph }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			build := k.full
+			if testing.Short() {
+				build = k.small
+			}
+			g := build()
+			g.Materialize()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w, _ := wmax(b, g, nil, WMaxOptions{Pool: NewSolverPool(g)})
+				if w < 1 {
+					b.Fatal("bogus bound")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMinWavefrontScratch measures the per-candidate cost of the
 // strip-local path alone (explore + strip build + Dinic) on the large
 // instance.

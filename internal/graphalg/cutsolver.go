@@ -132,18 +132,15 @@ func (cs *CutSolver) nextEpoch() int32 {
 // explore stamps the ancestor and descendant sets of x into the scratch marks
 // and element lists for a fresh epoch.
 func (cs *CutSolver) explore(x cdag.VertexID) {
-	cs.exploreDesc(x)
 	cs.exploreAnc(x)
+	cs.exploreDesc(x)
 }
 
-// exploreDesc starts a fresh epoch and stamps Desc(x) into the descendant
-// marks and list.  Vertices are marked before being pushed, so every CDAG
-// edge is inspected once and the stack never holds duplicates — on the
-// high-fan-in reduction vertices of Krylov CDAGs this halves the traversal's
-// memory traffic.  The w^max search explores the descendant cone alone first:
-// a candidate pruned by its late convex cut never pays for the ancestor cone.
+// exploreDesc stamps Desc(x) into the descendant marks and list under the
+// epoch opened by exploreAnc; it must follow an exploreAnc(x) call for the
+// same candidate.
 func (cs *CutSolver) exploreDesc(x cdag.VertexID) {
-	e := cs.nextEpoch()
+	e := cs.epoch
 	sOff, sVal := cs.succOff, cs.succVal
 
 	cs.desc = cs.desc[:0]
@@ -169,11 +166,15 @@ func (cs *CutSolver) exploreDesc(x cdag.VertexID) {
 	cs.stack = stack[:0]
 }
 
-// exploreAnc stamps Anc(x) into the ancestor marks and list under the epoch
-// opened by exploreDesc; it must follow an exploreDesc(x) call for the same
-// candidate.
+// exploreAnc starts a fresh epoch and stamps Anc(x) into the ancestor marks
+// and list.  Vertices are marked before being pushed, so every CDAG edge is
+// inspected once and the stack never holds duplicates — on the high-fan-in
+// reduction vertices of Krylov CDAGs this halves the traversal's memory
+// traffic.  The w^max search explores the ancestor cone alone first: a
+// candidate pruned by its early convex cut never pays for the descendant
+// cone.
 func (cs *CutSolver) exploreAnc(x cdag.VertexID) {
-	e := cs.epoch
+	e := cs.nextEpoch()
 	pOff, pVal := cs.predOff, cs.predVal
 
 	cs.anc = cs.anc[:0]
@@ -237,6 +238,36 @@ func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int, warm bool) (int,
 	if len(cs.desc) == 0 {
 		return 1, false
 	}
+	seeded := cs.buildStrip(x, warm)
+	f := &cs.strip
+	var w int
+	pruned := false
+	if lim := int64(need) - seeded; need > 0 && lim > 0 {
+		flow, aborted := f.maxFlowBounded(0, 1, lim)
+		if aborted {
+			pruned = true
+		} else {
+			w = int(seeded + flow)
+		}
+	} else {
+		w = int(seeded + f.maxFlow(0, 1))
+	}
+	if warm {
+		cs.harvestPaths()
+	}
+	if pruned {
+		return 0, true
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w, false
+}
+
+// buildStrip builds the strip-local network of the explored candidate x
+// (which must have descendants) into cs.strip and, when warm, re-seeds the
+// previous solve's flow paths into it.  It returns the units of flow seeded.
+func (cs *CutSolver) buildStrip(x cdag.VertexID, warm bool) int64 {
 	e := cs.epoch
 	f := &cs.strip
 	f.resetStage()
@@ -366,29 +397,7 @@ func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int, warm bool) (int,
 			seeded += cs.seedPath(x, cs.warmBuf[cs.warmOff[pi]:cs.warmOff[pi+1]], e)
 		}
 	}
-
-	var w int
-	pruned := false
-	if lim := int64(need) - seeded; need > 0 && lim > 0 {
-		flow, aborted := f.maxFlowBounded(0, 1, lim)
-		if aborted {
-			pruned = true
-		} else {
-			w = int(seeded + flow)
-		}
-	} else {
-		w = int(seeded + f.maxFlow(0, 1))
-	}
-	if warm {
-		cs.harvestPaths()
-	}
-	if pruned {
-		return 0, true
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w, false
+	return seeded
 }
 
 // seedPath re-seeds one harvested flow path into the current candidate's
@@ -603,7 +612,9 @@ func (cs *CutSolver) ensureStatic(g *cdag.Graph) {
 
 	na := 2 * (n + e)
 	cs.baseArcs = na
-	if cap(f.to) < na {
+	// addExt's appends round the int32 and int64 arenas to different
+	// capacities, so each must be checked.
+	if cap(f.to) < na || cap(f.cap) < na {
 		f.to = make([]int32, na)
 		f.cap = make([]int64, na)
 	} else {
@@ -680,10 +691,22 @@ func (cs *CutSolver) addExt(u, v int32) {
 // MinVertexCut: same contract, same cut sets, no per-call network build on
 // repeated queries against the same graph.
 func (cs *CutSolver) MinVertexCut(g *cdag.Graph, sources, targets []cdag.VertexID, opts CutOptions) (int, []cdag.VertexID) {
+	f, res := cs.cutNetwork(g, sources, targets, opts)
+	if f == nil {
+		return res, nil
+	}
+	s := int32(2 * cs.n)
+	return cs.splitCut(f, f.maxFlow(s, s+1))
+}
+
+// cutNetwork prepares the vertex-split network of a MinVertexCut query, with
+// super source 2n and super sink 2n+1.  For a degenerate query it returns a
+// nil network and the query's answer instead.
+func (cs *CutSolver) cutNetwork(g *cdag.Graph, sources, targets []cdag.VertexID, opts CutOptions) (*flowCSR, int) {
 	cs.ensureGraph(g)
 	n := cs.n
 	if n == 0 || len(sources) == 0 || len(targets) == 0 {
-		return 0, nil
+		return nil, 0
 	}
 	// Mark targets (for the degenerate-overlap check) and detect duplicate
 	// endpoints, which the slack-slot fast path cannot host.
@@ -699,7 +722,7 @@ func (cs *CutSolver) MinVertexCut(g *cdag.Graph, sources, targets []cdag.VertexI
 	// unless it can be cut; handle the degenerate overlap up front.
 	for _, s := range sources {
 		if cs.seenMark[s] == te && opts.uncuttable(s) {
-			return -1, nil
+			return nil, -1
 		}
 	}
 	se := cs.nextEpoch()
@@ -748,15 +771,19 @@ func (cs *CutSolver) MinVertexCut(g *cdag.Graph, sources, targets []cdag.VertexI
 			cs.addExt(int32(2*tgt)+1, t)
 		}
 	}
-	flow := f.maxFlow(s, t)
+	return f, 0
+}
+
+// splitCut recovers MinVertexCut's answer from a cutNetwork network after a
+// maximum flow of the given value: a vertex v is a cut vertex when its vIn is
+// reachable from the source side of the residual graph but its vOut is not.
+func (cs *CutSolver) splitCut(f *flowCSR, flow int64) (int, []cdag.VertexID) {
 	if flow >= flowInf {
 		return -1, nil
 	}
-	// Recover the cut: a vertex v is a cut vertex when its vIn is reachable
-	// from the source side of the residual graph but its vOut is not.
-	f.residualReach(s)
+	f.residualReach(int32(2 * cs.n))
 	var cut []cdag.VertexID
-	for v := 0; v < n; v++ {
+	for v := 0; v < cs.n; v++ {
 		if f.reached(int32(2*v)) && !f.reached(int32(2*v+1)) {
 			cut = append(cut, cdag.VertexID(v))
 		}

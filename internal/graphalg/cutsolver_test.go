@@ -93,6 +93,38 @@ func TestCutSolverReuseAcrossGraphs(t *testing.T) {
 	}
 }
 
+// TestMinVertexCutAfterArcArenaGrowth rebinds one solver's cached static
+// network from a graph whose per-call extension arcs grew the arc arena to a
+// graph whose static arcs fit the grown to array but not the grown cap array:
+// append rounds int32 and int64 slices to different capacities.
+func TestMinVertexCutAfterArcArenaGrowth(t *testing.T) {
+	hit := 0
+	for k := 2; k < 400; k++ {
+		cs := NewCutSolver()
+		a := chain(k)
+		cs.MinVertexCut(a, []cdag.VertexID{0}, []cdag.VertexID{cdag.VertexID(k - 1)}, CutOptions{})
+		lo, hi := cap(cs.full.cap), cap(cs.full.to)
+		// A chain of m vertices has 2(m + m-1) = 4m-2 static arcs.
+		for m := 2; 4*m-2 <= hi; m++ {
+			if 4*m-2 <= lo {
+				continue
+			}
+			hit++
+			b := chain(m)
+			src, dst := []cdag.VertexID{0}, []cdag.VertexID{cdag.VertexID(m - 1)}
+			got, _ := cs.MinVertexCut(b, src, dst, CutOptions{})
+			want, _ := NewCutSolver().MinVertexCut(b, src, dst, CutOptions{})
+			if got != want {
+				t.Fatalf("chain(%d) after chain(%d): cut %d, fresh solver %d", m, k, got, want)
+			}
+			break
+		}
+	}
+	if hit == 0 {
+		t.Fatal("no graph pair grew the arc arrays to different capacities")
+	}
+}
+
 // TestMinVertexCutDuplicateEndpoints exercises the fresh-build fallback: with
 // duplicate source/target entries the cached slack slots cannot host the
 // extension arcs, and the solver must fall back to a one-off network with the

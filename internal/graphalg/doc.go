@@ -34,14 +34,23 @@
 //     therefore contracted into a single infinite arc to the super sink and
 //     D's interior needs no nodes either.
 //
-// The resulting network has 2·(|boundary| + |strip|) + 2 nodes, where the
-// strip is discovered by a forward sweep from the boundary that stops at D —
-// so per-candidate cost scales with the strip, not with |V|.  On top of the
-// contraction, the flow core (flowCSR) keeps per-solve cost allocation-free:
-// flat CSR arc storage, an iterative current-arc DFS (recursion on long-path
-// CDAGs such as million-vertex stencil chains would reach O(V) depth),
-// epoch-stamped BFS levels, and dirty-arc capacity restoration for networks
-// cached across solves.
+// The resulting network has 2·(|boundary| + |strip|) + 2 nodes, and the strip
+// is discovered by two sweeps.  A backward co-reachability sweep from D's
+// in-boundary first marks the free vertices with a directed path into D; the
+// others can carry no flow.  A forward sweep from the boundary then walks only
+// the marked vertices and stops at D, assigning network ids as it goes — so
+// per-candidate cost scales with the strip and its co-reachable surroundings,
+// not with |V|.  On top of the contraction, the flow core (flowCSR) keeps
+// per-solve cost allocation-free: flat CSR arc storage, an iterative
+// current-arc DFS (recursion on long-path CDAGs such as million-vertex stencil
+// chains would reach O(V) depth), epoch-stamped BFS levels, and dirty-arc
+// capacity restoration for networks cached across solves.
+//
+// Each Dinic BFS stops at the first dequeued node whose level is at least the
+// sink's.  Every node of the sink's level is labeled by then, and a node past
+// that level lies on no level-graph path to the sink, so the blocking flow
+// pushes the same augmenting paths in the same order as after a full BFS: the
+// residual network, the warm-start paths and the cut sets are unchanged.
 //
 // MinVertexCut, MinDominatorSize, MaxVertexDisjointPaths and
 // MinWavefrontLowerBoundStrip all route through pooled CutSolvers; results — cut values, cut
@@ -96,4 +105,11 @@
 // level cut proves that, the solve runs to completion and the value returned
 // is the true maximum — the certificate only ever converts "cannot win" into
 // an early exit.
+//
+// The sums cost no second pass: the BFS adds each arc's capacity to its
+// level's crossing sum as it scans the arc — an arc from level k with residual
+// capacity either labels its head at level k+1 or finds it already labeled at
+// a level ≤ k+1 — and it saturates the sum after every addition, since a row
+// with several infinite arcs would otherwise wrap negative.  Stopping at the
+// sink's level loses nothing: every level below it is scanned in full first.
 package graphalg

@@ -203,6 +203,12 @@ func (f *flowCSR) buildFresh(n int) {
 // current-arc DFS.  The augmenting-path selection order is identical to the
 // historical recursive implementation, so residual graphs (and the cuts
 // recovered from them) are bit-for-bit reproducible.
+//
+// Each BFS stops at the first dequeued node whose level is at least the
+// sink's: every node of the sink's level is labeled by then, and a node past
+// it lies on no level-graph path to the sink, so blockingFlow pushes the same
+// augmenting paths in the same order as after a BFS over the whole
+// residual-reachable set.
 func (f *flowCSR) maxFlow(s, t int32) int64 {
 	if s == t {
 		return flowInf
@@ -214,9 +220,12 @@ func (f *flowCSR) maxFlow(s, t int32) int64 {
 		f.level[s] = 0
 		q := f.queue[:0]
 		q = append(q, s)
-		reachedT := false
+		lt := int32(math.MaxInt32) // sink level once t is labeled
 		for qi := 0; qi < len(q); qi++ {
 			u := q[qi]
+			if f.level[u] >= lt {
+				break
+			}
 			lu := f.level[u] + 1
 			base := f.adjOff[u]
 			for _, ai := range f.adjArc[base : base+f.adjLen[u]] {
@@ -225,27 +234,27 @@ func (f *flowCSR) maxFlow(s, t int32) int64 {
 					f.levelEp[v] = e
 					f.level[v] = lu
 					if v == t {
-						reachedT = true
+						lt = lu
 					}
 					q = append(q, v)
 				}
 			}
 		}
 		f.queue = q[:0]
-		if !reachedT {
+		if lt == math.MaxInt32 {
 			return total
 		}
 		total += f.blockingFlow(s, t, e)
 	}
 }
 
-// maxFlowBounded is maxFlow with a mid-solve abort: when lim > 0, each BFS
-// phase additionally evaluates a residual level-cut certificate, and the solve
-// stops as soon as the certificate proves the final max flow must stay below
-// lim.  It returns (flow, false) with the exact max flow when no certificate
-// fired — bit-identical to maxFlow, since the certificate pass only reads the
-// network — or (ub, true) where ub is a proven upper bound on the max flow
-// with ub < lim.
+// maxFlowBounded is maxFlow with a mid-solve abort: each BFS phase
+// additionally evaluates a residual level-cut certificate, and the solve stops
+// as soon as the certificate proves the final max flow must stay below lim
+// (never, when lim ≤ 0).  It returns (flow, false) with the exact max flow
+// when no certificate fired — bit-identical to maxFlow, since the certificate
+// only reads the network — or (ub, true) where ub is a proven upper bound on
+// the max flow with ub < lim.
 //
 // The certificate: after a BFS from s assigns levels, every residual arc
 // (cap > 0) out of a reached node leads to a reached node at most one level
@@ -260,8 +269,16 @@ func (f *flowCSR) maxFlow(s, t int32) int64 {
 // capacity (undoing flow on its partner) is an ordinary capacity-bearing arc
 // of the residual network and is summed like any other when it crosses a
 // level; the bound stays exact because the cut argument only relies on every
-// s→t residual path crossing each prefix once.  Sums saturate at flowInf (the
-// infinite arcs of the vertex-split networks would otherwise overflow).
+// s→t residual path crossing each prefix once.  Sums saturate at flowInf
+// after every addition: the infinite arcs of the vertex-split networks would
+// otherwise overflow, and a row of several of them would wrap negative.
+//
+// The BFS stops at the sink's level exactly as maxFlow's does, and it builds
+// the sums as it scans: when u at level k is scanned, an arc with cap > 0 to
+// a node v either labels v at level k+1 or finds v already labeled at a level
+// ≤ k+1, so the arcs that cross from level k to k+1 are exactly the scanned
+// arcs whose head sits at level k+1.  Every level below the sink's is scanned
+// in full before the BFS stops, so the sums are complete.
 func (f *flowCSR) maxFlowBounded(s, t int32, lim int64) (int64, bool) {
 	if s == t {
 		return flowInf, false
@@ -273,69 +290,54 @@ func (f *flowCSR) maxFlowBounded(s, t int32, lim int64) (int64, bool) {
 		f.level[s] = 0
 		q := f.queue[:0]
 		q = append(q, s)
-		reachedT := false
+		sums := f.cutSums[:0] // sums[k]: residual capacity from level k to k+1
+		lt := int32(math.MaxInt32)
 		for qi := 0; qi < len(q); qi++ {
 			u := q[qi]
-			lu := f.level[u] + 1
+			k := f.level[u]
+			if k >= lt {
+				break
+			}
+			if int(k) == len(sums) {
+				sums = append(sums, 0)
+			}
+			lu := k + 1
 			base := f.adjOff[u]
 			for _, ai := range f.adjArc[base : base+f.adjLen[u]] {
+				c := f.cap[ai]
+				if c <= 0 {
+					continue
+				}
 				v := f.to[ai]
-				if f.cap[ai] > 0 && f.levelEp[v] != e {
+				if f.levelEp[v] != e {
 					f.levelEp[v] = e
 					f.level[v] = lu
 					if v == t {
-						reachedT = true
+						lt = lu
 					}
 					q = append(q, v)
-				}
-			}
-		}
-		if !reachedT {
-			f.queue = q[:0]
-			return total, false
-		}
-		if lim > 0 {
-			lt := int(f.level[t])
-			sums := f.cutSums
-			if cap(sums) < lt {
-				sums = make([]int64, lt)
-			} else {
-				sums = sums[:lt]
-			}
-			for k := range sums {
-				sums[k] = 0
-			}
-			for _, u := range q {
-				lu := f.level[u]
-				if int(lu) >= lt {
+				} else if f.level[v] != lu {
 					continue
 				}
-				base := f.adjOff[u]
-				for _, ai := range f.adjArc[base : base+f.adjLen[u]] {
-					if f.cap[ai] <= 0 {
-						continue
-					}
-					v := f.to[ai]
-					if f.levelEp[v] == e && f.level[v] == lu+1 {
-						if sums[lu] += f.cap[ai]; sums[lu] > flowInf {
-							sums[lu] = flowInf
-						}
-					}
+				if sums[k] += c; sums[k] > flowInf {
+					sums[k] = flowInf
 				}
-			}
-			rem := flowInf
-			for _, sum := range sums {
-				if sum < rem {
-					rem = sum
-				}
-			}
-			f.cutSums = sums
-			if total+rem < lim {
-				f.queue = q[:0]
-				return total + rem, true
 			}
 		}
 		f.queue = q[:0]
+		f.cutSums = sums[:0]
+		if lt == math.MaxInt32 {
+			return total, false
+		}
+		rem := flowInf
+		for _, sum := range sums {
+			if sum < rem {
+				rem = sum
+			}
+		}
+		if total+rem < lim {
+			return total + rem, true
+		}
 		total += f.blockingFlow(s, t, e)
 	}
 }

@@ -159,8 +159,8 @@ func topByDegree(g *cdag.Graph, candidates []cdag.VertexID, k int) []int {
 // maximum the search returns.
 //
 // The scan checks ctx at its pruning-tier boundaries — before a candidate is
-// claimed, and again between the descendant-cone and ancestor-cone
-// explorations of candidates that survive the precomputed bound — and
+// claimed, and again between the ancestor-cone and descendant-cone
+// explorations of candidates that survive the early convex-cut bound — and
 // returns ctx.Err() promptly once the context is cancelled.  Individual
 // Dinic solves stay atomic: cancellation latency is bounded by the worker
 // count times the cost of one candidate, never by the length of the
@@ -200,9 +200,9 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 	// max-flow solves then establish a large best-so-far that prunes the long
 	// tail of candidates outright: most are rejected on the precomputed bound
 	// alone, the rest get two more chances to be rejected on the tighter
-	// convex-cut bounds (descendant-side first, so a candidate pruned by its
-	// late cut never explores its ancestor cone), and only what survives all
-	// three tiers pays for a Dinic solve.
+	// convex-cut bounds (ancestor-side first, so a candidate pruned by its
+	// early cut never explores its descendant cone), and only what survives
+	// all three tiers pays for a Dinic solve.
 	order := make([]int, nc)
 	for i := range order {
 		order[i] = i
@@ -230,8 +230,8 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 		}
 	}
 	// scan runs the tiered treatment of candidate index i: precomputed bound,
-	// then the descendant-side convex bound (with early exit at the survival
-	// threshold), then the ancestor-side bound, then an exact strip-local
+	// then the ancestor-side convex bound, then the descendant-side bound
+	// (with early exit at the survival threshold), then an exact strip-local
 	// min-cut solve — warm-started from the worker's previous solve and
 	// abortable by level-cut certificate once it provably cannot beat the
 	// incumbent.  Every tier is exact (see the package comment), so the packed
@@ -241,24 +241,24 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 		if packEntry(int(ub[i]), i) < best.Load() {
 			return
 		}
-		cs.exploreDesc(x)
-		if len(cs.desc) == 0 {
+		if cs.succOff[x+1] == cs.succOff[x] {
 			// No descendants: the wavefront is {x} and the bound is exactly 1.
 			record(1, i)
 			return
 		}
-		need := needAgainst(best.Load(), i)
-		if cs.lateBound(need) < need {
+		cs.exploreAnc(x)
+		if packEntry(cs.earlyBound(x), i) < best.Load() {
 			return
 		}
-		// Tier boundary: the descendant cone is explored, the ancestor cone
+		// Tier boundary: the ancestor cone is explored, the descendant cone
 		// is not yet paid for — the one spot inside a candidate where bailing
 		// out early saves real work.
 		if ctx.Err() != nil {
 			return
 		}
-		cs.exploreAnc(x)
-		if packEntry(cs.earlyBound(x), i) < best.Load() {
+		cs.exploreDesc(x)
+		need := needAgainst(best.Load(), i)
+		if cs.lateBound(need) < need {
 			return
 		}
 		w, pruned := cs.minWavefrontRun(x, needAgainst(best.Load(), i), true)
@@ -407,9 +407,9 @@ func parallelFor(ctx context.Context, pool *SolverPool, g *cdag.Graph, workers, 
 // lateBound returns the boundary size of the latest convex cut around the
 // explored candidate (T = Desc(x)): the distinct non-descendant predecessors
 // of descendants.  x is always among them — every successor of x is a
-// descendant — so the value needs no explicit max with 1.  It only requires
-// the descendant cone (exploreDesc), which is what lets the search prune on
-// it before paying for the ancestor cone.
+// descendant — so the value needs no explicit max with 1.  It reads only the
+// descendant marks; the search evaluates it after the early bound, once the
+// descendant cone is explored (exploreDesc).
 //
 // The count stops at limit: the caller prunes on lateBound(need) < need, and
 // once the running count reaches need the candidate survives this tier no
@@ -441,7 +441,9 @@ func (cs *CutSolver) lateBound(limit int) int {
 
 // earlyBound returns the boundary size of the earliest convex cut around the
 // explored candidate (S = {x} ∪ Anc(x)): the vertices of S with a successor
-// outside S, always counting x itself.  Requires both cones' marks.
+// outside S, always counting x itself.  It reads only the ancestor marks
+// (exploreAnc), which is what lets the search prune on it before paying for
+// the descendant cone.
 func (cs *CutSolver) earlyBound(x cdag.VertexID) int {
 	e := cs.epoch
 	sOff, sVal := cs.succOff, cs.succVal

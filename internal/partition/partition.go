@@ -8,6 +8,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"cdagio/internal/cdag"
@@ -131,7 +132,13 @@ func FromGameTrace(g *cdag.Graph, res pebble.Result) (SPartition, error) {
 	if movesInSegment > 0 {
 		flush()
 	}
-	p := SPartition{S: 2 * s, Parts: parts}
+	// 2S saturates at math.MaxInt instead of wrapping negative for S ≥ 2^62;
+	// no In/Out set can exceed either.
+	s2 := math.MaxInt
+	if s <= math.MaxInt/2 {
+		s2 = 2 * s
+	}
+	p := SPartition{S: s2, Parts: parts}
 	if err := p.Validate(g); err != nil {
 		return SPartition{}, fmt.Errorf("partition: game trace did not induce a valid 2S-partition: %w", err)
 	}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -73,13 +74,15 @@ func TestFromGameTrace(t *testing.T) {
 	// valid 2S-partition whose part count is consistent with the game's I/O:
 	// S·h >= q >= S·(h−1).
 	for _, tc := range []struct {
-		name string
-		g    *cdag.Graph
-		s    int
+		name  string
+		g     *cdag.Graph
+		s     int
+		wantS int // the partition's S: 2S, saturated at math.MaxInt
 	}{
-		{"fft16", gen.FFT(16), 6},
-		{"pyramid6", gen.Pyramid(6), 4},
-		{"matmul3", gen.MatMul(3).Graph, 6},
+		{"fft16", gen.FFT(16), 6, 12},
+		{"pyramid6", gen.Pyramid(6), 4, 8},
+		{"matmul3", gen.MatMul(3).Graph, 6, 12},
+		{"fft16-huge-S", gen.FFT(16), 1 << 62, math.MaxInt},
 	} {
 		order := make([]cdag.VertexID, 0)
 		for _, v := range tc.g.MustTopoOrder() {
@@ -95,8 +98,8 @@ func TestFromGameTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: FromGameTrace: %v", tc.name, err)
 		}
-		if p.S != 2*tc.s {
-			t.Errorf("%s: partition S = %d, want %d", tc.name, p.S, 2*tc.s)
+		if p.S != tc.wantS {
+			t.Errorf("%s: partition S = %d, want %d", tc.name, p.S, tc.wantS)
 		}
 		h := p.NumParts()
 		q := res.IO()
