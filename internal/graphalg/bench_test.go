@@ -103,10 +103,11 @@ func BenchmarkWMaxScaleJacobi1M(b *testing.B) {
 }
 
 // BenchmarkWMaxSuite times the all-candidates w^max scan of each iolb-suite
-// kernel at the suite's size, so a change to the scan shows per kernel.  Each
-// iteration scans through a fresh SolverPool, as an iolb invocation does
-// through its fresh Workspace.  Short mode (the CI bench smoke) shrinks every
-// kernel.
+// kernel at the suite's size, so a change to the scan shows per kernel, and of
+// two trees, where a co-reachability sweep from the descendant side of every
+// candidate made the scan quadratic.  Each iteration scans through a fresh
+// SolverPool, as an iolb invocation does through its fresh Workspace.  Short
+// mode (the CI bench smoke) shrinks every kernel.
 func BenchmarkWMaxSuite(b *testing.B) {
 	for _, k := range []struct {
 		name        string
@@ -124,6 +125,12 @@ func BenchmarkWMaxSuite(b *testing.B) {
 		{"cg",
 			func() *cdag.Graph { return gen.CG(3, 8, 2).Graph },
 			func() *cdag.Graph { return gen.CG(2, 8, 2).Graph }},
+		{"binomial",
+			func() *cdag.Graph { return gen.BinomialTree(12) },
+			func() *cdag.Graph { return gen.BinomialTree(8) }},
+		{"reduction",
+			func() *cdag.Graph { return gen.ReductionTree(8192) },
+			func() *cdag.Graph { return gen.ReductionTree(512) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			build := k.full

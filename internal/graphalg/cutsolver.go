@@ -48,7 +48,7 @@ type CutSolver struct {
 	ancMark  []int32
 	descMark []int32
 	seenMark []int32
-	coMark   []int32 // free vertex with a directed path into Desc(x)
+	coMark   []int32 // free vertex with a directed path into Desc(x); −epoch: reached from A, no such path
 	mapEp    []int32 // strip remap: localOf[v] valid iff mapEp[v] == epoch
 	tEp      []int32 // v already has its contracted arc to the super sink
 	localOf  []int32
@@ -267,18 +267,61 @@ func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int, warm bool) (int,
 // buildStrip builds the strip-local network of the explored candidate x
 // (which must have descendants) into cs.strip and, when warm, re-seeds the
 // previous solve's flow paths into it.  It returns the units of flow seeded.
+//
+// The network needs to know which free vertices have a directed path into D;
+// only those can carry flow.  Either side can find them, and buildStrip sweeps
+// from the one with fewer seed rows — the rows a sweep must scan before it
+// marks anything: the out-edges of A = {x} ∪ Anc(x) for the forward sweep,
+// the in-edges of D = Desc(x) for the backward one (forwardCheaper).  The
+// choice cannot change the network.  stripNetwork reads the co-reachability
+// marks only on free successors of A and of strip vertices, all of which are
+// forward-reachable from A; and every path from such a vertex into D stays
+// among forward-reachable vertices, so sweepForward marks exactly the
+// co-reachable ones among them, as sweepBackward does.  The arcs, and with
+// them bounds, witnesses, cut sets and warm-start paths, are identical.
 func (cs *CutSolver) buildStrip(x cdag.VertexID, warm bool) int64 {
-	e := cs.epoch
-	f := &cs.strip
-	f.resetStage()
-	sOff, sVal := cs.succOff, cs.succVal
-	pOff, pVal := cs.predOff, cs.predVal
+	if cs.forwardCheaper(x) {
+		cs.sweepForward(x)
+	} else {
+		cs.sweepBackward(x)
+	}
+	return cs.stripNetwork(x, warm)
+}
 
-	// Backward sweep: mark the free vertices with a directed path into D,
-	// discovered from D's in-boundary.  Only these can carry flow; dropping
-	// the rest of the strip (no path to the sink) cannot change the min cut
-	// and keeps the network tight even when the incomparable set is large
-	// (shallow stencil sweeps, wide Krylov iterations).
+// forwardCheaper reports whether the out-edges of {x} ∪ Anc(x) are fewer than
+// the in-edges of Desc(x).  It extends whichever running sum is smaller, so it
+// stops summing once one side is complete and the comparison is decided.
+func (cs *CutSolver) forwardCheaper(x cdag.VertexID) bool {
+	sOff, pOff := cs.succOff, cs.predOff
+	rowsA, rowsD := sOff[x+1]-sOff[x], int64(0)
+	ai, di := 0, 0
+	for {
+		if rowsA < rowsD {
+			if ai == len(cs.anc) {
+				return true
+			}
+			v := cs.anc[ai]
+			rowsA += sOff[v+1] - sOff[v]
+			ai++
+		} else {
+			if di == len(cs.desc) {
+				return false
+			}
+			d := cs.desc[di]
+			rowsD += pOff[d+1] - pOff[d]
+			di++
+		}
+	}
+}
+
+// sweepBackward stamps coMark with the epoch on every free vertex with a
+// directed path into D, discovered from D's in-boundary.  Dropping the rest of
+// the strip (no path to the sink) cannot change the min cut and keeps the
+// network tight even when the incomparable set is large (shallow stencil
+// sweeps, wide Krylov iterations).
+func (cs *CutSolver) sweepBackward(x cdag.VertexID) {
+	e := cs.epoch
+	pOff, pVal := cs.predOff, cs.predVal
 	stack := cs.stack[:0]
 	for _, d := range cs.desc {
 		for _, p := range pVal[pOff[d]:pOff[d+1]] {
@@ -300,6 +343,85 @@ func (cs *CutSolver) buildStrip(x cdag.VertexID, warm bool) int64 {
 			stack = append(stack, p)
 		}
 	}
+	cs.stack = stack[:0]
+}
+
+// sweepForward stamps coMark with the epoch on every free vertex that is
+// reachable from A and has a directed path into D — the only vertices
+// stripNetwork asks about.  A breadth-first sweep from A's out-edges stamps
+// the free vertices it reaches with −epoch and stops at D; A is
+// predecessor-closed, so every successor of a reached vertex is free or in D.
+// The reached vertices with a successor in D (the feeders) are compacted into
+// the queue's consumed prefix as the sweep goes.  Co-reachability then spreads
+// backward from the feeders through −epoch vertices only: a path from a
+// reached vertex into D runs through reached vertices up to a feeder.  When
+// the sweep reaches nothing — an fft input, any vertex of a reduction tree —
+// there are no feeders and no backward pass.
+func (cs *CutSolver) sweepForward(x cdag.VertexID) {
+	e := cs.epoch
+	fwd := -e
+	sOff, sVal := cs.succOff, cs.succVal
+	pOff, pVal := cs.predOff, cs.predVal
+
+	q := cs.stack[:0]
+	for ai := -1; ai < len(cs.anc); ai++ {
+		v := x
+		if ai >= 0 {
+			v = cs.anc[ai]
+		}
+		for _, w := range sVal[sOff[v]:sOff[v+1]] {
+			if w == x || cs.ancMark[w] == e || cs.descMark[w] == e || cs.coMark[w] == fwd {
+				continue
+			}
+			cs.coMark[w] = fwd
+			q = append(q, w)
+		}
+	}
+	feeders := 0
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		feeds := false
+		for _, w := range sVal[sOff[u]:sOff[u+1]] {
+			if cs.descMark[w] == e {
+				feeds = true
+			} else if cs.coMark[w] != fwd {
+				cs.coMark[w] = fwd
+				q = append(q, w)
+			}
+		}
+		if feeds {
+			q[feeders] = u // feeders <= head: overwrites a consumed entry
+			feeders++
+		}
+	}
+
+	stack := q[:feeders]
+	for _, u := range stack {
+		cs.coMark[u] = e
+	}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range pVal[pOff[u]:pOff[u+1]] {
+			if cs.coMark[p] == fwd {
+				cs.coMark[p] = e
+				stack = append(stack, p)
+			}
+		}
+	}
+	cs.stack = stack[:0]
+}
+
+// stripNetwork builds the strip-local network of the explored candidate x
+// from the co-reachability marks of a sweep (see buildStrip) and, when warm,
+// re-seeds the previous solve's flow paths into it.  It returns the units of
+// flow seeded.
+func (cs *CutSolver) stripNetwork(x cdag.VertexID, warm bool) int64 {
+	e := cs.epoch
+	f := &cs.strip
+	f.resetStage()
+	sOff, sVal := cs.succOff, cs.succVal
+	stack := cs.stack[:0]
 
 	cnt := int32(0) // strip+boundary vertices materialized so far
 	cs.stripVerts = cs.stripVerts[:0]

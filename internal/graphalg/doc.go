@@ -35,16 +35,32 @@
 //     D's interior needs no nodes either.
 //
 // The resulting network has 2·(|boundary| + |strip|) + 2 nodes, and the strip
-// is discovered by two sweeps.  A backward co-reachability sweep from D's
-// in-boundary first marks the free vertices with a directed path into D; the
-// others can carry no flow.  A forward sweep from the boundary then walks only
-// the marked vertices and stops at D, assigning network ids as it goes — so
-// per-candidate cost scales with the strip and its co-reachable surroundings,
-// not with |V|.  On top of the contraction, the flow core (flowCSR) keeps
-// per-solve cost allocation-free: flat CSR arc storage, an iterative
-// current-arc DFS (recursion on long-path CDAGs such as million-vertex stencil
-// chains would reach O(V) depth), epoch-stamped BFS levels, and dirty-arc
-// capacity restoration for networks cached across solves.
+// is discovered by two sweeps.  A co-reachability sweep first marks the free
+// vertices with a directed path into D; the others can carry no flow.  A
+// forward walk from the boundary then visits only marked vertices and stops at
+// D, assigning network ids as it goes.
+//
+// The co-reachability sweep starts from the side with fewer seed rows — the
+// rows it must scan before it marks anything.  When Σ out-degree over A is
+// below Σ in-degree over D it runs forward: it stamps the free vertices
+// reachable from A, stopping at D, and then spreads co-reachability backward
+// from those with a successor in D, through stamped vertices only.  Otherwise
+// it runs backward from D's in-edges over all free vertices.  The side cannot
+// change the network.  The walk reads the marks only on free successors of A
+// and of strip vertices, all of them reachable from A; and a path from such a
+// vertex into D stays among vertices reachable from A, each free until the
+// path enters D.  So both sides mark the same vertices where the walk looks,
+// and the network is the same arc for arc.  The forward side marks nothing on
+// an fft input or on any vertex of a reduction tree; from D's side the sweep
+// walked most of the graph for each of them, which made reduction-tree scans
+// quadratic.  Per candidate, the cost scales with the strip and the cheaper
+// side's surroundings, not with |V|.
+//
+// On top of the contraction, the flow core (flowCSR) keeps per-solve cost
+// allocation-free: flat CSR arc storage, an iterative current-arc DFS
+// (recursion on long-path CDAGs such as million-vertex stencil chains would
+// reach O(V) depth), epoch-stamped BFS levels, and dirty-arc capacity
+// restoration for networks cached across solves.
 //
 // Each Dinic BFS stops at the first dequeued node whose level is at least the
 // sink's.  Every node of the sink's level is labeled by then, and a node past

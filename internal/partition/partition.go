@@ -146,17 +146,19 @@ func FromGameTrace(g *cdag.Graph, res pebble.Result) (SPartition, error) {
 }
 
 // Lemma1Bound returns the I/O lower bound of Lemma 1: S × (H(2S) − 1), where
-// h2S is the minimum number of parts of any valid 2S-partition.
+// h2S is the minimum number of parts of any valid 2S-partition.  A product
+// beyond int64 saturates at math.MaxInt64.
 func Lemma1Bound(s, h2S int) int64 {
 	if h2S < 1 {
 		return 0
 	}
-	return int64(s) * int64(h2S-1)
+	return sPartsBound(s, h2S-1)
 }
 
 // Corollary1Bound returns the I/O lower bound of Corollary 1:
 // S × (|V − I| / U(2S) − 1), where u2S bounds the size of the largest vertex
-// set of any valid 2S-partition from above.
+// set of any valid 2S-partition from above.  A product beyond int64
+// saturates at math.MaxInt64.
 func Corollary1Bound(s, numOperations, u2S int) int64 {
 	if u2S < 1 || numOperations < 1 {
 		return 0
@@ -165,11 +167,20 @@ func Corollary1Bound(s, numOperations, u2S int) int64 {
 	if parts < 1 {
 		return 0
 	}
-	v := int64(s) * int64(parts-1)
-	if v < 0 {
+	return sPartsBound(s, parts-1)
+}
+
+// sPartsBound returns S × k for the bounds above: 0 when either factor is
+// below 1, math.MaxInt64 when the product does not fit.  A wrapped product
+// would still be a sound lower bound, but not the one the formula states.
+func sPartsBound(s, k int) int64 {
+	if s < 1 || k < 1 {
 		return 0
 	}
-	return v
+	if int64(k) > math.MaxInt64/int64(s) {
+		return math.MaxInt64
+	}
+	return int64(s) * int64(k)
 }
 
 // MaxVertexSetSizeExact computes, by exhaustive enumeration, the size of the

@@ -121,20 +121,37 @@ func TestFromGameTraceNoTrace(t *testing.T) {
 }
 
 func TestLemmaBounds(t *testing.T) {
-	if got := Lemma1Bound(4, 5); got != 16 {
-		t.Errorf("Lemma1Bound = %d, want 16", got)
+	for _, tc := range []struct {
+		s, h2S int
+		want   int64
+	}{
+		{4, 5, 16},
+		{4, 0, 0},
+		{1 << 62, 2, 1 << 62},
+		{1 << 62, 6, math.MaxInt64}, // 5·2^62 does not fit
+		{1 << 62, 5, math.MaxInt64}, // 4·2^62 wrapped to 0
+	} {
+		if got := Lemma1Bound(tc.s, tc.h2S); got != tc.want {
+			t.Errorf("Lemma1Bound(%d, %d) = %d, want %d", tc.s, tc.h2S, got, tc.want)
+		}
 	}
-	if got := Lemma1Bound(4, 0); got != 0 {
-		t.Errorf("Lemma1Bound(h=0) = %d, want 0", got)
-	}
-	if got := Corollary1Bound(4, 100, 10); got != 4*(10-1) {
-		t.Errorf("Corollary1Bound = %d, want 36", got)
-	}
-	if got := Corollary1Bound(4, 5, 10); got != 0 {
-		t.Errorf("Corollary1Bound small = %d, want 0", got)
-	}
-	if got := Corollary1Bound(4, 100, 0); got != 0 {
-		t.Errorf("Corollary1Bound u=0 = %d, want 0", got)
+	for _, tc := range []struct {
+		s, ops, u2S int
+		want        int64
+	}{
+		{4, 100, 10, 36},
+		{4, 5, 10, 0},  // fewer operations than U(2S)
+		{4, 100, 0, 0}, // no admissible vertex set
+		{0, 100, 10, 0},
+		{-4, 100, 10, 0},
+		{1 << 62, 2, 1, 1 << 62},
+		{1 << 62, 6, 1, math.MaxInt64}, // 5·2^62 wrapped to 2^62
+		{1 << 62, 5, 1, math.MaxInt64}, // 4·2^62 wrapped to 0
+		{math.MaxInt, math.MaxInt, 1, math.MaxInt64},
+	} {
+		if got := Corollary1Bound(tc.s, tc.ops, tc.u2S); got != tc.want {
+			t.Errorf("Corollary1Bound(%d, %d, %d) = %d, want %d", tc.s, tc.ops, tc.u2S, got, tc.want)
+		}
 	}
 }
 
