@@ -7,8 +7,8 @@
 // The package is a thin facade over the implementation packages under
 // internal/.  Its primary entry point is the Workspace handle: Open(g)
 // returns a per-graph handle that owns all derived analysis state — compiled
-// CSR adjacency, cached min-cut networks, pooled solvers, memoized schedules
-// and candidate samples — and exposes every engine as a context-first method:
+// CSR adjacency, pooled min-cut solvers, memoized schedules and candidate
+// samples — and exposes every engine as a context-first method:
 //
 //	ws := cdagio.Open(g)
 //	analysis, err := ws.Analyze(ctx, cdagio.AnalyzeOptions{FastMemory: 64})

@@ -66,6 +66,23 @@ func main() {
 	if !*all && !*table1 && !*cg && !*gmres && !*jacobi && !*composite {
 		*all = true
 	}
+	// Sizes below 1 have no CDAG: the generators reject them with a panic,
+	// and the closed-form analyses print negative or NaN rows.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"n", *n}, {"maxdim", *maxDim}, {"compn", *compN}, {"simn", *simN}, {"nodes", *simNodes}} {
+		if f.v < 1 {
+			exitOn(fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v))
+		}
+	}
+	ms, err := parseInts(*mList)
+	exitOn(err)
+	for _, m := range ms {
+		if m < 1 {
+			exitOn(fmt.Errorf("-m entries must be at least 1, got %d", m))
+		}
+	}
 	machines := cdagio.Table1Machines()
 	bgq := cdagio.IBMBGQ()
 
@@ -76,7 +93,6 @@ func main() {
 	}
 	var sweepS []int
 	if *sim {
-		var err error
 		sweepS, err = parseInts(*sList)
 		exitOn(err)
 	}
@@ -95,8 +111,6 @@ func main() {
 		fmt.Println()
 	}
 	if *all || *gmres {
-		ms, err := parseInts(*mList)
-		exitOn(err)
 		ev, err := cdagio.EvaluateGMRES(3, *n, bgq.Nodes*bgq.CoresPerNode, bgq.Nodes, ms, machines)
 		exitOn(err)
 		fmt.Println("== GMRES (Section 5.3.3) ==")

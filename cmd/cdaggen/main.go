@@ -33,42 +33,58 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := buildKernel(*kernel, *n, *dim, *steps, *iters)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cdaggen:", err)
-		os.Exit(1)
+	// Check the format before anything is built or -o is created, so a bad
+	// flag leaves no empty file behind.
+	var write func(g *cdagio.Graph, w io.Writer) error
+	switch *format {
+	case "dot":
+		write = func(g *cdagio.Graph, w io.Writer) error {
+			return g.WriteDOT(w, cdag.DOTOptions{RankLevels: true, MaxVertices: *limit})
+		}
+	case "json":
+		write = (*cdagio.Graph).WriteJSON
+	case "none":
+		write = func(*cdagio.Graph, io.Writer) error { return nil }
+	default:
+		exitOn(fmt.Errorf("unknown format %q", *format))
 	}
+
+	g, err := buildKernel(*kernel, *n, *dim, *steps, *iters)
+	exitOn(err)
 	if *stats {
 		fmt.Fprintln(os.Stderr, g)
 		fmt.Fprintln(os.Stderr, cdag.ComputeStats(g))
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cdaggen:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		exitOn(write(g, os.Stdout))
+		return
 	}
-	switch *format {
-	case "dot":
-		err = g.WriteDOT(w, cdag.DOTOptions{RankLevels: true, MaxVertices: *limit})
-	case "json":
-		err = g.WriteJSON(w)
-	case "none":
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
+	f, err := os.Create(*out)
+	exitOn(err)
+	err = write(g, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	exitOn(err)
+}
+
+func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdaggen:", err)
 		os.Exit(1)
 	}
 }
 
-func buildKernel(kernel string, n, dim, steps, iters int) (*cdagio.Graph, error) {
+// buildKernel constructs the requested CDAG.  A generator's panic on a size
+// outside its domain (an FFT size that is not a power of two, say) is
+// returned as the error.
+func buildKernel(kernel string, n, dim, steps, iters int) (g *cdagio.Graph, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			g, err = nil, fmt.Errorf("%v", r)
+		}
+	}()
 	switch kernel {
 	case "matmul":
 		return cdagio.MatMul(n).Graph, nil

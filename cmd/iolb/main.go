@@ -81,8 +81,15 @@ func main() {
 }
 
 // buildKernel constructs the requested CDAG and, when -blocked is set, a
-// locality-optimized schedule for it.
-func buildKernel(kernel string, n, dim, steps, iters int, blocked bool) (*cdagio.Graph, []cdagio.VertexID, error) {
+// locality-optimized schedule for it.  A generator's panic on a size outside
+// its domain (an FFT size that is not a power of two, say) is returned as the
+// error.
+func buildKernel(kernel string, n, dim, steps, iters int, blocked bool) (g *cdagio.Graph, order []cdagio.VertexID, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			g, order, err = nil, nil, fmt.Errorf("%v", r)
+		}
+	}()
 	switch kernel {
 	case "matmul":
 		r := cdagio.MatMul(n)

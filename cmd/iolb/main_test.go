@@ -81,3 +81,20 @@ func TestAnalysisHonorsTimeout(t *testing.T) {
 		t.Fatalf("a cancelled analysis printed %q", stdout)
 	}
 }
+
+// TestOutOfDomainSizeFailsCleanly asks for an FFT whose size is not a power of
+// two: iolb must report the generator's complaint on one "iolb: ..." line and
+// exit 1, without a panic's stack trace.
+func TestOutOfDomainSizeFailsCleanly(t *testing.T) {
+	stdout, stderr, err := iolb(t, "-kernel", "fft", "-n", "6")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("iolb exited with %v, want status 1 (stderr %q)", err, stderr)
+	}
+	if !strings.HasPrefix(stderr, "iolb: ") || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "goroutine") {
+		t.Fatalf("stderr %q, want one \"iolb: ...\" line", stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("a failed run printed %q", stdout)
+	}
+}

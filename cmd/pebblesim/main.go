@@ -79,6 +79,9 @@ func main() {
 
 	if *parallel {
 		topo := prbw.Distributed(*nodes, *procs, *regs, *cache, *mem)
+		// Check the topology before the assignment divides by its processor
+		// count: -nodes or -procs below 1 leave it none.
+		exitOn(topo.Validate())
 		asg := prbw.RoundRobin(g, topo.Processors(), *grain)
 		stats, err := ws.PlayParallel(ctx, topo, asg)
 		exitOn(err)
@@ -112,7 +115,15 @@ func exitOn(err error) {
 	os.Exit(1)
 }
 
-func buildKernel(kernel string, n, dim, steps, iters int) (*cdagio.Graph, error) {
+// buildKernel constructs the requested CDAG.  A generator's panic on a size
+// outside its domain (an FFT size that is not a power of two, say) is
+// returned as the error.
+func buildKernel(kernel string, n, dim, steps, iters int) (g *cdagio.Graph, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			g, err = nil, fmt.Errorf("%v", r)
+		}
+	}()
 	switch kernel {
 	case "matmul":
 		return cdagio.MatMul(n).Graph, nil

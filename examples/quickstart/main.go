@@ -5,8 +5,8 @@
 // it solves the discretized equation numerically, builds the CDAG of the
 // corresponding Jacobi-style sweep, then analyzes that CDAG's data-movement
 // complexity through a single cdagio.Workspace — the per-graph handle that
-// owns all derived analysis state (compiled adjacency, cached min-cut
-// networks, memoized schedules) and threads a context.Context through every
+// owns all derived analysis state (compiled adjacency, pooled min-cut
+// solvers, memoized schedules) and threads a context.Context through every
 // engine, so repeated analyses are cheap and long ones are cancellable.
 //
 // Run with:
@@ -42,7 +42,7 @@ func main() {
 
 	// --- 2. The CDAG of the corresponding stencil sweep, and its Workspace. --
 	// Open once, analyze many times: the handle owns the compiled adjacency,
-	// the cached cut networks and the memoized schedules, so every call below
+	// the pooled cut solvers and the memoized schedules, so every call below
 	// after the first reuses them.  A real service would keep one Workspace
 	// per live CDAG and pass each request's context; here a deadline stands in
 	// for that.

@@ -274,6 +274,12 @@ func TestCompositeStrategyMatchesPaper(t *testing.T) {
 		t.Errorf("strategy I/O %d should undercut the matmul-alone bound %v for n=64",
 			ev.StrategyIO, ev.MatMulAloneLower)
 	}
+	// n < 1 has no composite CDAG: an error, not a generator panic.
+	for _, n := range []int{0, -4} {
+		if ev, err := EvaluateComposite(n); err == nil || ev != nil {
+			t.Errorf("EvaluateComposite(%d) = (%v, %v), want an error", n, ev, err)
+		}
+	}
 }
 
 func TestTable1Report(t *testing.T) {

@@ -181,6 +181,7 @@ type CompositeEvaluation struct {
 }
 
 // EvaluateComposite plays the Section-3 strategy and gathers the comparison.
+// It returns an error for n < 1, which has no composite CDAG.
 func EvaluateComposite(n int) (*CompositeEvaluation, error) {
 	res, s, err := PlayCompositeStrategy(n)
 	if err != nil {
@@ -216,6 +217,9 @@ func (ev *CompositeEvaluation) Report() string {
 // the single output (1 store).  It returns the completed game's result and
 // the number of red pebbles used (4n + 6).
 func PlayCompositeStrategy(n int) (pebble.Result, int, error) {
+	if n < 1 {
+		return pebble.Result{}, 0, fmt.Errorf("core: the composite example needs n >= 1, got %d", n)
+	}
 	comp := gen.Composite(n)
 	g := comp.Graph
 	s := 4*n + 6

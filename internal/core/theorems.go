@@ -35,14 +35,14 @@ func iterationPiece(g *cdag.Graph, iter *cdag.VertexSet) (*cdag.Graph, *cdag.Sub
 }
 
 // wavefrontInPiece returns the min-cut wavefront of vertex x computed within
-// its iteration piece.
-func wavefrontInPiece(g *cdag.Graph, iter *cdag.VertexSet, x cdag.VertexID) int {
+// its iteration piece, on the caller's solver.
+func wavefrontInPiece(cs *graphalg.CutSolver, g *cdag.Graph, iter *cdag.VertexSet, x cdag.VertexID) int {
 	sub, m := iterationPiece(g, iter)
 	sx := m.FromParent[x]
 	if sx == cdag.InvalidVertex {
 		return 0
 	}
-	return graphalg.MinWavefrontLowerBoundStrip(sub, sx)
+	return cs.MinWavefrontAt(sub, sx)
 }
 
 // CGMinCutBound executes the Theorem 8 recipe on a generated CG CDAG: for
@@ -55,9 +55,10 @@ func CGMinCutBound(cg *gen.CGResult, s int) TheoremBound {
 	g := cg.Graph
 	tb := TheoremBound{}
 	points := float64(cg.Grid.Points())
+	cs := graphalg.NewCutSolver()
 	for t := 0; t < cg.Iterations; t++ {
-		wa := wavefrontInPiece(g, cg.IterationVertices[t], cg.AlphaVertex[t])
-		wg := wavefrontInPiece(g, cg.IterationVertices[t], cg.GammaVertex[t])
+		wa := wavefrontInPiece(cs, g, cg.IterationVertices[t], cg.AlphaVertex[t])
+		wg := wavefrontInPiece(cs, g, cg.IterationVertices[t], cg.GammaVertex[t])
 		tb.PerIteration = append(tb.PerIteration, [2]int{wa, wg})
 		tb.Total += wavefront.Lemma2Bound(wa, s) + wavefront.Lemma2Bound(wg, s)
 	}
@@ -76,9 +77,10 @@ func GMRESMinCutBound(gm *gen.GMRESResult, s int) TheoremBound {
 	g := gm.Graph
 	tb := TheoremBound{}
 	points := float64(gm.Grid.Points())
+	cs := graphalg.NewCutSolver()
 	for t := 0; t < gm.Iterations; t++ {
-		wa := wavefrontInPiece(g, gm.IterationVertices[t], gm.LastDotVertex[t])
-		wg := wavefrontInPiece(g, gm.IterationVertices[t], gm.NormVertex[t])
+		wa := wavefrontInPiece(cs, g, gm.IterationVertices[t], gm.LastDotVertex[t])
+		wg := wavefrontInPiece(cs, g, gm.IterationVertices[t], gm.NormVertex[t])
 		tb.PerIteration = append(tb.PerIteration, [2]int{wa, wg})
 		tb.Total += wavefront.Lemma2Bound(wa, s) + wavefront.Lemma2Bound(wg, s)
 	}

@@ -19,11 +19,10 @@ import (
 
 // Workspace is a reusable per-graph analysis handle: it owns every piece of
 // derived state the engines need — the graph's compiled CSR rows, a pool of
-// cut solvers carrying the cached static vertex-split network and the
-// strip-local scratch, the memoized topological schedule and candidate
-// samples — so repeated analyses of one CDAG amortize all of it, and it
-// threads a context.Context through every long-running engine so callers can
-// cancel or deadline them.
+// cut solvers carrying the strip-local min-cut scratch, the memoized
+// topological schedule and candidate samples — so repeated analyses of one
+// CDAG amortize all of it, and it threads a context.Context through every
+// long-running engine so callers can cancel or deadline them.
 //
 // Obtain one with NewWorkspace (cdagio.Open at the facade), hand it the
 // context of the request being served, and reuse it for every analysis of the
@@ -72,8 +71,9 @@ func (w *Workspace) Graph() *cdag.Graph { return w.g }
 func (w *Workspace) SetSolverLimit(n int) { w.pool.SetLimit(n) }
 
 // FootprintBytes estimates the heap bytes the workspace pins while serving:
-// the graph itself plus up to maxSolvers pooled cut solvers with their cached
-// static networks and scratch (maxSolvers <= 0 estimates one solver).  The
+// the graph itself plus up to maxSolvers pooled cut solvers with their
+// scratch (maxSolvers <= 0 estimates one solver; see
+// graphalg.EstimateSolverFootprint).  The
 // serving layer admits a Workspace into its byte-budgeted cache on this
 // number, so an oversized graph is rejected before it is ever opened.
 func (w *Workspace) FootprintBytes(maxSolvers int) int64 {
@@ -84,7 +84,7 @@ func (w *Workspace) FootprintBytes(maxSolvers int) int64 {
 }
 
 // Pool returns the workspace-owned cut-solver pool, for callers that want to
-// run their own graphalg queries on the workspace's cached networks.
+// run their own graphalg queries on the workspace's solvers.
 func (w *Workspace) Pool() *graphalg.SolverPool { return w.pool }
 
 // topoSchedule returns the memoized baseline schedule (the non-input vertices
@@ -125,8 +125,8 @@ func (w *Workspace) candidates(k int) []cdag.VertexID {
 
 // WMax returns the min-cut wavefront lower bound w^max over the candidates
 // (all vertices when candidates is nil) and a vertex attaining it, computed
-// by the parallel pruned search on the workspace's solver pool.  The result
-// is bit-identical to graphalg.MaxMinWavefrontLowerBoundSerial at every
+// by the parallel pruned search on the workspace's solver pool.  Bound and
+// witness are those of a serial scan solving every candidate, at every
 // worker count; a cancelled context yields (0, InvalidVertex, ctx.Err()).
 func (w *Workspace) WMax(ctx context.Context, candidates []cdag.VertexID, opts graphalg.WMaxOptions) (int, cdag.VertexID, error) {
 	if candidates == nil {

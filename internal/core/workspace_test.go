@@ -111,14 +111,17 @@ func TestWorkspaceAnalyzeEquivalence(t *testing.T) {
 
 // TestWorkspaceEnginesMatchFreeFunctions pins the remaining Workspace engine
 // methods against the package-level engines they run on, called directly
-// under context.Background().
+// under context.Background() on fresh solvers.
 func TestWorkspaceEnginesMatchFreeFunctions(t *testing.T) {
 	ctx := context.Background()
 	g := gen.CG(2, 8, 2).Graph
 	ws := NewWorkspace(g)
 
-	// WMax vs the serial reference scan, across worker counts.
-	wantW, wantAt := graphalg.MaxMinWavefrontLowerBoundSerial(g, nil)
+	// WMax vs the w^max engine on fresh solvers, across worker counts.
+	wantW, wantAt, err := graphalg.MaxMinWavefrontLowerBoundCtx(ctx, g, nil, graphalg.WMaxOptions{Concurrency: 1})
+	if err != nil {
+		t.Fatalf("MaxMinWavefrontLowerBoundCtx: %v", err)
+	}
 	for _, conc := range []int{0, 1, 3} {
 		w, at, err := ws.WMax(ctx, nil, graphalg.WMaxOptions{Concurrency: conc})
 		if err != nil || w != wantW || at != wantAt {
@@ -126,9 +129,9 @@ func TestWorkspaceEnginesMatchFreeFunctions(t *testing.T) {
 		}
 	}
 
-	// WavefrontAt vs the full-network reference on a sample of vertices.
+	// WavefrontAt vs a fresh solver on a sample of vertices.
 	for x := 0; x < g.NumVertices(); x += 97 {
-		want := graphalg.MinWavefrontLowerBound(g, cdag.VertexID(x))
+		want := graphalg.NewCutSolver().MinWavefrontAt(g, cdag.VertexID(x))
 		got, err := ws.WavefrontAt(ctx, cdag.VertexID(x))
 		if err != nil || got != want {
 			t.Fatalf("WavefrontAt(%d): (%d, %v), want (%d, nil)", x, got, err, want)
@@ -199,10 +202,10 @@ func TestWorkspaceEnginesMatchFreeFunctions(t *testing.T) {
 		}
 	}
 
-	// MinDominatorSize vs the pooled package-level route.
+	// MinDominatorSize vs a fresh solver.
 	outs := cdag.NewVertexSet(g.NumVertices())
 	outs.AddAll(g.Outputs())
-	wantK, wantDom := graphalg.MinDominatorSize(g, outs)
+	wantK, wantDom := graphalg.NewCutSolver().MinDominatorSize(g, outs)
 	gotK, gotDom, err := ws.MinDominatorSize(ctx, outs)
 	if err != nil || gotK != wantK || !reflect.DeepEqual(gotDom, wantDom) {
 		t.Fatalf("MinDominatorSize: (%d, %v, %v), want (%d, %v, nil)", gotK, gotDom, err, wantK, wantDom)

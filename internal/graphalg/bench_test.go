@@ -14,15 +14,15 @@ func benchGraph() *cdag.Graph {
 	return gen.Jacobi(2, 36, 4, gen.StencilBox).Graph
 }
 
-// BenchmarkWMaxSerialAllCandidates is the baseline the tentpole is measured
-// against: the all-candidates serial scan, one freshly allocated flow network
-// and two fresh reachability traversals per candidate.
+// BenchmarkWMaxSerialAllCandidates times the reference the engine is tested
+// against: the all-candidates serial scan, one freshly built full
+// vertex-split network and two fresh reachability traversals per candidate.
 func BenchmarkWMaxSerialAllCandidates(b *testing.B) {
 	g := benchGraph()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, _ := MaxMinWavefrontLowerBoundSerial(g, nil)
+		w, _ := maxMinWavefrontLowerBoundSerial(g, nil)
 		if w < 1 {
 			b.Fatal("bogus bound")
 		}

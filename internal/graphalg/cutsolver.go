@@ -2,36 +2,26 @@ package graphalg
 
 import (
 	"math"
-	"sync"
 
 	"cdagio/internal/cdag"
 )
 
 // CutSolver is the reusable scratch behind every vertex min-cut computation:
-// cone-exploration marks, dense-ID remap tables, and two flowCSR max-flow
-// networks.  A solver owns no goroutines and is not safe for concurrent use;
-// create one per worker (the w^max search does) or use the package-level
-// MinVertexCut / MinDominatorSize / MaxVertexDisjointPaths /
-// MinWavefrontLowerBoundStrip wrappers, which draw solvers from an internal
-// pool so repeated queries stop paying per-call network construction.
+// cone-exploration marks, dense-ID remap tables, and one flowCSR max-flow
+// network.  A solver owns no goroutines and is not safe for concurrent use;
+// create one per worker (the w^max search does) or draw one from a
+// SolverPool.
 //
-// Two solve paths share the scratch:
-//
-//   - MinVertexCut (and the dominator/disjoint-path wrappers) solve on the
-//     full 2|V|+2-node vertex-split network.  The static part — split arcs
-//     and CDAG edge arcs — is built once per graph and cached; each call
-//     attaches the super source/sink through pre-reserved slack slots,
-//     flips uncuttable split capacities, and afterwards restores exactly the
-//     arcs the solve dirtied.
-//   - MinWavefrontAt solves the Lemma 2 instance strip-locally: the ancestor
-//     cone is contracted into the super source (keeping its boundary
-//     vertices), the descendant cone into the super sink, and only the free
-//     strip between the cones is materialized, so the network — and the
-//     Dinic solve on it — scales with the strip instead of with |V|.  See
-//     the package documentation for why the contraction is exact.
+// Both of its queries solve strip-locally.  MinWavefrontAt contracts the
+// ancestor cone into the super source (keeping its boundary vertices) and
+// the descendant cone into the super sink, and materializes only the free
+// strip between the cones, so the network — and the Dinic solve on it —
+// scales with the strip instead of with |V|; see the package documentation
+// for why the contraction is exact.  MinDominatorSize materializes only the
+// vertices on some input→target path.
 //
 // Bound values, witnesses and returned cut sets are bit-identical to the
-// historical per-call flow networks in every mode.
+// historical per-call full vertex-split networks in every mode.
 type CutSolver struct {
 	g *cdag.Graph // graph the per-vertex scratch below is sized for
 	n int
@@ -70,20 +60,9 @@ type CutSolver struct {
 	warmOff  []int32
 	seedArcs []int32 // per-path arc scratch of seedPath
 
-	// strip hosts the per-candidate strip-local networks and the fresh-build
-	// fallback of MinVertexCut; full hosts the cached static vertex-split
-	// network.
+	// strip hosts the network of the current query: a candidate's
+	// strip-local wavefront instance or a dominator strip.
 	strip flowCSR
-	full  flowCSR
-
-	// Static-network cache state (full).
-	staticG  *cdag.Graph
-	staticN  int
-	staticE  int
-	splitArc []int32 // arc id of each vertex's vIn→vOut unit arc
-	baseArcs int     // static arc count; per-call arcs live beyond it
-	baseLen  []int32 // static row lengths (adjLen reset values)
-	extRows  []int32 // rows whose adjLen grew this call
 }
 
 // NewCutSolver returns an empty solver; its scratch grows to fit the graphs
@@ -200,8 +179,8 @@ func (cs *CutSolver) exploreAnc(x cdag.VertexID) {
 	cs.stack = stack[:0]
 }
 
-// minWavefront computes MinWavefrontLowerBound(g, x) for the explored
-// candidate on the strip-local network.
+// minWavefront computes the min-cut wavefront bound of the explored candidate
+// (see MinWavefrontAt) on the strip-local network.
 //
 // Construction: let A = {x} ∪ Anc(x) and D = Desc(x).  A is closed under
 // predecessors, so no edge enters A from outside and every A→D path leaves A
@@ -691,278 +670,16 @@ func (cs *CutSolver) stripLocal(w cdag.VertexID, e, next int32) (int32, bool) {
 	return next, true
 }
 
-// MinWavefrontAt returns MinWavefrontLowerBound(g, x) computed on the
-// strip-local engine: identical value, cost proportional to the candidate's
-// cone boundary and free strip instead of the whole graph.
+// MinWavefrontAt returns the Lemma 2 lower bound on the size of the minimum
+// wavefront induced by x (Section 3.3): the minimum vertex cut separating
+// {x} ∪ Anc(x) from Desc(x) when no vertex of Desc(x) may be chosen as a cut
+// vertex, and never less than 1, since the wavefront always contains x.
+// Every valid convex cut around x has a boundary outside Desc(x) that meets
+// every path from {x} ∪ Anc(x) to Desc(x), so its size is at least this cut
+// value.  The solve costs time proportional to the candidate's cone boundary
+// and free strip, not to the whole graph.
 func (cs *CutSolver) MinWavefrontAt(g *cdag.Graph, x cdag.VertexID) int {
 	cs.ensureGraph(g)
 	cs.explore(x)
 	return cs.minWavefront(x)
-}
-
-// ensureStatic builds (or revalidates) the cached static vertex-split network
-// for g: unit split arcs vIn→vOut plus infinite-capacity edge arcs
-// vOut→wIn, with slack reserved in every row for the per-call super
-// source/sink attachments.  Node numbering matches the historical network:
-// vIn = 2v, vOut = 2v+1, super source 2n, super sink 2n+1.
-func (cs *CutSolver) ensureStatic(g *cdag.Graph) {
-	n, e := g.NumVertices(), g.NumEdges()
-	if cs.staticG == g && cs.staticN == n && cs.staticE == e {
-		return
-	}
-	cs.staticG, cs.staticN, cs.staticE = g, n, e
-	f := &cs.full
-	nn := 2*n + 2
-	f.ensureNodes(nn)
-	f.trackDirty = true
-	f.dirty = f.dirty[:0]
-	cs.extRows = cs.extRows[:0]
-
-	// Row capacities: static arc count plus slack — one slot per vIn row (the
-	// residual of super-source→vIn), one per vOut row (vOut→super-sink), and
-	// n each for the super source and sink rows.
-	f.adjOff = growInt32(f.adjOff[:0], nn+1)
-	f.adjLen = growInt32(f.adjLen[:0], nn)
-	f.adjOff[0] = 0
-	for v := 0; v < n; v++ {
-		id := cdag.VertexID(v)
-		f.adjOff[2*v+1] = f.adjOff[2*v] + int32(1+g.InDegree(id)) + 1
-		f.adjOff[2*v+2] = f.adjOff[2*v+1] + int32(1+g.OutDegree(id)) + 1
-	}
-	f.adjOff[nn-1] = f.adjOff[nn-2] + int32(n)
-	f.adjOff[nn] = f.adjOff[nn-1] + int32(n)
-
-	na := 2 * (n + e)
-	cs.baseArcs = na
-	// addExt's appends round the int32 and int64 arenas to different
-	// capacities, so each must be checked.
-	if cap(f.to) < na || cap(f.cap) < na {
-		f.to = make([]int32, na)
-		f.cap = make([]int64, na)
-	} else {
-		f.to = f.to[:na]
-		f.cap = f.cap[:na]
-	}
-	f.adjArc = growInt32(f.adjArc[:0], int(f.adjOff[nn]))
-	cs.splitArc = growInt32(cs.splitArc[:0], n)
-	for i := range f.adjLen {
-		f.adjLen[i] = 0
-	}
-	place := func(u, a int32) {
-		f.adjArc[f.adjOff[u]+f.adjLen[u]] = a
-		f.adjLen[u]++
-	}
-	succOff, succVal := g.SuccessorCSR()
-	arc := int32(0)
-	for v := 0; v < n; v++ {
-		vIn, vOut := int32(2*v), int32(2*v+1)
-		cs.splitArc[v] = arc
-		f.to[arc], f.cap[arc] = vOut, 1
-		f.to[arc+1], f.cap[arc+1] = vIn, 0
-		place(vIn, arc)
-		place(vOut, arc+1)
-		arc += 2
-		for _, w := range succVal[succOff[v]:succOff[v+1]] {
-			wIn := int32(2 * w)
-			f.to[arc], f.cap[arc] = wIn, flowInf
-			f.to[arc+1], f.cap[arc+1] = vOut, 0
-			place(vOut, arc)
-			place(wIn, arc+1)
-			arc += 2
-		}
-	}
-	f.cap0 = append(f.cap0[:0], f.cap[:na]...)
-	cs.baseLen = append(cs.baseLen[:0], f.adjLen...)
-}
-
-// resetFull restores the cached static network to its pristine state:
-// capacities of the arcs the previous solve dirtied, row lengths of the rows
-// that grew extension arcs, and the arc arena truncated to the static part.
-func (cs *CutSolver) resetFull() {
-	f := &cs.full
-	for _, ai := range f.dirty {
-		if int(ai) < cs.baseArcs {
-			f.cap[ai] = f.cap0[ai]
-			f.cap[ai^1] = f.cap0[ai^1]
-		}
-	}
-	f.dirty = f.dirty[:0]
-	for _, u := range cs.extRows {
-		f.adjLen[u] = cs.baseLen[u]
-	}
-	cs.extRows = cs.extRows[:0]
-	f.to = f.to[:cs.baseArcs]
-	f.cap = f.cap[:cs.baseArcs]
-}
-
-// addExt attaches a per-call infinite-capacity arc u→v into the slack slots
-// of the cached static network.
-func (cs *CutSolver) addExt(u, v int32) {
-	f := &cs.full
-	a := int32(len(f.to))
-	f.to = append(f.to, v, u)
-	f.cap = append(f.cap, flowInf, 0)
-	f.adjArc[f.adjOff[u]+f.adjLen[u]] = a
-	f.adjLen[u]++
-	f.adjArc[f.adjOff[v]+f.adjLen[v]] = a + 1
-	f.adjLen[v]++
-	cs.extRows = append(cs.extRows, u, v)
-}
-
-// MinVertexCut is the reusable-scratch equivalent of the package-level
-// MinVertexCut: same contract, same cut sets, no per-call network build on
-// repeated queries against the same graph.
-func (cs *CutSolver) MinVertexCut(g *cdag.Graph, sources, targets []cdag.VertexID, opts CutOptions) (int, []cdag.VertexID) {
-	f, res := cs.cutNetwork(g, sources, targets, opts)
-	if f == nil {
-		return res, nil
-	}
-	s := int32(2 * cs.n)
-	return cs.splitCut(f, f.maxFlow(s, s+1))
-}
-
-// cutNetwork prepares the vertex-split network of a MinVertexCut query, with
-// super source 2n and super sink 2n+1.  For a degenerate query it returns a
-// nil network and the query's answer instead.
-func (cs *CutSolver) cutNetwork(g *cdag.Graph, sources, targets []cdag.VertexID, opts CutOptions) (*flowCSR, int) {
-	cs.ensureGraph(g)
-	n := cs.n
-	if n == 0 || len(sources) == 0 || len(targets) == 0 {
-		return nil, 0
-	}
-	// Mark targets (for the degenerate-overlap check) and detect duplicate
-	// endpoints, which the slack-slot fast path cannot host.
-	te := cs.nextEpoch()
-	dups := false
-	for _, tgt := range targets {
-		if cs.seenMark[tgt] == te {
-			dups = true
-		}
-		cs.seenMark[tgt] = te
-	}
-	// A vertex that is both a source and a target makes separation impossible
-	// unless it can be cut; handle the degenerate overlap up front.
-	for _, s := range sources {
-		if cs.seenMark[s] == te && opts.uncuttable(s) {
-			return nil, -1
-		}
-	}
-	se := cs.nextEpoch()
-	for _, src := range sources {
-		if cs.seenMark[src] == se {
-			dups = true
-		}
-		cs.seenMark[src] = se
-	}
-
-	var f *flowCSR
-	s, t := int32(2*n), int32(2*n+1)
-	if dups {
-		f = cs.freshVertexSplit(g, sources, targets, opts)
-	} else {
-		cs.ensureStatic(g)
-		cs.resetFull()
-		f = &cs.full
-		// Flip the split-arc capacities of the uncuttable vertices.  The
-		// precomputed-set path reads the bitmap directly — a branch per
-		// vertex, no per-vertex predicate call (ROADMAP item d); the
-		// predicate path is kept for callers without a materialized set.
-		if set := opts.UncuttableSet; set != nil {
-			bm := set.Bitmap()
-			fn := opts.Uncuttable
-			for v := 0; v < n; v++ {
-				if (v < len(bm) && bm[v]) || (fn != nil && fn(cdag.VertexID(v))) {
-					a := cs.splitArc[v]
-					f.cap[a] = flowInf
-					f.dirty = append(f.dirty, a)
-				}
-			}
-		} else if opts.Uncuttable != nil {
-			for v := 0; v < n; v++ {
-				if opts.Uncuttable(cdag.VertexID(v)) {
-					a := cs.splitArc[v]
-					f.cap[a] = flowInf
-					f.dirty = append(f.dirty, a)
-				}
-			}
-		}
-		for _, src := range sources {
-			cs.addExt(s, int32(2*src))
-		}
-		for _, tgt := range targets {
-			cs.addExt(int32(2*tgt)+1, t)
-		}
-	}
-	return f, 0
-}
-
-// splitCut recovers MinVertexCut's answer from a cutNetwork network after a
-// maximum flow of the given value: a vertex v is a cut vertex when its vIn is
-// reachable from the source side of the residual graph but its vOut is not.
-func (cs *CutSolver) splitCut(f *flowCSR, flow int64) (int, []cdag.VertexID) {
-	if flow >= flowInf {
-		return -1, nil
-	}
-	f.residualReach(int32(2 * cs.n))
-	var cut []cdag.VertexID
-	for v := 0; v < cs.n; v++ {
-		if f.reached(int32(2*v)) && !f.reached(int32(2*v+1)) {
-			cut = append(cut, cdag.VertexID(v))
-		}
-	}
-	return int(flow), cut
-}
-
-// freshVertexSplit builds a one-off vertex-split network in the strip scratch
-// with exactly the historical arc emission order; it hosts the rare calls the
-// cached network cannot (duplicate source/target entries).
-func (cs *CutSolver) freshVertexSplit(g *cdag.Graph, sources, targets []cdag.VertexID, opts CutOptions) *flowCSR {
-	n := cs.n
-	f := &cs.strip
-	f.resetStage()
-	succOff, succVal := g.SuccessorCSR()
-	for v := 0; v < n; v++ {
-		id := cdag.VertexID(v)
-		capV := int64(1)
-		if opts.uncuttable(id) {
-			capV = flowInf
-		}
-		f.stageEdge(int32(2*v), int32(2*v+1), capV)
-		for _, w := range succVal[succOff[v]:succOff[v+1]] {
-			f.stageEdge(int32(2*v+1), int32(2*w), flowInf)
-		}
-	}
-	s, t := int32(2*n), int32(2*n+1)
-	for _, src := range sources {
-		f.stageEdge(s, int32(2*src), flowInf)
-	}
-	for _, tgt := range targets {
-		f.stageEdge(int32(2*tgt)+1, t, flowInf)
-	}
-	f.buildFresh(2*n + 2)
-	return f
-}
-
-// MaxVertexDisjointPaths is MaxVertexDisjointPaths on this solver's scratch.
-func (cs *CutSolver) MaxVertexDisjointPaths(g *cdag.Graph, sources, targets []cdag.VertexID) int {
-	k, _ := cs.MinVertexCut(g, sources, targets, CutOptions{})
-	return k
-}
-
-// solverPool recycles CutSolvers behind the package-level wrappers, so
-// repeated cut queries — the dominator sweeps of the 2S-partition bound, the
-// per-piece wavefronts of the Theorem 8/9 decompositions — reuse networks and
-// traversal scratch instead of rebuilding them per call.
-var solverPool = sync.Pool{New: func() any { return NewCutSolver() }}
-
-func acquireSolver() *CutSolver   { return solverPool.Get().(*CutSolver) }
-func releaseSolver(cs *CutSolver) { solverPool.Put(cs) }
-
-// MinWavefrontLowerBoundStrip returns MinWavefrontLowerBound(g, x) computed
-// on the pooled strip-local engine.  The value is always identical to the
-// reference full-network computation; only the cost differs.
-func MinWavefrontLowerBoundStrip(g *cdag.Graph, x cdag.VertexID) int {
-	cs := acquireSolver()
-	defer releaseSolver(cs)
-	return cs.MinWavefrontAt(g, x)
 }

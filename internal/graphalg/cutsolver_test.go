@@ -31,22 +31,23 @@ func randomDAG(rng *rand.Rand, n, extraEdges int) *cdag.Graph {
 
 // TestStripEquivalenceRandomDAGs pins the strip-local engine against the
 // full-network reference on randomized DAGs: per-vertex bound values
-// (MinWavefrontLowerBoundStrip vs MinWavefrontLowerBound) and the complete
+// (CutSolver.MinWavefrontAt vs minWavefrontLowerBound) and the complete
 // search result — bound AND witness — against the serial all-candidates scan,
 // across worker counts.
 func TestStripEquivalenceRandomDAGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	cs := NewCutSolver()
 	for trial := 0; trial < 40; trial++ {
 		n := 8 + rng.Intn(40)
 		g := randomDAG(rng, n, 2*n)
 		for _, x := range g.Vertices() {
-			want := MinWavefrontLowerBound(g, x)
-			got := MinWavefrontLowerBoundStrip(g, x)
+			want := minWavefrontLowerBound(g, x)
+			got := cs.MinWavefrontAt(g, x)
 			if got != want {
 				t.Fatalf("trial %d vertex %d: strip bound %d, reference %d", trial, x, got, want)
 			}
 		}
-		wantW, wantV := MaxMinWavefrontLowerBoundSerial(g, nil)
+		wantW, wantV := maxMinWavefrontLowerBoundSerial(g, nil)
 		for _, conc := range []int{1, 3} {
 			gotW, gotV := wmax(t, g, nil, WMaxOptions{Concurrency: conc})
 			if gotW != wantW || gotV != wantV {
@@ -59,8 +60,8 @@ func TestStripEquivalenceRandomDAGs(t *testing.T) {
 
 // TestCutSolverReuseAcrossGraphs drives one solver across alternating graphs
 // and query kinds, checking every answer against a fresh computation: the
-// epoch-stamped scratch and the cached static network must never leak state
-// between graphs.
+// epoch-stamped scratch and the strip network must never leak state between
+// graphs.
 func TestCutSolverReuseAcrossGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	graphs := []*cdag.Graph{
@@ -68,130 +69,42 @@ func TestCutSolverReuseAcrossGraphs(t *testing.T) {
 		randomDAG(rng, 35, 80),
 		gen.Jacobi(1, 8, 3, gen.StencilStar).Graph,
 	}
+	for _, g := range graphs[:2] {
+		for _, v := range g.Sources() {
+			g.TagInput(v)
+		}
+	}
 	cs := NewCutSolver()
 	for round := 0; round < 3; round++ {
 		for gi, g := range graphs {
 			for _, x := range g.Vertices() {
-				want := MinWavefrontLowerBound(g, x)
+				want := minWavefrontLowerBound(g, x)
 				if got := cs.MinWavefrontAt(g, x); got != want {
 					t.Fatalf("round %d graph %d vertex %d: %d, want %d", round, gi, x, got, want)
 				}
 			}
-			sources, sinks := g.Sources(), g.Sinks()
-			if len(sources) == 0 || len(sinks) == 0 {
-				continue
-			}
-			wantK, wantCut := func() (int, []cdag.VertexID) {
-				fresh := NewCutSolver()
-				return fresh.MinVertexCut(g, sources, sinks, CutOptions{})
-			}()
-			gotK, gotCut := cs.MinVertexCut(g, sources, sinks, CutOptions{})
-			if gotK != wantK || !reflect.DeepEqual(gotCut, wantCut) {
-				t.Fatalf("round %d graph %d: cut (%d, %v), want (%d, %v)", round, gi, gotK, gotCut, wantK, wantCut)
+			sinks := cdag.NewVertexSetOf(g.NumVertices(), g.Sinks()...)
+			wantK, wantDom := NewCutSolver().MinDominatorSize(g, sinks)
+			gotK, gotDom := cs.MinDominatorSize(g, sinks)
+			if gotK != wantK || !reflect.DeepEqual(gotDom, wantDom) {
+				t.Fatalf("round %d graph %d: dominator (%d, %v), want (%d, %v)", round, gi, gotK, gotDom, wantK, wantDom)
 			}
 		}
 	}
 }
 
-// TestMinVertexCutAfterArcArenaGrowth rebinds one solver's cached static
-// network from a graph whose per-call extension arcs grew the arc arena to a
-// graph whose static arcs fit the grown to array but not the grown cap array:
-// append rounds int32 and int64 slices to different capacities.
-func TestMinVertexCutAfterArcArenaGrowth(t *testing.T) {
-	hit := 0
-	for k := 2; k < 400; k++ {
-		cs := NewCutSolver()
-		a := chain(k)
-		cs.MinVertexCut(a, []cdag.VertexID{0}, []cdag.VertexID{cdag.VertexID(k - 1)}, CutOptions{})
-		lo, hi := cap(cs.full.cap), cap(cs.full.to)
-		// A chain of m vertices has 2(m + m-1) = 4m-2 static arcs.
-		for m := 2; 4*m-2 <= hi; m++ {
-			if 4*m-2 <= lo {
-				continue
-			}
-			hit++
-			b := chain(m)
-			src, dst := []cdag.VertexID{0}, []cdag.VertexID{cdag.VertexID(m - 1)}
-			got, _ := cs.MinVertexCut(b, src, dst, CutOptions{})
-			want, _ := NewCutSolver().MinVertexCut(b, src, dst, CutOptions{})
-			if got != want {
-				t.Fatalf("chain(%d) after chain(%d): cut %d, fresh solver %d", m, k, got, want)
-			}
-			break
-		}
-	}
-	if hit == 0 {
-		t.Fatal("no graph pair grew the arc arrays to different capacities")
-	}
-}
-
-// TestMinVertexCutDuplicateEndpoints exercises the fresh-build fallback: with
-// duplicate source/target entries the cached slack slots cannot host the
-// extension arcs, and the solver must fall back to a one-off network with the
-// historical arc order — duplicates added the same arcs twice in the old
-// engine, which never changed the cut.
+// TestMinVertexCutDuplicateEndpoints checks the reference cut on duplicate
+// source and target entries: they stage the same arcs twice, which never
+// changes the cut.
 func TestMinVertexCutDuplicateEndpoints(t *testing.T) {
 	g, v := diamond()
-	k, cut := MinVertexCut(g,
+	k, cut := minVertexCut(g,
 		[]cdag.VertexID{v[0], v[0], v[0]},
 		[]cdag.VertexID{v[3], v[3]},
-		CutOptions{})
-	wantK, wantCut := MinVertexCut(g, []cdag.VertexID{v[0]}, []cdag.VertexID{v[3]}, CutOptions{})
+		nil)
+	wantK, wantCut := minVertexCut(g, []cdag.VertexID{v[0]}, []cdag.VertexID{v[3]}, nil)
 	if k != wantK || !reflect.DeepEqual(cut, wantCut) {
 		t.Fatalf("duplicate endpoints: (%d, %v), want (%d, %v)", k, cut, wantK, wantCut)
-	}
-}
-
-// TestUncuttableSetMatchesPredicate drives the cached-static path with the
-// predicate form, the precomputed-set form and the union of both on
-// randomized DAGs, asserting identical cut values and cut sets.  The set form
-// is what the wavefront instances use (ROADMAP item d); it must be a pure
-// performance change.
-func TestUncuttableSetMatchesPredicate(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		n := 10 + rng.Intn(30)
-		g := randomDAG(rng, n, 2*n)
-		sources, sinks := g.Sources(), g.Sinks()
-		if len(sources) == 0 || len(sinks) == 0 {
-			continue
-		}
-		uncut := cdag.NewVertexSet(n)
-		for v := 0; v < n; v++ {
-			if rng.Intn(3) == 0 {
-				uncut.Add(cdag.VertexID(v))
-			}
-		}
-		wantK, wantCut := MinVertexCut(g, sources, sinks, CutOptions{Uncuttable: uncut.Contains})
-		gotK, gotCut := MinVertexCut(g, sources, sinks, CutOptions{UncuttableSet: uncut})
-		if gotK != wantK || !reflect.DeepEqual(gotCut, wantCut) {
-			t.Fatalf("trial %d: set form (%d, %v), predicate form (%d, %v)",
-				trial, gotK, gotCut, wantK, wantCut)
-		}
-		// Union semantics: splitting the same restriction across both fields
-		// must change nothing.
-		half := cdag.NewVertexSet(n)
-		for _, v := range uncut.Elements() {
-			if rng.Intn(2) == 0 {
-				half.Add(v)
-			}
-		}
-		bothK, bothCut := MinVertexCut(g, sources, sinks, CutOptions{
-			UncuttableSet: half,
-			Uncuttable:    uncut.Contains,
-		})
-		if bothK != wantK || !reflect.DeepEqual(bothCut, wantCut) {
-			t.Fatalf("trial %d: union form (%d, %v), want (%d, %v)", trial, bothK, bothCut, wantK, wantCut)
-		}
-		// Duplicate endpoints route through the fresh-build fallback, which
-		// must honor the set form too.
-		dupSources := append([]cdag.VertexID{sources[0]}, sources...)
-		wantK2, wantCut2 := MinVertexCut(g, dupSources, sinks, CutOptions{Uncuttable: uncut.Contains})
-		gotK2, gotCut2 := MinVertexCut(g, dupSources, sinks, CutOptions{UncuttableSet: uncut})
-		if gotK2 != wantK2 || !reflect.DeepEqual(gotCut2, wantCut2) {
-			t.Fatalf("trial %d: fresh-build set form (%d, %v), predicate form (%d, %v)",
-				trial, gotK2, gotCut2, wantK2, wantCut2)
-		}
 	}
 }
 
@@ -221,10 +134,10 @@ func butterflyStackGraph() *cdag.Graph {
 }
 
 // TestMinVertexCutGoldenSets pins the exact cut-set CONTENTS — not just the
-// sizes — returned by the engine on four structurally different instances.
-// The expected sets were recorded from the historical slice-of-slices flow
-// network; the CSR engine (cached-static path included) must reproduce them
-// bit for bit, since downstream consumers report dominator sets and cut
+// sizes — on four structurally different instances.  The expected sets were
+// recorded from the historical slice-of-slices flow network; the reference
+// cut, the dominator engine and the strip-local wavefront cut must reproduce
+// them bit for bit, since downstream consumers report dominator sets and cut
 // witnesses verbatim.
 func TestMinVertexCutGoldenSets(t *testing.T) {
 	ids := func(vs ...int32) []cdag.VertexID {
@@ -237,7 +150,7 @@ func TestMinVertexCutGoldenSets(t *testing.T) {
 
 	t.Run("butterflyStack", func(t *testing.T) {
 		g := butterflyStackGraph()
-		k, cut := MinVertexCut(g, g.Inputs(), g.Outputs(), CutOptions{})
+		k, cut := minVertexCut(g, g.Inputs(), g.Outputs(), nil)
 		want := ids(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
 			16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31)
 		if k != 32 || !reflect.DeepEqual(cut, want) {
@@ -249,7 +162,7 @@ func TestMinVertexCutGoldenSets(t *testing.T) {
 		g := gen.MatMul(4).Graph
 		outs := cdag.NewVertexSet(g.NumVertices())
 		outs.AddAll(g.Outputs())
-		k, dom := MinDominatorSize(g, outs)
+		k, dom := NewCutSolver().MinDominatorSize(g, outs)
 		want := ids(38, 45, 52, 59, 66, 73, 80, 87, 94, 101, 108, 115, 122, 129, 136, 143)
 		if k != 16 || !reflect.DeepEqual(dom, want) {
 			t.Fatalf("dominator = (%d, %v), want (16, %v)", k, dom, want)
@@ -262,7 +175,7 @@ func TestMinVertexCutGoldenSets(t *testing.T) {
 		desc := Descendants(g, x)
 		anc := Ancestors(g, x)
 		anc.Add(x)
-		k, cut := MinVertexCut(g, anc.Elements(), desc.Elements(), CutOptions{Uncuttable: desc.Contains})
+		k, cut := minVertexCut(g, anc.Elements(), desc.Elements(), desc.Contains)
 		want := ids(72, 73, 74, 78, 79, 80, 84, 85, 86)
 		if k != 9 || !reflect.DeepEqual(cut, want) {
 			t.Fatalf("cut = (%d, %v), want (9, %v)", k, cut, want)
@@ -270,14 +183,13 @@ func TestMinVertexCutGoldenSets(t *testing.T) {
 	})
 
 	t.Run("jacobi2dUncuttableSet", func(t *testing.T) {
-		// The precomputed-set form must reproduce the predicate golden above
-		// bit for bit (same flip order, same cut set).
+		// The strip-local engine's canonical cut of the same wavefront
+		// instance must reproduce the full-network golden above.
 		g := gen.Jacobi(2, 6, 3, gen.StencilBox).Graph
 		x := cdag.VertexID(g.NumVertices() / 2)
-		desc := Descendants(g, x)
-		anc := Ancestors(g, x)
-		anc.Add(x)
-		k, cut := MinVertexCut(g, anc.Elements(), desc.Elements(), CutOptions{UncuttableSet: desc})
+		cs := NewCutSolver()
+		k := cs.MinWavefrontAt(g, x)
+		cut := sortedCut(cs.lastStripCut(nil))
 		want := ids(72, 73, 74, 78, 79, 80, 84, 85, 86)
 		if k != 9 || !reflect.DeepEqual(cut, want) {
 			t.Fatalf("cut = (%d, %v), want (9, %v)", k, cut, want)
@@ -286,7 +198,7 @@ func TestMinVertexCutGoldenSets(t *testing.T) {
 
 	t.Run("cgInputsToOutputs", func(t *testing.T) {
 		g := gen.CG(2, 4, 2).Graph
-		k, cut := MinVertexCut(g, g.Inputs(), g.Outputs(), CutOptions{})
+		k, cut := minVertexCut(g, g.Inputs(), g.Outputs(), nil)
 		want := ids(286, 288, 290, 292, 294, 296, 298, 300, 302, 304, 306, 308, 310, 312, 314, 316)
 		if k != 16 || !reflect.DeepEqual(cut, want) {
 			t.Fatalf("cut = (%d, %v), want (16, %v)", k, cut, want)

@@ -1,8 +1,10 @@
 // Package graphalg provides the graph algorithms that underpin the
-// data-movement lower-bound machinery: reachability (ancestor/descendant
-// sets), maximum flow (Dinic over flat CSR arc arrays), vertex min-cuts via
-// vertex splitting, minimum dominator sets, convex (S,T) cuts and
-// vertex-disjoint path counts.
+// data-movement lower-bound machinery: ancestor and descendant sets, and the
+// strip-local vertex min-cuts behind the Lemma 2 wavefront bound (one vertex
+// with CutSolver.MinWavefrontAt, the w^max candidate search with
+// MaxMinWavefrontLowerBoundCtx) and the Hong–Kung minimum dominator
+// (CutSolver.MinDominatorSize), all solved by Dinic's maximum flow over flat
+// CSR arc arrays.  SolverPool recycles CutSolvers per graph.
 //
 // All algorithms operate on *cdag.Graph values and treat them as read-only.
 // Flow networks never mutate the input CDAG.
@@ -57,10 +59,10 @@
 // side's surroundings, not with |V|.
 //
 // On top of the contraction, the flow core (flowCSR) keeps per-solve cost
-// allocation-free: flat CSR arc storage, an iterative current-arc DFS
-// (recursion on long-path CDAGs such as million-vertex stencil chains would
-// reach O(V) depth), epoch-stamped BFS levels, and dirty-arc capacity
-// restoration for networks cached across solves.
+// allocation-free: flat CSR arc storage that grows amortized and is reused
+// across solves, an iterative current-arc DFS (recursion on long-path CDAGs
+// such as million-vertex stencil chains would reach O(V) depth), and
+// epoch-stamped BFS levels.
 //
 // Each Dinic BFS stops at the first dequeued node whose level is at least the
 // sink's.  Every node of the sink's level is labeled by then, and a node past
@@ -68,12 +70,10 @@
 // pushes the same augmenting paths in the same order as after a full BFS: the
 // residual network, the warm-start paths and the cut sets are unchanged.
 //
-// MinVertexCut, MinDominatorSize, MaxVertexDisjointPaths and
-// MinWavefrontLowerBoundStrip all route through pooled CutSolvers; results — cut values, cut
-// sets, bounds and witnesses — are bit-identical to the historical per-call
-// slice-of-slices networks, which survive as the reference implementations
-// (MinWavefrontLowerBound, MaxMinWavefrontLowerBoundSerial) that the
-// equivalence tests compare against.
+// Results — cut values, cut sets, bounds and witnesses — are bit-identical to
+// the historical per-call full vertex-split networks.  Those survive only in
+// the package's tests, as the reference every engine is pinned to: one fresh
+// 2|V|+2-node network per cut, and a serial scan solving every candidate.
 //
 // # Incremental flow across candidates: warm starts
 //

@@ -6,11 +6,17 @@ import (
 	"cdagio/internal/cdag"
 )
 
-// MinDominatorSize computes a minimum dominator of the target set on a
-// strip-local flow network, the same contraction idea the Lemma 2 wavefront
-// instances use: instead of materializing the full 2|V|+2-node vertex-split
-// network, only the dominator strip — the vertices lying on some input→target
-// path — becomes network nodes.
+// MinDominatorSize returns the size of a minimum dominator set of the vertex
+// set target, and one such set: the smallest set D of vertices such that every
+// path from an input vertex of g to a vertex of target contains a vertex of D
+// (Definition 3 of Hong & Kung).  Dominator vertices may be inputs or members
+// of target.  Vertices of target with no path from any input are ignored (no
+// path needs covering).
+//
+// The instance is solved on a strip-local flow network, the same contraction
+// idea the Lemma 2 wavefront instances use: instead of materializing the full
+// 2|V|+2-node vertex-split network, only the dominator strip — the vertices
+// lying on some input→target path — becomes network nodes.
 //
 // Construction: a backward sweep from the target stamps the vertices with a
 // directed path into it; a forward sweep from the inputs then walks only those
@@ -24,7 +30,7 @@ import (
 // exactly the paths the full network carries; vertices outside the strip can
 // carry no flow in the full network and therefore never participate in a
 // minimum cut that this instance cannot also express.  The bound value is
-// identical to a MinVertexCut from the inputs to the target on the full
+// identical to a vertex min-cut from the inputs to the target on the full
 // vertex-split network (the tests pin the two together); only the cost —
 // O(strip) instead of O(V+E) per call — and, on graphs with several minimum
 // dominators, the particular witness set may differ.

@@ -45,6 +45,7 @@ func dominates(g *cdag.Graph, dom []cdag.VertexID, target *cdag.VertexSet) bool 
 // genuine dominator of matching size, sorted by vertex ID.
 func TestMinDominatorStripEquivalenceRandomDAGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	cs := NewCutSolver()
 	for trial := 0; trial < 60; trial++ {
 		n := 8 + rng.Intn(40)
 		g := randomDAG(rng, n, 2*n)
@@ -62,8 +63,8 @@ func TestMinDominatorStripEquivalenceRandomDAGs(t *testing.T) {
 		if target.Len() == 0 {
 			target.Add(cdag.VertexID(n - 1))
 		}
-		wantK, wantDom := MinDominatorSizeFull(g, target)
-		gotK, dom := MinDominatorSize(g, target)
+		wantK, wantDom := minDominatorSizeFull(g, target)
+		gotK, dom := cs.MinDominatorSize(g, target)
 		if gotK != wantK {
 			t.Fatalf("trial %d: strip dominator size %d, full-network %d", trial, gotK, wantK)
 		}
@@ -100,7 +101,7 @@ func TestMinDominatorStripPooledReuse(t *testing.T) {
 				target.Add(cdag.VertexID(rng.Intn(n)))
 			}
 		}
-		wantK, _ := MinDominatorSizeFull(g, target)
+		wantK, _ := minDominatorSizeFull(g, target)
 		gotK, dom := pool.MinDominatorSize(target)
 		if gotK != wantK {
 			t.Fatalf("trial %d: pooled strip size %d, full-network %d", trial, gotK, wantK)
@@ -124,35 +125,20 @@ func TestMinDominatorStripDegenerate(t *testing.T) {
 	g.AddEdge(4, 5)
 	g.TagInput(0)
 
-	if k, dom := MinDominatorSize(g, cdag.NewVertexSet(6)); k != 0 || dom != nil {
+	cs := NewCutSolver()
+	if k, dom := cs.MinDominatorSize(g, cdag.NewVertexSet(6)); k != 0 || dom != nil {
 		t.Fatalf("empty target: (%d, %v), want (0, nil)", k, dom)
 	}
 	// Target on the chain with no tagged input: no path needs covering.
-	if k, dom := MinDominatorSize(g, cdag.NewVertexSetOf(6, 5)); k != 0 || dom != nil {
+	if k, dom := cs.MinDominatorSize(g, cdag.NewVertexSetOf(6, 5)); k != 0 || dom != nil {
 		t.Fatalf("unreachable target: (%d, %v), want (0, nil)", k, dom)
 	}
 	// Target on the rooted chain: one vertex suffices.
-	if k, _ := MinDominatorSize(g, cdag.NewVertexSetOf(6, 2)); k != 1 {
+	if k, _ := cs.MinDominatorSize(g, cdag.NewVertexSetOf(6, 2)); k != 1 {
 		t.Fatalf("chain target: size %d, want 1", k)
 	}
 	// An input that is itself the target must be its own dominator.
-	if k, dom := MinDominatorSize(g, cdag.NewVertexSetOf(6, 0)); k != 1 || len(dom) != 1 || dom[0] != 0 {
+	if k, dom := cs.MinDominatorSize(g, cdag.NewVertexSetOf(6, 0)); k != 1 || len(dom) != 1 || dom[0] != 0 {
 		t.Fatalf("input target: (%d, %v), want (1, [0])", k, dom)
 	}
-}
-
-// MinDominatorSizeFull is the full-network route to the dominator bound: a
-// MinVertexCut from the inputs to the target on the cached static
-// vertex-split network.  It is the reference the strip-local
-// MinDominatorSize is tested against; the bound values are always identical.
-func MinDominatorSizeFull(g *cdag.Graph, target *cdag.VertexSet) (int, []cdag.VertexID) {
-	inputs := g.Inputs()
-	if len(inputs) == 0 || target.Len() == 0 {
-		return 0, nil
-	}
-	k, cut := MinVertexCut(g, inputs, target.Elements(), CutOptions{})
-	if k < 0 {
-		return 0, nil
-	}
-	return k, cut
 }

@@ -68,45 +68,18 @@ func TestAncestorsDescendants(t *testing.T) {
 	if a := Ancestors(g, v[1]); a.Len() != 1 || !a.Contains(v[0]) {
 		t.Errorf("Ancestors(b) = %v", a.Elements())
 	}
-	if !HasPath(g, v[0], v[3]) || HasPath(g, v[1], v[2]) || HasPath(g, v[3], v[0]) {
-		t.Errorf("HasPath wrong")
+	if !Descendants(g, v[0]).Contains(v[3]) || Descendants(g, v[1]).Contains(v[2]) || Descendants(g, v[3]).Contains(v[0]) {
+		t.Errorf("Descendants reachability wrong")
 	}
-	if HasPath(g, v[0], v[0]) {
-		t.Errorf("HasPath(v,v) should be false (length >= 1 required)")
-	}
-}
-
-func TestReachableFromCoReachable(t *testing.T) {
-	g, v := diamond()
-	r := ReachableFrom(g, []cdag.VertexID{v[1]})
-	if r.Len() != 2 || !r.Contains(v[1]) || !r.Contains(v[3]) {
-		t.Errorf("ReachableFrom(b) = %v", r.Elements())
-	}
-	c := CoReachableTo(g, []cdag.VertexID{v[2]})
-	if c.Len() != 2 || !c.Contains(v[0]) || !c.Contains(v[2]) {
-		t.Errorf("CoReachableTo(c) = %v", c.Elements())
-	}
-}
-
-func TestTransitiveClosure(t *testing.T) {
-	g, v := diamond()
-	tc := TransitiveClosure(g)
-	if tc[v[0]].Len() != 3 || tc[v[1]].Len() != 1 || tc[v[3]].Len() != 0 {
-		t.Errorf("TransitiveClosure wrong: %v %v %v",
-			tc[v[0]].Elements(), tc[v[1]].Elements(), tc[v[3]].Elements())
-	}
-	// Closure must agree with direct Descendants computation.
-	for _, u := range g.Vertices() {
-		if !tc[u].Equal(Descendants(g, u)) {
-			t.Errorf("closure mismatch at %d", u)
-		}
+	if Descendants(g, v[0]).Contains(v[0]) || Ancestors(g, v[3]).Contains(v[3]) {
+		t.Errorf("a vertex is not its own descendant or ancestor (length >= 1 required)")
 	}
 }
 
 func TestMinVertexCutDiamond(t *testing.T) {
 	g, v := diamond()
 	// Separating a from d requires either {a}, {d}, or {b,c}; minimum is 1.
-	k, cut := MinVertexCut(g, []cdag.VertexID{v[0]}, []cdag.VertexID{v[3]}, CutOptions{})
+	k, cut := minVertexCut(g, []cdag.VertexID{v[0]}, []cdag.VertexID{v[3]}, nil)
 	if k != 1 {
 		t.Fatalf("min cut = %d, want 1", k)
 	}
@@ -115,7 +88,7 @@ func TestMinVertexCutDiamond(t *testing.T) {
 	}
 	// Forbid cutting a and d: the cut must be {b, c}.
 	uncut := func(u cdag.VertexID) bool { return u == v[0] || u == v[3] }
-	k2, cut2 := MinVertexCut(g, []cdag.VertexID{v[0]}, []cdag.VertexID{v[3]}, CutOptions{Uncuttable: uncut})
+	k2, cut2 := minVertexCut(g, []cdag.VertexID{v[0]}, []cdag.VertexID{v[3]}, uncut)
 	if k2 != 2 || len(cut2) != 2 {
 		t.Fatalf("restricted min cut = %d (%v), want 2", k2, cut2)
 	}
@@ -124,12 +97,12 @@ func TestMinVertexCutDiamond(t *testing.T) {
 func TestMinVertexCutImpossible(t *testing.T) {
 	g := chain(2)
 	all := func(cdag.VertexID) bool { return true }
-	k, _ := MinVertexCut(g, []cdag.VertexID{0}, []cdag.VertexID{1}, CutOptions{Uncuttable: all})
+	k, _ := minVertexCut(g, []cdag.VertexID{0}, []cdag.VertexID{1}, all)
 	if k != -1 {
 		t.Fatalf("expected impossible cut, got %d", k)
 	}
 	// Source equals target and is uncuttable.
-	k2, _ := MinVertexCut(g, []cdag.VertexID{0}, []cdag.VertexID{0}, CutOptions{Uncuttable: all})
+	k2, _ := minVertexCut(g, []cdag.VertexID{0}, []cdag.VertexID{0}, all)
 	if k2 != -1 {
 		t.Fatalf("expected impossible overlap cut, got %d", k2)
 	}
@@ -137,16 +110,16 @@ func TestMinVertexCutImpossible(t *testing.T) {
 
 func TestMinVertexCutTrivial(t *testing.T) {
 	g := chain(3)
-	if k, _ := MinVertexCut(g, nil, []cdag.VertexID{2}, CutOptions{}); k != 0 {
+	if k, _ := minVertexCut(g, nil, []cdag.VertexID{2}, nil); k != 0 {
 		t.Errorf("empty sources should give 0, got %d", k)
 	}
-	if k, _ := MinVertexCut(g, []cdag.VertexID{0}, nil, CutOptions{}); k != 0 {
+	if k, _ := minVertexCut(g, []cdag.VertexID{0}, nil, nil); k != 0 {
 		t.Errorf("empty targets should give 0, got %d", k)
 	}
 	// Unreachable target: cut of size 0.
 	g2 := cdag.NewGraph("two", 2)
 	g2.AddVertices(2)
-	if k, _ := MinVertexCut(g2, []cdag.VertexID{0}, []cdag.VertexID{1}, CutOptions{}); k != 0 {
+	if k, _ := minVertexCut(g2, []cdag.VertexID{0}, []cdag.VertexID{1}, nil); k != 0 {
 		t.Errorf("unreachable target should give 0, got %d", k)
 	}
 }
@@ -155,12 +128,14 @@ func TestMaxVertexDisjointPathsButterfly(t *testing.T) {
 	g, v := butterfly()
 	// From the two inputs to the two outputs there are 2 vertex-disjoint paths
 	// (limited by the 2 middle vertices).
-	if k := MaxVertexDisjointPaths(g, []cdag.VertexID{v[0], v[1]}, []cdag.VertexID{v[4], v[5]}); k != 2 {
+	// By Menger's theorem the count equals the min vertex cut with every
+	// vertex cuttable.
+	if k, _ := minVertexCut(g, []cdag.VertexID{v[0], v[1]}, []cdag.VertexID{v[4], v[5]}, nil); k != 2 {
 		t.Fatalf("disjoint paths = %d, want 2", k)
 	}
 	// From one input to the outputs only 1 fully disjoint path exists
 	// (they'd share the input).
-	if k := MaxVertexDisjointPaths(g, []cdag.VertexID{v[0]}, []cdag.VertexID{v[4], v[5]}); k != 1 {
+	if k, _ := minVertexCut(g, []cdag.VertexID{v[0]}, []cdag.VertexID{v[4], v[5]}, nil); k != 1 {
 		t.Fatalf("disjoint paths from single input = %d, want 1", k)
 	}
 }
@@ -169,23 +144,24 @@ func TestMinDominatorSize(t *testing.T) {
 	g, v := butterfly()
 	// Dominating the outputs: the 2 middle vertices suffice (or the 2 inputs).
 	target := cdag.NewVertexSetOf(g.NumVertices(), v[4], v[5])
-	k, dom := MinDominatorSize(g, target)
+	cs := NewCutSolver()
+	k, dom := cs.MinDominatorSize(g, target)
 	if k != 2 || len(dom) != 2 {
 		t.Fatalf("dominator size = %d (%v), want 2", k, dom)
 	}
 	// Dominating a single middle vertex: 1 (itself or one input? no — both
 	// inputs reach it, so either {m0} or {in0,in1}; min is 1).
 	target2 := cdag.NewVertexSetOf(g.NumVertices(), v[2])
-	if k2, _ := MinDominatorSize(g, target2); k2 != 1 {
+	if k2, _ := cs.MinDominatorSize(g, target2); k2 != 1 {
 		t.Fatalf("dominator size = %d, want 1", k2)
 	}
 	// Empty target.
-	if k3, _ := MinDominatorSize(g, cdag.NewVertexSet(g.NumVertices())); k3 != 0 {
+	if k3, _ := cs.MinDominatorSize(g, cdag.NewVertexSet(g.NumVertices())); k3 != 0 {
 		t.Fatalf("empty target dominator = %d, want 0", k3)
 	}
 	// Graph with no inputs.
 	g2 := chain(3)
-	if k4, _ := MinDominatorSize(g2, cdag.NewVertexSetOf(3, 2)); k4 != 0 {
+	if k4, _ := cs.MinDominatorSize(g2, cdag.NewVertexSetOf(3, 2)); k4 != 0 {
 		t.Fatalf("no-input dominator = %d, want 0", k4)
 	}
 }
@@ -195,7 +171,7 @@ func TestDominatorVerification(t *testing.T) {
 	// disconnect all inputs from the target set.
 	g, v := butterfly()
 	target := cdag.NewVertexSetOf(g.NumVertices(), v[4], v[5])
-	_, dom := MinDominatorSize(g, target)
+	_, dom := NewCutSolver().MinDominatorSize(g, target)
 	removed := cdag.NewVertexSet(g.NumVertices())
 	removed.AddAll(dom)
 	// BFS from inputs avoiding removed vertices must not reach the target.
@@ -225,27 +201,27 @@ func TestDominatorVerification(t *testing.T) {
 
 func TestConvexCutAround(t *testing.T) {
 	g, v := diamond()
-	cut := ConvexCutAround(g, v[1]) // S = {a, b}
-	if err := cut.Validate(g); err != nil {
+	cut := convexCutAround(g, v[1]) // S = {a, b}
+	if err := cut.validate(g); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if cut.S.Len() != 2 || !cut.S.Contains(v[0]) || !cut.S.Contains(v[1]) {
 		t.Fatalf("S = %v", cut.S.Elements())
 	}
-	b := cut.Boundary(g)
+	b := cut.boundary(g)
 	// Both a (edge to c) and b (edge to d) are boundary vertices.
 	if b.Len() != 2 {
 		t.Fatalf("boundary = %v", b.Elements())
 	}
 
-	late := LatestConvexCutAround(g, v[1]) // T = {d}, S = {a,b,c}
-	if err := late.Validate(g); err != nil {
+	late := latestConvexCutAround(g, v[1]) // T = {d}, S = {a,b,c}
+	if err := late.validate(g); err != nil {
 		t.Fatalf("Validate late: %v", err)
 	}
 	if late.T.Len() != 1 || !late.T.Contains(v[3]) {
 		t.Fatalf("late T = %v", late.T.Elements())
 	}
-	lb := late.Boundary(g)
+	lb := late.boundary(g)
 	if lb.Len() != 2 || !lb.Contains(v[1]) || !lb.Contains(v[2]) {
 		t.Fatalf("late boundary = %v", lb.Elements())
 	}
@@ -256,32 +232,42 @@ func TestConvexCutValidateErrors(t *testing.T) {
 	// Non-partitioning sets.
 	s := cdag.NewVertexSetOf(4, v[0])
 	tt := cdag.NewVertexSetOf(4, v[0], v[1], v[2], v[3])
-	if err := (ConvexCut{S: s, T: tt}).Validate(g); err == nil {
+	if err := (convexCut{S: s, T: tt}).validate(g); err == nil {
 		t.Errorf("expected error for overlapping cut")
 	}
 	// Edge from T to S: S = {b, d}? d has no out-edges; use S = {d}, T = rest:
 	// edges b->d and c->d run from T to S.
 	s2 := cdag.NewVertexSetOf(4, v[3])
 	t2 := s2.Complement()
-	if err := (ConvexCut{S: s2, T: t2}).Validate(g); err == nil {
+	if err := (convexCut{S: s2, T: t2}).validate(g); err == nil {
 		t.Errorf("expected error for non-convex cut")
 	}
 	// Wrong universe.
 	s3 := cdag.NewVertexSet(3)
 	t3 := cdag.NewVertexSet(3)
-	if err := (ConvexCut{S: s3, T: t3}).Validate(g); err == nil {
+	if err := (convexCut{S: s3, T: t3}).validate(g); err == nil {
 		t.Errorf("expected error for wrong universe")
 	}
 }
 
 func TestMinWavefrontLowerBound(t *testing.T) {
+	// Both the reference and the strip-local engine must produce each value.
+	cs := NewCutSolver()
+	bound := func(t *testing.T, g *cdag.Graph, x cdag.VertexID) int {
+		t.Helper()
+		w := minWavefrontLowerBound(g, x)
+		if got := cs.MinWavefrontAt(g, x); got != w {
+			t.Fatalf("vertex %d: strip engine %d, reference %d", x, got, w)
+		}
+		return w
+	}
 	g, v := diamond()
 	// Around a: Desc(a) = {b,c,d}; only 1 disjoint path can leave a.
-	if w := MinWavefrontLowerBound(g, v[0]); w != 1 {
+	if w := bound(t, g, v[0]); w != 1 {
 		t.Errorf("wavefront LB around a = %d, want 1", w)
 	}
 	// Around d: no descendants, wavefront is {d}.
-	if w := MinWavefrontLowerBound(g, v[3]); w != 1 {
+	if w := bound(t, g, v[3]); w != 1 {
 		t.Errorf("wavefront LB around d = %d, want 1", w)
 	}
 
@@ -304,10 +290,10 @@ func TestMinWavefrontLowerBound(t *testing.T) {
 	}
 	// The wavefront induced by dot must hold all 2k vector elements (each has
 	// a successor among dot's descendants) plus dot itself.
-	if w := MinWavefrontLowerBound(g2, dot); w != 2*k+1 {
+	if w := bound(t, g2, dot); w != 2*k+1 {
 		t.Errorf("reduction wavefront LB = %d, want %d", w, 2*k+1)
 	}
-	if ub := WavefrontUpperBound(g2, dot); ub < 2*k+1 {
+	if ub := wavefrontUpperBound(g2, dot); ub < 2*k+1 {
 		t.Errorf("wavefront UB %d below LB %d", ub, 2*k+1)
 	}
 	_ = elems
@@ -317,8 +303,8 @@ func TestMinWavefrontLowerBound(t *testing.T) {
 func TestWavefrontUpperBoundAtLeastLower(t *testing.T) {
 	g, _ := butterfly()
 	for _, x := range g.Vertices() {
-		lb := MinWavefrontLowerBound(g, x)
-		ub := WavefrontUpperBound(g, x)
+		lb := minWavefrontLowerBound(g, x)
+		ub := wavefrontUpperBound(g, x)
 		if ub < lb {
 			t.Errorf("vertex %d: UB %d < LB %d", x, ub, lb)
 		}
@@ -341,10 +327,9 @@ func TestMaxMinWavefrontLowerBound(t *testing.T) {
 	}
 }
 
-// Property: for random layered DAGs, MinVertexCut between sources and sinks
-// never exceeds min(#sources-with-path, #sinks-with-path) and equals
-// MaxVertexDisjointPaths by construction (same computation), and each
-// reported cut disconnects the graph.
+// Property: for random layered DAGs, the reference vertex cut between sources
+// and sinks reports a cut set of its size, and that cut disconnects the
+// graph.
 func TestMinVertexCutProperty(t *testing.T) {
 	f := func(edgesRaw []uint16, nRaw uint8) bool {
 		n := int(nRaw%12) + 4
@@ -363,7 +348,7 @@ func TestMinVertexCutProperty(t *testing.T) {
 		if len(sources) == 0 || len(sinks) == 0 {
 			return true
 		}
-		k, cut := MinVertexCut(g, sources, sinks, CutOptions{})
+		k, cut := minVertexCut(g, sources, sinks, nil)
 		if k < 0 || len(cut) != k {
 			return false
 		}
@@ -423,43 +408,11 @@ func TestWavefrontBoundsProperty(t *testing.T) {
 			g.AddEdge(cdag.VertexID(u), cdag.VertexID(v))
 		}
 		x := cdag.VertexID(int(xRaw) % n)
-		lb := MinWavefrontLowerBound(g, x)
-		ub := WavefrontUpperBound(g, x)
+		lb := minWavefrontLowerBound(g, x)
+		ub := wavefrontUpperBound(g, x)
 		return lb >= 1 && ub >= lb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkMinVertexCutButterflyStack(b *testing.B) {
-	// A stack of butterflies: 64 inputs feeding log-depth all-to-all layers.
-	const width, depth = 32, 5
-	g := cdag.NewGraph("bench", width*(depth+1))
-	layer := make([][]cdag.VertexID, depth+1)
-	for l := 0; l <= depth; l++ {
-		layer[l] = make([]cdag.VertexID, width)
-		for i := 0; i < width; i++ {
-			if l == 0 {
-				layer[l][i] = g.AddInput("in")
-			} else {
-				layer[l][i] = g.AddVertex("op")
-				stride := 1 << ((l - 1) % 5)
-				g.AddEdge(layer[l-1][i], layer[l][i])
-				g.AddEdge(layer[l-1][(i+stride)%width], layer[l][i])
-			}
-		}
-	}
-	for _, v := range layer[depth] {
-		g.TagOutput(v)
-	}
-	sources := g.Inputs()
-	sinks := g.Outputs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k, _ := MinVertexCut(g, sources, sinks, CutOptions{})
-		if k <= 0 {
-			b.Fatalf("unexpected cut %d", k)
-		}
 	}
 }

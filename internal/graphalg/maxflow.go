@@ -1,6 +1,9 @@
 package graphalg
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // flowCSR is the max-flow core behind every vertex-cut computation in this
 // package: a Dinic solver over a flat CSR arc array.  Arcs are stored in
@@ -8,25 +11,16 @@ import "math"
 // contiguous run of adjArc, so the hot BFS/DFS loops walk flat memory instead
 // of chasing a slice-of-slices.
 //
-// The struct is a reusable scratch: every slice grows monotonically and is
+// The struct is a reusable scratch: every slice grows amortized and is
 // recycled across solves, so repeated solves (the w^max candidate search, the
-// dominator sweeps) allocate nothing after warm-up.  Two reset disciplines
-// keep the recycling cheap:
+// dominator sweeps) allocate nothing after warm-up.  BFS levels, DFS
+// current-arc cursors and residual-reachability marks are epoch-stamped: an
+// entry is valid only when its stamp matches the current epoch/phase counter,
+// so starting a new solve is a counter increment, not an O(nodes) clear.
 //
-//   - BFS levels, DFS current-arc cursors and residual-reachability marks are
-//     epoch-stamped: an entry is valid only when its stamp matches the current
-//     epoch/phase counter, so starting a new solve is a counter increment, not
-//     an O(nodes) clear.
-//   - For networks that are cached across solves (the static vertex-split
-//     network of CutSolver), the solver records every arc whose capacity an
-//     augmenting path changed; restoring pristine capacities then touches only
-//     those dirty arcs instead of copying the whole capacity array.
-//
-// Networks are built either freshly per solve from a staged edge list
-// (buildFresh, used by the strip-local wavefront instances, whose shape
-// changes with every candidate) or once per graph with per-row slack for
-// per-solve extension arcs (CutSolver's static network).  In both cases each
-// row's arcs appear in global insertion order — exactly the order the
+// Every network is built freshly per solve from a staged edge list
+// (buildFresh): the strip-local networks change shape with every candidate.
+// Each row's arcs appear in global staging order — exactly the order the
 // historical per-node append lists produced — so augmenting-path selection,
 // residual graphs, and therefore returned cut sets are bit-identical to the
 // previous slice-of-slices engine.
@@ -38,8 +32,6 @@ type flowCSR struct {
 	cap []int64
 
 	// CSR adjacency: row u's arc ids are adjArc[adjOff[u] : adjOff[u]+adjLen[u]].
-	// Cached static networks reserve slack beyond adjLen for per-solve
-	// extension arcs (super source/sink attachments).
 	adjOff []int32
 	adjLen []int32
 	adjArc []int32
@@ -67,13 +59,6 @@ type flowCSR struct {
 	pathArc  []int32
 	pathNode []int32
 
-	// Dirty-arc tracking for cached networks: forward arc ids whose capacity
-	// the current solve changed.  Restoration from cap0 is idempotent, so the
-	// list may contain duplicates.
-	trackDirty bool
-	dirty      []int32
-	cap0       []int64
-
 	// Per-BFS-level residual capacity sums, the scratch of the level-cut
 	// upper-bound certificate of maxFlowBounded.
 	cutSums []int64
@@ -94,20 +79,19 @@ func (f *flowCSR) ensureNodes(n int) {
 	f.seenEp = growInt32(f.seenEp, n)
 }
 
-// growInt32 returns s extended to length n, preserving existing entries and
-// zero-filling the growth.
+// growInt32 returns s resized to length n, preserving existing entries and
+// zero-filling the growth.  Capacity grows as append's does, so a scan whose
+// networks keep growing reallocates O(log n) times, not at every step.
 func growInt32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		old := len(s)
-		s = s[:n]
-		for i := old; i < n; i++ {
-			s[i] = 0
-		}
-		return s
+	old := len(s)
+	if n > cap(s) {
+		return append(s, make([]int32, n-old)...)
 	}
-	grown := make([]int32, n)
-	copy(grown, s)
-	return grown
+	s = s[:n]
+	if old < n {
+		clear(s[old:])
+	}
+	return s
 }
 
 // bumpEpoch advances the level/seen epoch, resetting the stamp arrays on the
@@ -153,28 +137,19 @@ func (f *flowCSR) stageEdge(u, v int32, capacity int64) {
 	f.ecap = append(f.ecap, capacity)
 }
 
-// buildFresh compiles the staged edges into a slack-free CSR network over n
-// nodes via a two-pass counting sort.  Each row's arcs end up in global
-// staging order, matching what per-node append lists would hold.
+// buildFresh compiles the staged edges into a CSR network over n nodes via a
+// two-pass counting sort.  Each row's arcs end up in global staging order,
+// matching what per-node append lists would hold.  The arc arrays are sized
+// each from its own capacity: every entry is overwritten below.
 func (f *flowCSR) buildFresh(n int) {
 	f.ensureNodes(n)
-	f.trackDirty = false
 	ne := len(f.eu)
 	na := 2 * ne
-	if cap(f.to) < na {
-		f.to = make([]int32, na)
-		f.cap = make([]int64, na)
-		f.adjArc = make([]int32, na)
-	} else {
-		f.to = f.to[:na]
-		f.cap = f.cap[:na]
-		f.adjArc = f.adjArc[:na]
-	}
+	f.to = slices.Grow(f.to[:0], na)[:na]
+	f.cap = slices.Grow(f.cap[:0], na)[:na]
+	f.adjArc = slices.Grow(f.adjArc[:0], na)[:na]
 	f.adjOff = growInt32(f.adjOff[:0], n+1)
 	f.adjLen = growInt32(f.adjLen[:0], n)
-	for i := range f.adjLen {
-		f.adjLen[i] = 0
-	}
 	for i := 0; i < ne; i++ {
 		f.adjLen[f.eu[i]]++
 		f.adjLen[f.ev[i]]++
@@ -365,9 +340,6 @@ func (f *flowCSR) blockingFlow(s, t, e int32) int64 {
 			for _, ai := range pathA {
 				f.cap[ai] -= push
 				f.cap[ai^1] += push
-				if f.trackDirty {
-					f.dirty = append(f.dirty, ai)
-				}
 			}
 			total += push
 			// Restart the descent from s with current-arc cursors preserved,

@@ -17,16 +17,13 @@ import (
 // compares the (value, aborted) results and the residual capacity arrays.
 // Bound, witness and canonical cut are shared by every maximum flow, so the
 // other tests cannot see a changed path order; the warm starts (which re-seed
-// harvested paths, aborted solves included) and the dirty-arc restore of the
-// cached static network depend on it.
+// harvested paths, aborted solves included) depend on it.
 //
 // It covers the strip network of every vertex of every generator graph and of
 // 60 random DAGs, cold and warm-seeded, under need ∈ {0, 1, w−1, w, w+1, w+3}
-// for the vertex's true wavefront w; MinVertexCut on the cached static network
-// with random and wavefront-shaped source and target sets; and random flow
-// networks with finite and infinite capacities under every limit up to the
-// maximum flow, where unlike in the vertex-split networks any level cut may
-// bind.
+// for the vertex's true wavefront w; and random flow networks with finite and
+// infinite capacities under every limit up to the maximum flow, where unlike
+// in the vertex-split networks any level cut may bind.
 func TestMaxFlowMatchesReference(t *testing.T) {
 	type namedGraph struct {
 		name string
@@ -45,7 +42,6 @@ func TestMaxFlowMatchesReference(t *testing.T) {
 	var st solveStats
 	for _, ng := range graphs {
 		stripFlowsMatch(t, ng.name, ng.g, &st)
-		vertexCutsMatch(t, ng.name, ng.g, rng)
 	}
 	for trial := 0; trial < 300; trial++ {
 		randomFlowsMatch(t, trial, rng, &st)
@@ -133,65 +129,6 @@ func stripFlowsMatch(t *testing.T, name string, g *cdag.Graph, st *solveStats) {
 	}
 }
 
-// vertexCutsMatch compares the production and reference solves of
-// MinVertexCut queries on the cached static network of g: random source and
-// target sets (overlaps and random uncuttable vertices included), and the
-// wavefront queries of the reference MinWavefrontLowerBound.  Both solvers
-// serve every query in turn, so the dirty-arc restore between queries runs on
-// the flows under test.
-func vertexCutsMatch(t *testing.T, name string, g *cdag.Graph, rng *rand.Rand) {
-	t.Helper()
-	n := g.NumVertices()
-	a, b := NewCutSolver(), NewCutSolver()
-	subset := func(k int) []cdag.VertexID {
-		var vs []cdag.VertexID
-		for _, v := range rng.Perm(n)[:min(k, n)] {
-			vs = append(vs, cdag.VertexID(v))
-		}
-		return vs
-	}
-	for q := 0; q < 8; q++ {
-		var sources, targets []cdag.VertexID
-		var opts CutOptions
-		if q%2 == 0 {
-			sources = subset(1 + rng.Intn(3))
-			targets = subset(1 + rng.Intn(4))
-			opts.UncuttableSet = cdag.NewVertexSetOf(n, subset(rng.Intn(3))...)
-		} else {
-			x := cdag.VertexID(rng.Intn(n))
-			desc := Descendants(g, x)
-			if desc.Len() == 0 {
-				continue
-			}
-			anc := Ancestors(g, x)
-			anc.Add(x)
-			sources, targets = anc.Elements(), desc.Elements()
-			opts.UncuttableSet = desc
-		}
-		fa, ra := a.cutNetwork(g, sources, targets, opts)
-		fb, rb := b.cutNetwork(g, sources, targets, opts)
-		if (fa == nil) != (fb == nil) || ra != rb {
-			t.Fatalf("%s query %d: degenerate verdicts differ", name, q)
-		}
-		if fa == nil {
-			continue
-		}
-		s := int32(2 * n)
-		got, want := fa.maxFlow(s, s+1), fb.maxFlowReference(s, s+1)
-		if got != want {
-			t.Fatalf("%s query %d: flow %d, reference %d", name, q, got, want)
-		}
-		if !slices.Equal(fa.cap, fb.cap) || !slices.Equal(fa.dirty, fb.dirty) {
-			t.Fatalf("%s query %d: residual capacities or dirty arcs differ from the reference", name, q)
-		}
-		ka, cutA := a.splitCut(fa, got)
-		kb, cutB := b.splitCut(fb, want)
-		if ka != kb || !slices.Equal(cutA, cutB) {
-			t.Fatalf("%s query %d: cut (%d, %v), reference (%d, %v)", name, q, ka, cutA, kb, cutB)
-		}
-	}
-}
-
 // randomFlowsMatch compares the production and reference solves on one random
 // network: 4–40 nodes, source 0, sink 1, arcs of capacity 1–3 or flowInf
 // (parallel and antiparallel arcs included), solved by maxFlow and by
@@ -236,5 +173,27 @@ func randomFlowsMatch(t *testing.T, trial int, rng *rand.Rand, st *solveStats) {
 		} else {
 			st.completed++
 		}
+	}
+}
+
+// TestBuildFreshSizesEachArcSlice builds a network into a flowCSR whose arc
+// arrays have different capacities — to holds room for every arc, cap and
+// adjArc for none — and requires the network a zero flowCSR builds from the
+// same staged edges.  Each arc array must be sized from its own capacity.
+func TestBuildFreshSizesEachArcSlice(t *testing.T) {
+	var a, b flowCSR
+	a.to = make([]int32, 0, 64)
+	for _, f := range []*flowCSR{&a, &b} {
+		for v := int32(2); v < 10; v++ {
+			f.stageEdge(0, v, 1)
+			f.stageEdge(v, 1, flowInf)
+		}
+		f.buildFresh(10)
+	}
+	if !slices.Equal(a.to, b.to) || !slices.Equal(a.cap, b.cap) || !slices.Equal(a.adjArc, b.adjArc) {
+		t.Fatalf("networks differ: to %v/%v, cap %v/%v, adjArc %v/%v", a.to, b.to, a.cap, b.cap, a.adjArc, b.adjArc)
+	}
+	if fa, fb := a.maxFlow(0, 1), b.maxFlow(0, 1); fa != 8 || fb != 8 {
+		t.Fatalf("max flow %d and %d, want 8", fa, fb)
 	}
 }

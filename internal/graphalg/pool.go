@@ -8,13 +8,11 @@ import (
 
 // SolverPool is a per-graph free list of CutSolvers: every solver it hands out
 // is already bound to the pool's graph, so repeated cut queries — the w^max
-// candidate scans, the per-piece wavefronts of the Theorem 8/9 decompositions,
-// dominator sweeps — reuse the cached static vertex-split network, the CSR
-// hoists and the epoch-stamped traversal scratch instead of rebuilding them
-// per call.  This is the solver cache a cdagio.Workspace owns; unlike the
-// package-internal sync.Pool behind the free-function wrappers, a SolverPool's
-// lifetime (and therefore the lifetime of the cached networks) is controlled
-// by its owner, and its solvers never migrate to queries against other graphs.
+// candidate scans, single-vertex wavefronts, dominator queries — reuse the CSR
+// hoists, the epoch-stamped traversal scratch and the grown network arrays
+// instead of rebuilding them per call.  This is the solver cache a
+// cdagio.Workspace owns: its owner controls its lifetime, and its solvers
+// never migrate to queries against other graphs.
 //
 // A SolverPool is safe for concurrent use; the individual CutSolvers it hands
 // out are not (use one per goroutine, returning it with Put).
@@ -123,13 +121,15 @@ func (p *SolverPool) Discard(cs *CutSolver) {
 	}
 }
 
-// EstimateSolverFootprint estimates the steady-state heap bytes one CutSolver
-// holds once bound to g: the epoch-stamped per-vertex mark arrays, the cached
-// static vertex-split flow network (2V+2 nodes, one split arc per vertex plus
-// one arc pair per edge, with capacity and adjacency words), and traversal
-// scratch.  The serving layer multiplies this by its solver cap to budget a
-// Workspace's cache admission; it is a planning estimate, not an accounting
-// of live allocations.
+// EstimateSolverFootprint estimates the heap bytes one CutSolver may hold once
+// bound to g: the epoch-stamped per-vertex mark arrays, the strip network's
+// arrays and traversal scratch.  The serving layer multiplies this by its
+// solver cap to budget a Workspace's cache admission; it is a planning
+// estimate, not an accounting of live allocations.  The formula was sized when
+// every solver also cached a static 2V+2-node vertex-split network of g.  It
+// is kept unchanged, so the serving layer admits and evicts exactly the
+// workspaces it did before; without that network it errs high, the safe side
+// for a memory budget.
 func EstimateSolverFootprint(g *cdag.Graph) int64 {
 	return EstimateSolverFootprintCounts(int64(g.NumVertices()), int64(g.NumEdges()))
 }
@@ -142,28 +142,14 @@ func EstimateSolverFootprintCounts(v, e int64) int64 {
 	return 60*v + 30*e + 4096
 }
 
-// MinWavefrontAt is MinWavefrontLowerBoundStrip on a pooled solver.
+// MinWavefrontAt is CutSolver.MinWavefrontAt on a pooled solver.
 func (p *SolverPool) MinWavefrontAt(x cdag.VertexID) int {
 	cs := p.Get()
 	defer p.Put(cs)
 	return cs.MinWavefrontAt(p.g, x)
 }
 
-// MinVertexCut is MinVertexCut on a pooled solver.
-func (p *SolverPool) MinVertexCut(sources, targets []cdag.VertexID, opts CutOptions) (int, []cdag.VertexID) {
-	cs := p.Get()
-	defer p.Put(cs)
-	return cs.MinVertexCut(p.g, sources, targets, opts)
-}
-
-// MaxVertexDisjointPaths is MaxVertexDisjointPaths on a pooled solver.
-func (p *SolverPool) MaxVertexDisjointPaths(sources, targets []cdag.VertexID) int {
-	cs := p.Get()
-	defer p.Put(cs)
-	return cs.MaxVertexDisjointPaths(p.g, sources, targets)
-}
-
-// MinDominatorSize is MinDominatorSize on a pooled solver.
+// MinDominatorSize is CutSolver.MinDominatorSize on a pooled solver.
 func (p *SolverPool) MinDominatorSize(target *cdag.VertexSet) (int, []cdag.VertexID) {
 	cs := p.Get()
 	defer p.Put(cs)

@@ -39,66 +39,3 @@ func reach(g *cdag.Graph, v cdag.VertexID, off []int64, val []cdag.VertexID) *cd
 	}
 	return seen
 }
-
-// ReachableFrom returns the set of vertices reachable from any vertex in the
-// given source set, including the sources themselves.
-func ReachableFrom(g *cdag.Graph, sources []cdag.VertexID) *cdag.VertexSet {
-	off, val := g.SuccessorCSR()
-	seen := cdag.NewVertexSet(g.NumVertices())
-	stack := append([]cdag.VertexID(nil), sources...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !seen.Add(u) {
-			continue
-		}
-		stack = append(stack, val[off[u]:off[u+1]]...)
-	}
-	return seen
-}
-
-// CoReachableTo returns the set of vertices from which some vertex in the
-// target set is reachable, including the targets themselves.
-func CoReachableTo(g *cdag.Graph, targets []cdag.VertexID) *cdag.VertexSet {
-	off, val := g.PredecessorCSR()
-	seen := cdag.NewVertexSet(g.NumVertices())
-	stack := append([]cdag.VertexID(nil), targets...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !seen.Add(u) {
-			continue
-		}
-		stack = append(stack, val[off[u]:off[u+1]]...)
-	}
-	return seen
-}
-
-// HasPath reports whether there is a directed path (length ≥ 1) from u to v.
-func HasPath(g *cdag.Graph, u, v cdag.VertexID) bool {
-	if u == v {
-		return false
-	}
-	return Descendants(g, u).Contains(v)
-}
-
-// TransitiveClosure returns, for each vertex, its descendant set.  Intended
-// for small graphs (quadratic memory); larger analyses should use targeted
-// Descendants calls.
-func TransitiveClosure(g *cdag.Graph) []*cdag.VertexSet {
-	n := g.NumVertices()
-	succOff, succVal := g.SuccessorCSR()
-	closure := make([]*cdag.VertexSet, n)
-	order := g.MustTopoOrder()
-	// Process in reverse topological order so successors are already done.
-	for i := n - 1; i >= 0; i-- {
-		v := order[i]
-		set := cdag.NewVertexSet(n)
-		for _, w := range succVal[succOff[v]:succOff[v+1]] {
-			set.Add(w)
-			set.Union(closure[w])
-		}
-		closure[v] = set
-	}
-	return closure
-}

@@ -139,24 +139,25 @@ func topByDegree(g *cdag.Graph, candidates []cdag.VertexID, k int) []int {
 	return idxs
 }
 
-// MaxMinWavefrontLowerBoundCtx returns max_x of MinWavefrontLowerBound(g, x)
-// over the candidate vertices (all vertices when candidates is nil) and the
-// first candidate attaining it: a lower bound on w^max_G from Section 3.3,
-// which feeds Lemma 2.  The scan is a parallel search over the candidates
-// with per-worker CutSolver scratch (strip-local min-cut networks,
-// epoch-stamped vertex marks, reusable traversal stacks), upper-bound
-// pruning, warm-started solves, the mid-solve level-cut abort and a
-// two-phase pass seeded with the candidates' degree-ranked top 32.
+// MaxMinWavefrontLowerBoundCtx returns max_x of the min-cut wavefront bound
+// at x (CutSolver.MinWavefrontAt) over the candidate vertices (all vertices
+// when candidates is nil) and the first candidate attaining it: a lower bound
+// on w^max_G from Section 3.3, which feeds Lemma 2.  The scan is a parallel
+// search over the candidates with per-worker CutSolver scratch (strip-local
+// min-cut networks, epoch-stamped vertex marks, reusable traversal stacks),
+// upper-bound pruning, warm-started solves, the mid-solve level-cut abort and
+// a two-phase pass seeded with the candidates' degree-ranked top 32.
 //
-// The result is exactly that of MaxMinWavefrontLowerBoundSerial — the same
-// bound value and the same witness vertex — independent of worker count and
-// timing.  Pruning compares packed (upper bound, candidate index) entries
-// against the packed best-so-far (see packEntry): a candidate is skipped only
-// when it provably cannot raise the bound AND cannot displace the witness —
-// either its upper bound is strictly below the established best, or it could
-// at most tie it at a later candidate index than a bound-attaining candidate
-// already solved.  Skipped candidates therefore never affect the packed
-// maximum the search returns.
+// The result is exactly that of a serial scan solving every candidate in
+// order and keeping the first maximizer — the same bound value and the same
+// witness vertex — independent of worker count and timing.  Pruning compares
+// packed (upper bound, candidate index) entries against the packed
+// best-so-far (see packEntry): a candidate is skipped only when it provably
+// cannot raise the bound AND cannot displace the witness — either its upper
+// bound is strictly below the established best, or it could at most tie it at
+// a later candidate index than a bound-attaining candidate already solved.
+// Skipped candidates therefore never affect the packed maximum the search
+// returns.
 //
 // The scan checks ctx at its pruning-tier boundaries — before a candidate is
 // claimed, and again between the ancestor-cone and descendant-cone
@@ -468,24 +469,6 @@ func (cs *CutSolver) earlyBound(x cdag.VertexID) int {
 		early++ // x belongs to the wavefront by definition
 	}
 	return early
-}
-
-// upperBound computes WavefrontUpperBound(g, x) from the current epoch's
-// marks: the smaller boundary of the earliest and latest convex cuts around x,
-// always counting x itself.
-func (cs *CutSolver) upperBound(x cdag.VertexID) int {
-	if len(cs.desc) == 0 {
-		// With no descendants the latest cut has boundary {x}.
-		return 1
-	}
-	best := cs.earlyBound(x)
-	if late := cs.lateBound(math.MaxInt); late < best {
-		best = late
-	}
-	if best < 1 {
-		best = 1
-	}
-	return best
 }
 
 // anchorSeeds moves the anchors — the head of the degree-ranked seed sample

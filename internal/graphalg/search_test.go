@@ -49,12 +49,16 @@ func wmax(t testing.TB, g *cdag.Graph, candidates []cdag.VertexID, opts WMaxOpti
 	return w, at
 }
 
-// TestParallelWMaxMatchesSerial checks, for every generator family, that the
-// parallel pruned engine returns exactly the serial all-candidates bound at
-// every worker count, and that the reported witness vertex attains the bound.
+// TestParallelWMaxMatchesSerial checks, for every generator family and for
+// two larger Krylov and stencil instances, that the parallel pruned engine
+// returns exactly the serial all-candidates bound at every worker count, and
+// that the reported witness vertex attains the bound.
 func TestParallelWMaxMatchesSerial(t *testing.T) {
-	for name, g := range generatorGraphs(t) {
-		wantW, wantV := MaxMinWavefrontLowerBoundSerial(g, nil)
+	graphs := generatorGraphs(t)
+	graphs["cg-2d-8"] = gen.CG(2, 8, 2).Graph
+	graphs["jacobi2d-16"] = gen.Jacobi(2, 16, 4, gen.StencilBox).Graph
+	for name, g := range graphs {
+		wantW, wantV := maxMinWavefrontLowerBoundSerial(g, nil)
 		if wantV == cdag.InvalidVertex {
 			t.Fatalf("%s: serial search found no witness", name)
 		}
@@ -90,7 +94,7 @@ func TestParallelWMaxSubsetCandidates(t *testing.T) {
 		append(append([]cdag.VertexID{}, all[5:]...), all[5:20]...),
 	}
 	for i, cs := range subsets {
-		wantW, wantV := MaxMinWavefrontLowerBoundSerial(g, cs)
+		wantW, wantV := maxMinWavefrontLowerBoundSerial(g, cs)
 		gotW, gotV := wmax(t, g, cs, WMaxOptions{Concurrency: 3})
 		if gotW != wantW || gotV != wantV {
 			t.Errorf("subset %d: (bound, witness) = (%d, %d), want (%d, %d)", i, gotW, gotV, wantW, wantV)
@@ -134,9 +138,10 @@ func TestTopByDegreeMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestScratchUpperBoundMatches checks the epoch-stamped scratch reimplementation
-// of WavefrontUpperBound against the set-based original on every generator, on
-// every vertex.  The prune pass is only exact if this upper bound is.
+// TestScratchUpperBoundMatches checks the search's epoch-stamped convex-cut
+// bounds (earlyBound, lateBound) against the set-based wavefrontUpperBound on
+// every generator, on every vertex.  The prune pass is only exact if these
+// upper bounds are.
 func TestScratchUpperBoundMatches(t *testing.T) {
 	for name, g := range generatorGraphs(t) {
 		sc := NewCutSolver()
@@ -144,7 +149,7 @@ func TestScratchUpperBoundMatches(t *testing.T) {
 		for _, x := range g.Vertices() {
 			sc.explore(x)
 			got := sc.upperBound(x)
-			want := WavefrontUpperBound(g, x)
+			want := wavefrontUpperBound(g, x)
 			if got != want {
 				t.Fatalf("%s vertex %d: scratch upper bound %d, reference %d", name, x, got, want)
 			}
@@ -153,7 +158,7 @@ func TestScratchUpperBoundMatches(t *testing.T) {
 }
 
 // TestScratchMinWavefrontMatches checks the strip-local flow path against the
-// full-network reference MinWavefrontLowerBound vertex by vertex, including
+// full-network reference minWavefrontLowerBound vertex by vertex, including
 // repeated reuse of the same solver across candidates (the reset path).
 func TestScratchMinWavefrontMatches(t *testing.T) {
 	for name, g := range generatorGraphs(t) {
@@ -162,7 +167,7 @@ func TestScratchMinWavefrontMatches(t *testing.T) {
 		for _, x := range g.Vertices() {
 			sc.explore(x)
 			got := sc.minWavefront(x)
-			want := MinWavefrontLowerBound(g, x)
+			want := minWavefrontLowerBound(g, x)
 			if got != want {
 				t.Fatalf("%s vertex %d: scratch min wavefront %d, reference %d", name, x, got, want)
 			}

@@ -149,7 +149,7 @@ func TestAbortCertificateSound(t *testing.T) {
 // which the warm start must trim or drop, never trust.
 func TestIncrementalModesMatchSerial(t *testing.T) {
 	for name, g := range generatorGraphs(t) {
-		wantW, wantV := MaxMinWavefrontLowerBoundSerial(g, nil)
+		wantW, wantV := maxMinWavefrontLowerBoundSerial(g, nil)
 		pool := NewSolverPool(g)
 		for round := 0; round < 2; round++ {
 			for _, conc := range []int{1, 4} {

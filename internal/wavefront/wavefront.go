@@ -3,7 +3,7 @@
 // degree-ranked candidate samples the w^max scan is run on, and the Lemma 2
 // I/O lower bound 2·(w^max − S).  The minimum-cardinality wavefronts and the
 // w^max scan itself are vertex min-cut computations and live in graphalg
-// (MinWavefrontLowerBoundStrip, MaxMinWavefrontLowerBoundCtx).
+// (CutSolver.MinWavefrontAt, MaxMinWavefrontLowerBoundCtx).
 //
 // The bounds computed here remain valid for CDAGs with tagged inputs because
 // untagging inputs can only decrease the I/O complexity (Theorem 3), and the

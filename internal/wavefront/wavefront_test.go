@@ -133,12 +133,13 @@ func TestMinWavefrontAtReduction(t *testing.T) {
 	// 1-D CG CDAG has a wavefront of at least 2n (vectors p and v are live).
 	n := 8
 	cg := gen.CG(1, n, 2)
-	w := graphalg.MinWavefrontLowerBoundStrip(cg.Graph, cg.AlphaVertex[0])
+	cs := graphalg.NewCutSolver()
+	w := cs.MinWavefrontAt(cg.Graph, cg.AlphaVertex[0])
 	if w < 2*n {
 		t.Errorf("CG alpha wavefront = %d, want >= %d", w, 2*n)
 	}
 	// The gamma vertex keeps at least the new residual vector live.
-	wg := graphalg.MinWavefrontLowerBoundStrip(cg.Graph, cg.GammaVertex[0])
+	wg := cs.MinWavefrontAt(cg.Graph, cg.GammaVertex[0])
 	if wg < n {
 		t.Errorf("CG gamma wavefront = %d, want >= %d", wg, n)
 	}

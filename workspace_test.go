@@ -89,7 +89,7 @@ func TestWorkspaceSimulateSweepCancelPrompt(t *testing.T) {
 }
 
 // TestWorkspaceFacadeEquivalence pins the facade-level Workspace methods
-// against the reference engines under context.Background(): bounds,
+// against the package engines under context.Background(): bounds,
 // witnesses and stats must be bit-identical at every worker count, and a
 // reused handle must analyze exactly like a fresh one.
 func TestWorkspaceFacadeEquivalence(t *testing.T) {
@@ -97,11 +97,14 @@ func TestWorkspaceFacadeEquivalence(t *testing.T) {
 	ws := Open(g)
 	ctx := context.Background()
 
-	wantW, wantAt := graphalg.MaxMinWavefrontLowerBoundSerial(g, nil)
+	wantW, wantAt, err := graphalg.MaxMinWavefrontLowerBoundCtx(ctx, g, nil, WMaxOptions{Concurrency: 1})
+	if err != nil {
+		t.Fatalf("MaxMinWavefrontLowerBoundCtx: %v", err)
+	}
 	for _, conc := range []int{0, 1, 2, 4, 9} {
 		w, at, err := ws.WMax(ctx, nil, WMaxOptions{Concurrency: conc})
 		if err != nil || w != wantW || at != wantAt {
-			t.Fatalf("ws.WMax conc=%d: (%d, %d, %v), serial scan (%d, %d)", conc, w, at, err, wantW, wantAt)
+			t.Fatalf("ws.WMax conc=%d: (%d, %d, %v), fresh engine (%d, %d)", conc, w, at, err, wantW, wantAt)
 		}
 	}
 
