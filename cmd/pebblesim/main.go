@@ -63,11 +63,16 @@ func main() {
 		defer cancel()
 	}
 
-	g, err := buildKernel(*kernel, *n, *dim, *steps, *iters)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pebblesim:", err)
-		os.Exit(1)
+	v, ok := variants[*variant]
+	if !ok {
+		exitOn(fmt.Errorf("unknown variant %q (want rbw or hk)", *variant))
 	}
+	p, ok := policies[*policy]
+	if !ok {
+		exitOn(fmt.Errorf("unknown policy %q (want belady or lru)", *policy))
+	}
+	g, err := buildKernel(*kernel, *n, *dim, *steps, *iters)
+	exitOn(err)
 	fmt.Println(g)
 	ws := cdagio.Open(g)
 
@@ -89,14 +94,6 @@ func main() {
 		return
 	}
 
-	v := pebble.RBW
-	if *variant == "hk" {
-		v = pebble.HongKung
-	}
-	p := pebble.Belady
-	if *policy == "lru" {
-		p = pebble.LRU
-	}
 	// A nil order plays the workspace's memoized topological schedule.
 	res, err := ws.PlayCtx(ctx, v, *s, nil, p, false)
 	exitOn(err)
@@ -114,6 +111,13 @@ func exitOn(err error) {
 	}
 	os.Exit(1)
 }
+
+// variants and policies map the sequential game's -variant and -policy
+// values to the game they select.
+var (
+	variants = map[string]pebble.Variant{"rbw": pebble.RBW, "hk": pebble.HongKung}
+	policies = map[string]pebble.EvictionPolicy{"belady": pebble.Belady, "lru": pebble.LRU}
+)
 
 // buildKernel constructs the requested CDAG.  A generator's panic on a size
 // outside its domain (an FFT size that is not a power of two, say) is

@@ -86,9 +86,6 @@ func NewGraph(name string, hint int) *Graph {
 // Name returns the graph's name.
 func (g *Graph) Name() string { return g.name }
 
-// SetName sets the graph's name.
-func (g *Graph) SetName(name string) { g.name = name }
-
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return g.n }
 

@@ -1,7 +1,5 @@
 package cdag
 
-import "sort"
-
 // VertexSet is a set of vertices of a particular graph, stored densely as a
 // bitmap plus an element count.  It is the working currency of the
 // partitioning, decomposition and wavefront machinery, where sets are built
@@ -75,13 +73,6 @@ func (s *VertexSet) Elements() []VertexID {
 	return out
 }
 
-// Bitmap returns the set's dense membership bitmap: Bitmap()[v] reports
-// whether v is in the set, for v in [0, Universe()).  The slice is owned by
-// the set and must not be modified; it is the zero-overhead form of Contains
-// for bulk scans (the cut solver's uncuttable-capacity flips read it
-// directly instead of paying a predicate call per vertex).
-func (s *VertexSet) Bitmap() []bool { return s.member }
-
 // Clone returns a copy of the set.
 func (s *VertexSet) Clone() *VertexSet {
 	return &VertexSet{member: append([]bool(nil), s.member...), count: s.count}
@@ -140,12 +131,6 @@ func (s *VertexSet) Complement() *VertexSet {
 		}
 	}
 	return c
-}
-
-// SortVertices sorts a slice of vertex IDs in place (increasing) and returns it.
-func SortVertices(vs []VertexID) []VertexID {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
 }
 
 // In returns In(S) for the vertex set S of graph g: the set of vertices of

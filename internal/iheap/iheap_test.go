@@ -10,9 +10,10 @@ import (
 )
 
 // TestPriorityHeapOrder drives the heap with random updates and removals and
-// checks that PopMax drains entries in (priority descending, vertex
-// ascending) order — the deterministic victim order the memsim caches rely
-// on.
+// checks that Priority reports every resident's latest priority and nothing
+// for a removed vertex, and that the heap drains in (priority descending,
+// vertex ascending) order — the deterministic victim order the players and
+// the memsim caches rely on.
 func TestPriorityHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 25; trial++ {
@@ -28,9 +29,15 @@ func TestPriorityHeapOrder(t *testing.T) {
 				p := int64(rng.Intn(10)) // small range to force ties
 				h.Update(v, p)
 				want[v] = p
+				if got, ok := h.Priority(v); !ok || got != p {
+					t.Fatalf("Priority(%d) after Update(%d) = (%d,%v)", v, p, got, ok)
+				}
 			case 2:
 				h.Remove(v)
 				delete(want, v)
+				if got, ok := h.Priority(v); ok {
+					t.Fatalf("Priority(%d) after Remove = (%d,true), want false", v, got)
+				}
 			}
 			if h.Len() != len(want) {
 				t.Fatalf("Len = %d, want %d", h.Len(), len(want))
@@ -42,8 +49,9 @@ func TestPriorityHeapOrder(t *testing.T) {
 		}
 		expect := make([]entry, 0, len(want))
 		for v, p := range want {
-			if !h.Contains(v) {
-				t.Fatalf("Contains(%d) = false for resident vertex", v)
+			if got, ok := h.Priority(v); !h.Contains(v) || !ok || got != p {
+				t.Fatalf("resident vertex %d: Contains = %v, Priority = (%d,%v), want %d",
+					v, h.Contains(v), got, ok, p)
 			}
 			expect = append(expect, entry{v, p})
 		}
@@ -53,25 +61,23 @@ func TestPriorityHeapOrder(t *testing.T) {
 			}
 			return expect[i].v < expect[j].v
 		})
-		if v, p, ok := h.PeekMax(); len(expect) > 0 && (!ok || v != expect[0].v || p != expect[0].p) {
-			t.Fatalf("PeekMax = (%d,%d,%v), want (%d,%d)", v, p, ok, expect[0].v, expect[0].p)
+		gotV, gotP := drain(&h)
+		if len(gotV) != len(expect) {
+			t.Fatalf("trial %d: drained %d entries, want %d", trial, len(gotV), len(expect))
 		}
 		for i, e := range expect {
-			v, p, ok := h.PopMax()
-			if !ok || v != e.v || p != e.p {
-				t.Fatalf("trial %d pop %d: got (%d,%d,%v), want (%d,%d)", trial, i, v, p, ok, e.v, e.p)
+			if gotV[i] != e.v || gotP[i] != e.p {
+				t.Fatalf("trial %d pop %d: got (%d,%d), want (%d,%d)", trial, i, gotV[i], gotP[i], e.v, e.p)
 			}
-		}
-		if _, _, ok := h.PopMax(); ok {
-			t.Fatalf("PopMax on empty heap reported ok")
 		}
 	}
 }
 
-// drain pops every entry of h in heap order.
+// drain pops every entry of h in heap order, with nothing pinned.
 func drain(h *PriorityHeap) (vs []cdag.VertexID, ps []int64) {
+	unpinned := make([]int32, h.n)
 	for {
-		v, p, ok := h.PopMax()
+		v, p, ok := h.PopMaxUnpinned(unpinned, 1)
 		if !ok {
 			return vs, ps
 		}
@@ -185,34 +191,6 @@ func TestPopMaxUnpinned(t *testing.T) {
 	}
 }
 
-// TestEvictHeapDeadFirst checks the EvictHeap victim order: dead entries
-// before live ones, then oldest touch, then smallest vertex, with Fix
-// re-ranking after a deadness flip.
-func TestEvictHeapDeadFirst(t *testing.T) {
-	var h EvictHeap
-	h.Init(4)
-	dead := make([]bool, 4)
-	h.Update(2, 10, dead)
-	h.Update(0, 5, dead)
-	h.Update(1, 5, dead)
-	if v, _ := h.PeekMin(); v != 0 {
-		t.Fatalf("min = %d, want 0 (oldest touch, smallest id)", v)
-	}
-	dead[2] = true
-	h.Fix(2, dead)
-	if v, _ := h.PeekMin(); v != 2 {
-		t.Fatalf("min = %d, want dead vertex 2", v)
-	}
-	h.Remove(2, dead)
-	if h.Size() != 2 || h.Contains(2) {
-		t.Fatalf("remove failed: size=%d contains=%v", h.Size(), h.Contains(2))
-	}
-	v, clock := h.PopMin(dead)
-	if v != 0 || clock != 5 {
-		t.Fatalf("PopMin = (%d,%d), want (0,5)", v, clock)
-	}
-}
-
 // TestCostHeapOrdering drives CostHeap against a sorted reference: pops must
 // come out in (cost asc, item asc) order regardless of push order, including
 // duplicate items and interleaved push/pop.
@@ -248,8 +226,7 @@ func TestCostHeapOrdering(t *testing.T) {
 	if c, it, _ := h.PopMin(); c != 1 || it != 5 {
 		t.Fatalf("interleaved pop = (%d, %d)", c, it)
 	}
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatal("Reset left entries")
+	if h.Len() != 1 {
+		t.Fatalf("Len = %d after two pushes and one pop, want 1", h.Len())
 	}
 }

@@ -69,3 +69,35 @@ func BenchmarkMemsimSweep(b *testing.B) {
 		}
 	}
 }
+
+// TestRunAllocationsPerCall pins the simulator's allocations to a fixed
+// number per call: simulating the 2-D box Jacobi kernel (3 steps, 16 fast
+// words per node) on a 32×32 grid (4,096 vertices) may allocate at most 64
+// more times than on an 8×8 grid (256 vertices), where one allocation per
+// step would add thousands.
+func TestRunAllocationsPerCall(t *testing.T) {
+	allocs := func(n, nodes int, policy Policy) float64 {
+		jr := gen.Jacobi(2, n, 3, gen.StencilBox)
+		order := sched.Topological(jr.Graph)
+		var owner []int
+		if nodes > 1 {
+			owner = sched.BlockPartitionGrid(jr, nodes)
+		}
+		cfg := Config{Nodes: nodes, FastWords: 16, Policy: policy}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := RunCtx(context.Background(), jr.Graph, cfg, order, owner); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, nodes := range []int{1, 2} {
+		for _, policy := range []Policy{Belady, LRU} {
+			small, large := allocs(8, nodes, policy), allocs(32, nodes, policy)
+			t.Logf("%d nodes, %v: %v allocations at n=8, %v at n=32", nodes, policy, small, large)
+			if large > small+64 {
+				t.Errorf("%d nodes, %v: %v allocations at n=32 against %v at n=8: the simulation allocates per step",
+					nodes, policy, large, small)
+			}
+		}
+	}
+}

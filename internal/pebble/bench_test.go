@@ -34,3 +34,27 @@ func BenchmarkPlayScheduleBelady(b *testing.B) { benchPlay(b, Belady) }
 // BenchmarkPlayScheduleLRU measures the LRU player, whose evictions pop the
 // least recently used resident value.
 func BenchmarkPlayScheduleLRU(b *testing.B) { benchPlay(b, LRU) }
+
+// TestPlayScheduleAllocationsPerCall pins the player's allocations to a fixed
+// number per call: playing the 2-D box Jacobi kernel (3 steps, S = 16) on a
+// 32×32 grid (4,096 vertices) may allocate at most 64 more times than on an
+// 8×8 grid (256 vertices), where one allocation per step would add
+// thousands.
+func TestPlayScheduleAllocationsPerCall(t *testing.T) {
+	allocs := func(n int, policy EvictionPolicy) float64 {
+		g := gen.Jacobi(2, n, 3, gen.StencilBox).Graph
+		order := nonInputTopo(g)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := PlayScheduleCtx(context.Background(), g, RBW, 16, order, policy, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, policy := range []EvictionPolicy{Belady, LRU} {
+		small, large := allocs(8, policy), allocs(32, policy)
+		t.Logf("%v: %v allocations at n=8, %v at n=32", policy, small, large)
+		if large > small+64 {
+			t.Errorf("%v: %v allocations at n=32 against %v at n=8: the play allocates per step", policy, large, small)
+		}
+	}
+}

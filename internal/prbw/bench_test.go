@@ -61,3 +61,33 @@ func BenchmarkPlaySingleProcessor(b *testing.B) {
 		}
 	}
 }
+
+// TestPlayAllocationsPerCall pins the player's allocations to a fixed number
+// per call: playing the 2-D box Jacobi kernel (3 steps) on a 32×32 grid
+// (4,096 vertices) may allocate at most 64 more times than on an 8×8 grid
+// (256 vertices), where one allocation per step would add thousands.  It
+// covers a single processor on a two-level hierarchy and a round-robin
+// assignment over two nodes.
+func TestPlayAllocationsPerCall(t *testing.T) {
+	allocs := func(n int, distributed bool) float64 {
+		g := gen.Jacobi(2, n, 3, gen.StencilBox).Graph
+		topo, asg := TwoLevel(1, 12, 1<<14), SingleProcessor(g)
+		if distributed {
+			topo = Distributed(2, 2, 12, 48, 1<<18)
+			asg = RoundRobin(g, topo.Processors(), 0)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := PlayCtx(context.Background(), g, topo, asg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, distributed := range []bool{false, true} {
+		small, large := allocs(8, distributed), allocs(32, distributed)
+		t.Logf("distributed %v: %v allocations at n=8, %v at n=32", distributed, small, large)
+		if large > small+64 {
+			t.Errorf("distributed %v: %v allocations at n=32 against %v at n=8: the play allocates per step",
+				distributed, large, small)
+		}
+	}
+}

@@ -121,9 +121,6 @@ func (game *Game) HasPebbleAt(v cdag.VertexID, at Loc) bool {
 // slice is owned by the game; callers must not modify it.
 func (game *Game) Locations(v cdag.VertexID) []Loc { return game.held[v] }
 
-// UnitLoad returns the number of pebbles currently held by the unit.
-func (game *Game) UnitLoad(at Loc) int { return game.load[at.Level-1][at.Unit] }
-
 // RuleError reports a move that violates the P-RBW rules.
 type RuleError struct {
 	Rule   string

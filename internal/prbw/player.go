@@ -7,6 +7,7 @@ import (
 
 	"cdagio/internal/cdag"
 	"cdagio/internal/fault"
+	"cdagio/internal/iheap"
 )
 
 // Assignment describes a parallel execution of a CDAG: a single global
@@ -122,33 +123,25 @@ func validateAssignment(g *cdag.Graph, topo Topology, asg Assignment) error {
 }
 
 // pinSet is an allocation-free membership set of vertices protected from
-// eviction: an epoch-stamped scratch array shared by all sets of the current
-// compute step, plus at most one extra vertex (the value being fetched).  The
-// zero value is unusable; build instances with the player helpers.
+// eviction: v is pinned when stamps[v] == epoch.
 type pinSet struct {
 	stamps []int32
 	epoch  int32
-	extra  cdag.VertexID
 }
 
-func (p pinSet) has(v cdag.VertexID) bool {
-	return v == p.extra || (p.stamps != nil && p.stamps[v] == p.epoch)
-}
-
-// noPins returns the empty pin set.
-func noPins() pinSet { return pinSet{extra: cdag.InvalidVertex} }
+// deadKey is the eviction-key term of a dead value: it ranks every dead value
+// ahead of every live one, whose keys are minus a touch clock.
+const deadKey = 1 << 62
 
 // player carries the bookkeeping of one PlayCtx run.  Unlike the reference
 // player it keeps no per-unit maps and allocates nothing per compute step:
-// recency and deadness live in dense per-vertex arrays and per-unit indexed
-// heaps, and pinned sets are epoch stamps.
+// recency and deadness live in per-unit indexed heaps and dense per-vertex
+// arrays, and pinned sets are epoch stamps.
 type player struct {
 	game *Game
 	g    *cdag.Graph
 	topo Topology
-	asg  Assignment
 
-	pos   int   // current schedule position
 	clock int64 // compute steps executed so far; the touch timestamp
 
 	// lastUseAt[v] is the last schedule position consuming v (−1 when none);
@@ -158,30 +151,20 @@ type player struct {
 	noMoreUses []bool
 	// dead[v] caches whether losing one copy of v costs nothing: a copy
 	// exists elsewhere, a blue pebble backs it, or no later step needs it.
-	// It is the per-vertex predicate the eviction heaps order by, refreshed
-	// incrementally after every game move that can flip it.
+	// It is refreshed after every game move that can flip it.
 	dead []bool
-	// heapDead[v] is the deadness the eviction heaps are currently ordered
-	// by.  Truth (dead) and heap view (heapDead) may diverge between game
-	// moves: refreshDead only records flipped vertices in pending, and
-	// flushPending re-sifts them — one vertex at a time, so each Fix repairs
-	// a single stale key — right before the next victim choice, the only
-	// point where heap order is consulted.  Batching the fix-ups this way
-	// collapses the repeated flip/unflip churn of multi-eviction steps into
-	// at most one Fix per vertex per victim choice without changing any
-	// chosen victim: every PeekMin/PopMin still runs with heapDead == dead.
-	heapDead    []bool
-	pending     []cdag.VertexID
-	pendingMark []bool
 
-	units    []evictHeap // per storage unit, indexed unitBase[level-1]+unit
+	// units[unitBase[level-1]+unit] holds the values resident in that unit,
+	// keyed (dead ? deadKey : 0) − last touch there.  Popping the largest key
+	// (ties to the smallest vertex ID) yields the reference player's victim:
+	// dead values first, then the least recently touched.
+	units    []iheap.PriorityHeap
 	unitBase []int
 
-	pinStamp []int32
-	pinEpoch int32
-
-	stashV []cdag.VertexID // chooseVictim scratch for skipping pinned entries
-	stashT []int64
+	// stepPins stamps the operands of the current compute step; onePin
+	// stamps the single value a fetch, raise or final store protects.
+	stepPins pinSet
+	onePin   pinSet
 }
 
 // PlayCtx executes the assignment on g over the topology and returns the
@@ -191,8 +174,9 @@ type player struct {
 //
 // The player's eviction order is that of the map-based reference player its
 // tests pin it against (dead values first, then least recently touched, ties
-// by vertex ID), but it chooses each victim in O(log capacity) instead of
-// scanning the unit, and performs no per-step allocations.
+// by vertex ID), but each victim comes from one PopMaxUnpinned call on the
+// unit's heap instead of a scan of the unit, and the play performs no
+// per-step allocations.
 //
 // ctx bounds the game: the schedule loop checks it every 4096 compute steps
 // (individual game moves stay atomic) and returns ctx.Err() promptly once the
@@ -234,7 +218,7 @@ func PlayCtx(ctx context.Context, g *cdag.Graph, topo Topology, asg Assignment) 
 	// scheduled vertex's row three times per step, and the rows are identical
 	// to g.Pred(v) in content and order.
 	predOff, predVal := g.PredecessorCSR()
-	pl := &player{game: game, g: g, topo: topo, asg: asg}
+	pl := &player{game: game, g: g, topo: topo}
 	pl.lastUseAt = make([]int32, n)
 	for v := range pl.lastUseAt {
 		pl.lastUseAt[v] = -1
@@ -246,13 +230,9 @@ func PlayCtx(ctx context.Context, g *cdag.Graph, topo Topology, asg Assignment) 
 	}
 	pl.noMoreUses = make([]bool, n)
 	pl.dead = make([]bool, n)
-	pl.heapDead = make([]bool, n)
-	pl.pendingMark = make([]bool, n)
 	for v := 0; v < n; v++ {
-		id := cdag.VertexID(v)
 		pl.noMoreUses[v] = pl.lastUseAt[v] < 0
-		pl.dead[v] = pl.computeDead(id)
-		pl.heapDead[v] = pl.dead[v]
+		pl.dead[v] = pl.computeDead(cdag.VertexID(v))
 	}
 	total := 0
 	pl.unitBase = make([]int, topo.NumLevels())
@@ -260,11 +240,12 @@ func PlayCtx(ctx context.Context, g *cdag.Graph, topo Topology, asg Assignment) 
 		pl.unitBase[l] = total
 		total += topo.Units(l + 1)
 	}
-	pl.units = make([]evictHeap, total)
+	pl.units = make([]iheap.PriorityHeap, total)
 	for i := range pl.units {
 		pl.units[i].Init(n)
 	}
-	pl.pinStamp = make([]int32, n)
+	pl.stepPins.stamps = make([]int32, n)
+	pl.onePin.stamps = make([]int32, n)
 
 	// Execute the schedule.
 	for i, v := range asg.Order {
@@ -274,7 +255,6 @@ func PlayCtx(ctx context.Context, g *cdag.Graph, topo Topology, asg Assignment) 
 				return nil, err
 			}
 		}
-		pl.pos = i
 		proc := asg.Proc[i]
 		// One row slice serves every predecessor pass of this step.
 		preds := predVal[predOff[v]:predOff[v+1]]
@@ -320,26 +300,38 @@ func PlayCtx(ctx context.Context, g *cdag.Graph, topo Topology, asg Assignment) 
 	return game.Snapshot(), nil
 }
 
-// newStepPins stamps the predecessors of the current compute step into the
-// shared scratch array and returns the pin set over them.
+// newStepPins stamps the predecessors of the current compute step and returns
+// the pin set over them.
 func (pl *player) newStepPins(preds []cdag.VertexID) pinSet {
-	pl.pinEpoch++
+	pl.stepPins.epoch++
 	for _, p := range preds {
-		pl.pinStamp[p] = pl.pinEpoch
+		pl.stepPins.stamps[p] = pl.stepPins.epoch
 	}
-	return pinSet{stamps: pl.pinStamp, epoch: pl.pinEpoch, extra: cdag.InvalidVertex}
+	return pl.stepPins
 }
 
-func (pl *player) unit(at Loc) *evictHeap {
+// pinOnly returns the pin set holding v alone, or the empty set when v is
+// cdag.InvalidVertex.
+func (pl *player) pinOnly(v cdag.VertexID) pinSet {
+	pl.onePin.epoch++
+	if v != cdag.InvalidVertex {
+		pl.onePin.stamps[v] = pl.onePin.epoch
+	}
+	return pl.onePin
+}
+
+func (pl *player) unit(at Loc) *iheap.PriorityHeap {
 	return &pl.units[pl.unitBase[at.Level-1]+at.Unit]
 }
 
+// touch records a use of v in the unit at the current clock, inserting it
+// when absent.
 func (pl *player) touch(at Loc, v cdag.VertexID) {
-	pl.unit(at).Update(v, pl.clock, pl.heapDead)
-}
-
-func (pl *player) untouch(at Loc, v cdag.VertexID) {
-	pl.unit(at).Remove(v, pl.heapDead)
+	key := -pl.clock
+	if pl.dead[v] {
+		key += deadKey
+	}
+	pl.unit(at).Update(v, key)
 }
 
 // computeDead evaluates the eviction-deadness predicate from the game state:
@@ -356,50 +348,28 @@ func (pl *player) computeDead(v cdag.VertexID) bool {
 	return pl.noMoreUses[v] && !pl.g.IsOutput(v)
 }
 
-// refreshDead re-evaluates the deadness of v and, when it flipped, updates
-// the truth array and queues v for a deferred heap fix-up.  It must be called
+// refreshDead re-evaluates the deadness of v and, when it flipped, moves the
+// key of v by ±deadKey in every unit whose heap holds it.  It must be called
 // after every move that can change the predicate: pebble placements and
-// deletions (copy count), blue placements, and last-use transitions.  The
-// heaps themselves are repaired lazily by flushPending, so a vertex whose
-// deadness flips several times between victim choices (evict chains touch a
-// value at every level) costs one queue entry instead of a heap sift per
-// flip — and none at all when the flips cancel out.
+// deletions (copy count), blue placements, and last-use transitions.  A
+// victim being evicted has already left its unit's heap, so that unit is
+// skipped.
 func (pl *player) refreshDead(v cdag.VertexID) {
 	d := pl.computeDead(v)
 	if d == pl.dead[v] {
 		return
 	}
 	pl.dead[v] = d
-	if !pl.pendingMark[v] {
-		pl.pendingMark[v] = true
-		pl.pending = append(pl.pending, v)
+	shift := int64(deadKey)
+	if !d {
+		shift = -deadKey
 	}
-}
-
-// flushPending reconciles the heaps' deadness view with the truth array,
-// re-sifting each flipped vertex in every unit currently holding it.  Flips
-// are applied one vertex at a time — heapDead is written immediately before
-// the Fix calls for that vertex — so every Fix is a valid single-stale-key
-// heap repair and the heaps are exact w.r.t. heapDead throughout.  After the
-// flush heapDead equals dead, which is the invariant chooseVictim relies on:
-// the (dead, last touch, vertex id) comparator is a strict total order, so
-// with equal key arrays the heap minimum is unique and the chosen victims —
-// and with them the whole game — are bit-identical to eager fix-ups.
-func (pl *player) flushPending() {
-	if len(pl.pending) == 0 {
-		return
-	}
-	for _, v := range pl.pending {
-		pl.pendingMark[v] = false
-		if pl.heapDead[v] == pl.dead[v] {
-			continue // flipped an even number of times: nothing to repair
-		}
-		pl.heapDead[v] = pl.dead[v]
-		for _, loc := range pl.game.Locations(v) {
-			pl.unit(loc).Fix(v, pl.heapDead)
+	for _, loc := range pl.game.Locations(v) {
+		h := pl.unit(loc)
+		if key, ok := h.Priority(v); ok {
+			h.Update(v, key+shift)
 		}
 	}
-	pl.pending = pl.pending[:0]
 }
 
 // dropIfDead deletes the pebble of v at the unit when its value no longer
@@ -412,7 +382,7 @@ func (pl *player) dropIfDead(at Loc, v cdag.VertexID) {
 		return
 	}
 	if err := pl.game.Delete(at, v); err == nil {
-		pl.untouch(at, v)
+		pl.unit(at).Remove(v)
 		pl.refreshDead(v)
 	}
 }
@@ -434,48 +404,23 @@ func (pl *player) ensureCapacity(at Loc, pinned pinSet) error {
 	return nil
 }
 
-// chooseVictim returns the unit's eviction-preference minimum that is not
-// pinned: the heap root in the common case, otherwise the first unpinned
-// entry in heap order (pinned entries are popped into a small stash and
-// pushed back).
+// chooseVictim removes from the unit's heap, and returns, the first value in
+// eviction order that is not pinned.
 func (pl *player) chooseVictim(at Loc, pinned pinSet) (cdag.VertexID, error) {
-	pl.flushPending()
-	h := pl.unit(at)
-	if v, ok := h.PeekMin(); ok && !pinned.has(v) {
-		return v, nil
-	}
-	stV, stT := pl.stashV[:0], pl.stashT[:0]
-	victim := cdag.InvalidVertex
-	var victimT int64
-	for h.Size() > 0 {
-		v, t := h.PopMin(pl.heapDead)
-		if pinned.has(v) {
-			stV = append(stV, v)
-			stT = append(stT, t)
-			continue
-		}
-		victim, victimT = v, t
-		break
-	}
-	if victim != cdag.InvalidVertex {
-		h.Update(victim, victimT, pl.heapDead)
-	}
-	for k := range stV {
-		h.Update(stV[k], stT[k], pl.heapDead)
-	}
-	pl.stashV, pl.stashT = stV, stT
-	if victim == cdag.InvalidVertex {
+	v, _, ok := pl.unit(at).PopMaxUnpinned(pinned.stamps, pinned.epoch)
+	if !ok {
 		return cdag.InvalidVertex, &PlayError{
 			Reason: fmt.Sprintf("storage unit %v full with pinned values (capacity %d too small)",
 				at, pl.topo.Capacity(at.Level))}
 	}
-	return victim, nil
+	return v, nil
 }
 
-// evict removes v from the unit, first copying it toward memory when it is
-// the last live copy of a value that still matters.  The pinned set is
-// propagated so that values protected by an in-flight fetch are never
-// displaced from the path while making room for the copy.
+// evict deletes v, already out of the unit's heap, from the unit, first
+// copying it toward memory when it is the last live copy of a value that
+// still matters.  The pinned set is propagated so that values protected by
+// an in-flight fetch are never displaced from the path while making room for
+// the copy.
 func (pl *player) evict(at Loc, v cdag.VertexID, pinned pinSet) error {
 	if !pl.dead[v] {
 		if at.Level == pl.topo.NumLevels() {
@@ -501,7 +446,6 @@ func (pl *player) evict(at Loc, v cdag.VertexID, pinned pinSet) error {
 	if err := pl.game.Delete(at, v); err != nil {
 		return err
 	}
-	pl.untouch(at, v)
 	pl.refreshDead(v)
 	return nil
 }
@@ -509,9 +453,8 @@ func (pl *player) evict(at Loc, v cdag.VertexID, pinned pinSet) error {
 // fetchToRegisters brings the value of u into the register unit of proc,
 // moving it through every level of the processor's storage path and using a
 // remote get or backing-store load when no copy exists on the path.  The
-// value u itself is protected from eviction while the fetch is in flight, in
-// addition to the caller's pinned set (the predecessors already resident in
-// the registers).
+// value u itself is protected from eviction while the fetch is in flight; at
+// level 1 the step's pins, which include u, also protect the other operands.
 func (pl *player) fetchToRegisters(u cdag.VertexID, proc int, stepPins pinSet) error {
 	L := pl.topo.NumLevels()
 	regs := Loc{Level: 1, Unit: proc}
@@ -519,10 +462,7 @@ func (pl *player) fetchToRegisters(u cdag.VertexID, proc int, stepPins pinSet) e
 		pl.touch(regs, u)
 		return nil
 	}
-	// Protect u along the whole path; at level 1 additionally protect the
-	// other already-fetched predecessors.
-	protect := pinSet{extra: u}
-	level1Pin := pinSet{stamps: stepPins.stamps, epoch: stepPins.epoch, extra: u}
+	protect := pl.pinOnly(u)
 
 	// Find the lowest level on the path already holding the value.
 	found := 0
@@ -576,7 +516,7 @@ func (pl *player) fetchToRegisters(u cdag.VertexID, proc int, stepPins pinSet) e
 		}
 		pin := protect
 		if l == 1 {
-			pin = level1Pin
+			pin = stepPins
 		}
 		if err := pl.ensureCapacity(at, pin); err != nil {
 			return err
@@ -638,7 +578,6 @@ func (pl *player) raiseToNodeMemory(u cdag.VertexID, pinned pinSet) error {
 // finalize stores outputs to the backing store and touches never-consumed
 // inputs so that the completion conditions hold.
 func (pl *player) finalize() error {
-	pl.pos = len(pl.asg.Order)
 	L := pl.topo.NumLevels()
 	for _, v := range pl.g.Outputs() {
 		if pl.game.HasBlue(v) {
@@ -647,7 +586,7 @@ func (pl *player) finalize() error {
 		if len(pl.game.Locations(v)) == 0 {
 			return &PlayError{Reason: fmt.Sprintf("output %d lost before final store", v)}
 		}
-		if err := pl.raiseToNodeMemory(v, pinSet{extra: v}); err != nil {
+		if err := pl.raiseToNodeMemory(v, pl.pinOnly(v)); err != nil {
 			return err
 		}
 		node := pl.levelLNode(v)
@@ -664,7 +603,7 @@ func (pl *player) finalize() error {
 			continue
 		}
 		memLoc := Loc{Level: L, Unit: 0}
-		if err := pl.ensureCapacity(memLoc, noPins()); err != nil {
+		if err := pl.ensureCapacity(memLoc, pl.pinOnly(cdag.InvalidVertex)); err != nil {
 			return err
 		}
 		// The transient load-and-discard never enters the recency heap,

@@ -68,13 +68,13 @@ func TestPlayMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPlayMatchesReferenceEvictionChurn pins the batched heap fix-ups (the
-// pending/flushPending path) against the eager reference player under heavy
-// eviction churn: tight capacities so nearly every step runs eviction chains
-// across several levels — the regime where a value's deadness flips several
-// times between victim choices and the deferred Fix batching actually
-// coalesces work.  Randomized processor assignments (seeded) widen the
-// coverage beyond the fixed scenario matrix; stats must stay bit-identical.
+// TestPlayMatchesReferenceEvictionChurn pins the heap re-keying on deadness
+// flips against the eager reference player under heavy eviction churn: tight
+// capacities so nearly every step runs eviction chains across several levels
+// — the regime where a value's deadness flips several times between victim
+// choices, each flip moving its key in every unit that holds it.  Randomized
+// processor assignments (seeded) widen the coverage beyond the fixed scenario
+// matrix; stats must stay bit-identical.
 func TestPlayMatchesReferenceEvictionChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(1405))
 	graphs := map[string]*cdag.Graph{
