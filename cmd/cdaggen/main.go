@@ -7,6 +7,10 @@
 //	cdaggen -kernel fft -n 16 -format dot -o fft16.dot
 //	cdaggen -kernel cg -dim 2 -n 8 -iters 2 -format json -o cg.json
 //	cdaggen -kernel jacobi -dim 2 -n 6 -steps 3 -stats
+//
+// -kernel accepts every kind of the generator catalog (internal/gen), the
+// kinds cdagd builds: -n sets the size n and also the k and h of the kinds
+// sized by those, and jacobi uses the box stencil.
 package main
 
 import (
@@ -14,17 +18,19 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"cdagio"
 	"cdagio/internal/cdag"
+	"cdagio/internal/gen"
 )
 
 func main() {
 	var (
-		kernel = flag.String("kernel", "fft", "kernel: matmul | composite | fft | jacobi | cg | gmres | dot | outer | chain | pyramid | binomial")
-		n      = flag.Int("n", 8, "problem size per dimension")
+		kernel = flag.String("kernel", "fft", "kernel: "+strings.Join(gen.Kinds(), " | "))
+		n      = flag.Int("n", 8, "problem size per dimension (also k and h)")
 		dim    = flag.Int("dim", 2, "grid dimensionality (jacobi, cg, gmres)")
-		steps  = flag.Int("steps", 3, "time steps (jacobi)")
+		steps  = flag.Int("steps", 3, "time steps (jacobi, heat)")
 		iters  = flag.Int("iters", 2, "outer iterations (cg, gmres)")
 		format = flag.String("format", "dot", "output format: dot | json | none")
 		out    = flag.String("o", "", "output file (default stdout)")
@@ -49,8 +55,9 @@ func main() {
 		exitOn(fmt.Errorf("unknown format %q", *format))
 	}
 
-	g, err := buildKernel(*kernel, *n, *dim, *steps, *iters)
+	b, err := gen.Build(&gen.Spec{Kind: *kernel, N: *n, K: *n, H: *n, Dim: *dim, Steps: *steps, Iterations: *iters, Stencil: "box"})
 	exitOn(err)
+	g := b.Graph
 	if *stats {
 		fmt.Fprintln(os.Stderr, g)
 		fmt.Fprintln(os.Stderr, cdag.ComputeStats(g))
@@ -73,42 +80,5 @@ func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdaggen:", err)
 		os.Exit(1)
-	}
-}
-
-// buildKernel constructs the requested CDAG.  A generator's panic on a size
-// outside its domain (an FFT size that is not a power of two, say) is
-// returned as the error.
-func buildKernel(kernel string, n, dim, steps, iters int) (g *cdagio.Graph, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			g, err = nil, fmt.Errorf("%v", r)
-		}
-	}()
-	switch kernel {
-	case "matmul":
-		return cdagio.MatMul(n).Graph, nil
-	case "composite":
-		return cdagio.Composite(n).Graph, nil
-	case "fft":
-		return cdagio.FFT(n), nil
-	case "jacobi":
-		return cdagio.Jacobi(dim, n, steps, cdagio.StencilBox).Graph, nil
-	case "cg":
-		return cdagio.CG(dim, n, iters).Graph, nil
-	case "gmres":
-		return cdagio.GMRES(dim, n, iters).Graph, nil
-	case "dot":
-		return cdagio.DotProduct(n), nil
-	case "outer":
-		return cdagio.OuterProduct(n), nil
-	case "chain":
-		return cdagio.Chain(n), nil
-	case "pyramid":
-		return cdagio.Pyramid(n), nil
-	case "binomial":
-		return cdagio.BinomialTree(n), nil
-	default:
-		return nil, fmt.Errorf("unknown kernel %q", kernel)
 	}
 }

@@ -8,6 +8,10 @@
 //	iolb -kernel cg -dim 2 -n 16 -iters 3 -S 256 -candidates 64
 //	iolb -kernel jacobi -n 100 -steps 10 -candidates -1 -timeout 30s
 //
+// -kernel accepts every kind of the generator catalog (internal/gen), the
+// kinds cdagd builds: -n sets the size n and also the k and h of the kinds
+// sized by those, and jacobi uses the box stencil.
+//
 // The report lists every lower-bound technique that applied (compulsory I/O,
 // min-cut wavefront, 2S-partition, exact search on tiny CDAGs), the measured
 // I/O of a Belady-evicted schedule, and the resulting gap.
@@ -25,18 +29,20 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"cdagio"
+	"cdagio/internal/gen"
 )
 
 func main() {
 	var (
-		kernel     = flag.String("kernel", "matmul", "kernel: matmul | composite | fft | jacobi | cg | gmres | dot | outer | chain | pyramid")
-		n          = flag.Int("n", 8, "problem size per dimension")
+		kernel     = flag.String("kernel", "matmul", "kernel: "+strings.Join(gen.Kinds(), " | "))
+		n          = flag.Int("n", 8, "problem size per dimension (also k and h)")
 		dim        = flag.Int("dim", 2, "grid dimensionality (jacobi, cg, gmres)")
-		steps      = flag.Int("steps", 4, "time steps (jacobi)")
+		steps      = flag.Int("steps", 4, "time steps (jacobi, heat)")
 		iters      = flag.Int("iters", 2, "outer iterations (cg, gmres)")
 		s          = flag.Int("S", 64, "fast-memory capacity in words")
 		candidates = flag.Int("candidates", 0, "wavefront candidate vertices (0 = degree-ranked sample of 32, -1 = all)")
@@ -55,12 +61,24 @@ func main() {
 		defer cancel()
 	}
 
-	g, schedule, err := buildKernel(*kernel, *n, *dim, *steps, *iters, *blocked)
+	b, err := gen.Build(&gen.Spec{Kind: *kernel, N: *n, K: *n, H: *n, Dim: *dim, Steps: *steps, Iterations: *iters, Stencil: "box"})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iolb:", err)
 		os.Exit(1)
 	}
-	ws := cdagio.Open(g)
+	// -blocked swaps in a locality-optimized schedule where one exists.
+	var schedule []cdagio.VertexID
+	switch {
+	case *blocked && b.MatMul != nil:
+		block := 2
+		for block*block*3 < *n { // crude S-oblivious choice
+			block++
+		}
+		schedule = cdagio.MatMulBlocked(b.MatMul, block)
+	case *blocked && b.Jacobi != nil:
+		schedule = cdagio.StencilSkewed(b.Jacobi, 4)
+	}
+	ws := cdagio.Open(b.Graph)
 	start := time.Now()
 	analysis, err := ws.Analyze(ctx, cdagio.AnalyzeOptions{
 		FastMemory:          *s,
@@ -78,52 +96,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Print(analysis.Report())
-}
-
-// buildKernel constructs the requested CDAG and, when -blocked is set, a
-// locality-optimized schedule for it.  A generator's panic on a size outside
-// its domain (an FFT size that is not a power of two, say) is returned as the
-// error.
-func buildKernel(kernel string, n, dim, steps, iters int, blocked bool) (g *cdagio.Graph, order []cdagio.VertexID, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			g, order, err = nil, nil, fmt.Errorf("%v", r)
-		}
-	}()
-	switch kernel {
-	case "matmul":
-		r := cdagio.MatMul(n)
-		if blocked {
-			block := 2
-			for block*block*3 < n { // crude S-oblivious choice
-				block++
-			}
-			return r.Graph, cdagio.MatMulBlocked(r, block), nil
-		}
-		return r.Graph, nil, nil
-	case "composite":
-		return cdagio.Composite(n).Graph, nil, nil
-	case "fft":
-		return cdagio.FFT(n), nil, nil
-	case "jacobi":
-		r := cdagio.Jacobi(dim, n, steps, cdagio.StencilBox)
-		if blocked {
-			return r.Graph, cdagio.StencilSkewed(r, 4), nil
-		}
-		return r.Graph, nil, nil
-	case "cg":
-		return cdagio.CG(dim, n, iters).Graph, nil, nil
-	case "gmres":
-		return cdagio.GMRES(dim, n, iters).Graph, nil, nil
-	case "dot":
-		return cdagio.DotProduct(n), nil, nil
-	case "outer":
-		return cdagio.OuterProduct(n), nil, nil
-	case "chain":
-		return cdagio.Chain(n), nil, nil
-	case "pyramid":
-		return cdagio.Pyramid(n), nil, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown kernel %q", kernel)
-	}
 }

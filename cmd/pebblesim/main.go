@@ -10,6 +10,10 @@
 //	pebblesim -kernel jacobi -dim 1 -n 64 -steps 8 \
 //	          -parallel -nodes 2 -procs 2 -cache 128       # P-RBW game
 //
+// -kernel accepts every kind of the generator catalog (internal/gen), the
+// kinds cdagd builds: -n sets the size n and also the k and h of the kinds
+// sized by those, and jacobi uses the box stencil.
+//
 // The games run on a single cdagio.Workspace under a cancellable context:
 // -timeout bounds the wall-clock, and an interrupt (Ctrl-C / SIGTERM) stops
 // the w^max search and both pebble players at their next cancellation point.
@@ -22,19 +26,21 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"cdagio"
+	"cdagio/internal/gen"
 	"cdagio/internal/pebble"
 	"cdagio/internal/prbw"
 )
 
 func main() {
 	var (
-		kernel  = flag.String("kernel", "fft", "kernel: matmul | composite | fft | jacobi | cg | gmres | dot | outer | chain | pyramid")
-		n       = flag.Int("n", 16, "problem size per dimension")
+		kernel  = flag.String("kernel", "fft", "kernel: "+strings.Join(gen.Kinds(), " | "))
+		n       = flag.Int("n", 16, "problem size per dimension (also k and h)")
 		dim     = flag.Int("dim", 2, "grid dimensionality (jacobi, cg, gmres)")
-		steps   = flag.Int("steps", 4, "time steps (jacobi)")
+		steps   = flag.Int("steps", 4, "time steps (jacobi, heat)")
 		iters   = flag.Int("iters", 2, "outer iterations (cg, gmres)")
 		s       = flag.Int("S", 32, "fast-memory capacity in words (sequential game)")
 		variant = flag.String("variant", "rbw", "sequential game variant: rbw | hk")
@@ -71,8 +77,9 @@ func main() {
 	if !ok {
 		exitOn(fmt.Errorf("unknown policy %q (want belady or lru)", *policy))
 	}
-	g, err := buildKernel(*kernel, *n, *dim, *steps, *iters)
+	b, err := gen.Build(&gen.Spec{Kind: *kernel, N: *n, K: *n, H: *n, Dim: *dim, Steps: *steps, Iterations: *iters, Stencil: "box"})
 	exitOn(err)
+	g := b.Graph
 	fmt.Println(g)
 	ws := cdagio.Open(g)
 
@@ -118,38 +125,3 @@ var (
 	variants = map[string]pebble.Variant{"rbw": pebble.RBW, "hk": pebble.HongKung}
 	policies = map[string]pebble.EvictionPolicy{"belady": pebble.Belady, "lru": pebble.LRU}
 )
-
-// buildKernel constructs the requested CDAG.  A generator's panic on a size
-// outside its domain (an FFT size that is not a power of two, say) is
-// returned as the error.
-func buildKernel(kernel string, n, dim, steps, iters int) (g *cdagio.Graph, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			g, err = nil, fmt.Errorf("%v", r)
-		}
-	}()
-	switch kernel {
-	case "matmul":
-		return cdagio.MatMul(n).Graph, nil
-	case "composite":
-		return cdagio.Composite(n).Graph, nil
-	case "fft":
-		return cdagio.FFT(n), nil
-	case "jacobi":
-		return cdagio.Jacobi(dim, n, steps, cdagio.StencilBox).Graph, nil
-	case "cg":
-		return cdagio.CG(dim, n, iters).Graph, nil
-	case "gmres":
-		return cdagio.GMRES(dim, n, iters).Graph, nil
-	case "dot":
-		return cdagio.DotProduct(n), nil
-	case "outer":
-		return cdagio.OuterProduct(n), nil
-	case "chain":
-		return cdagio.Chain(n), nil
-	case "pyramid":
-		return cdagio.Pyramid(n), nil
-	default:
-		return nil, fmt.Errorf("unknown kernel %q", kernel)
-	}
-}

@@ -34,7 +34,7 @@ func pebblesim(t *testing.T, args ...string) (string, string, error) {
 	return stdout.String(), stderr.String(), err
 }
 
-// TestReportsMatchGolden plays three P-RBW games and two sequential games and
+// TestReportsMatchGolden plays four P-RBW games and two sequential games and
 // compares each report with testdata/<name>.txt byte for byte.  The reports
 // are deterministic, and a player change that claims identical results must
 // leave them alone.  A golden is the stdout of the same command line, e.g.
@@ -52,6 +52,10 @@ func TestReportsMatchGolden(t *testing.T) {
 			"-regs", "4", "-cache", "16"}},
 		{"jacobi2d-single", []string{"-kernel", "jacobi", "-dim", "2", "-n", "16", "-steps", "3",
 			"-parallel", "-nodes", "1", "-procs", "1", "-regs", "10", "-cache", "4096"}},
+		// A step's operands stay live until it has fetched them all; when
+		// the last-use flip came first, this game lost vertex 125.
+		{"cg2d-single", []string{"-kernel", "cg", "-dim", "2", "-n", "6", "-iters", "2",
+			"-parallel", "-nodes", "1", "-procs", "1", "-regs", "12", "-cache", "64", "-grain", "16"}},
 		{"matmul-hk-lru", []string{"-kernel", "matmul", "-n", "6", "-S", "24", "-variant", "hk", "-policy", "lru"}},
 		{"fft-rbw", []string{"-kernel", "fft", "-n", "32", "-S", "16"}},
 	} {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"cdagio/internal/bounds"
 	"cdagio/internal/cdag"
@@ -22,54 +21,11 @@ import (
 	"cdagio/internal/solvers"
 )
 
-// built is a materialized workload: the graph, its workspace, and the typed
-// generator result when a cell kind needs generator structure (grid layers
-// for skewed schedules and block partitions, operand grids for blocked
-// matmul, iteration sets for Krylov growth curves).
+// built is a materialized workload: the catalog's graph with its typed
+// generator result, and the workspace its cells run on.
 type built struct {
-	g      *cdag.Graph
-	ws     *core.Workspace
-	jacobi *gen.JacobiResult
-	matmul *gen.MatMulResult
-	cg     *gen.CGResult
-	gmres  *gen.GMRESResult
-}
-
-// buildWorkload materializes a workload graph.  Kinds whose cells need typed
-// generator results are built directly; everything else goes through serve's
-// BuildGen so local builds hash and behave exactly like daemon uploads.
-func buildWorkload(w *spec.Workload) (b *built, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("generator %q: %v", w.Kind, r)
-		}
-	}()
-	b = &built{}
-	switch strings.ToLower(w.Kind) {
-	case "jacobi":
-		kind := gen.StencilStar
-		if strings.EqualFold(w.Stencil, "box") {
-			kind = gen.StencilBox
-		}
-		b.jacobi = gen.Jacobi(w.Dim, w.N, w.Steps, kind)
-		b.g = b.jacobi.Graph
-	case "matmul":
-		b.matmul = gen.MatMul(w.N)
-		b.g = b.matmul.Graph
-	case "cg":
-		b.cg = gen.CG(w.Dim, w.N, w.Iterations)
-		b.g = b.cg.Graph
-	case "gmres":
-		b.gmres = gen.GMRES(w.Dim, w.N, w.Iterations)
-		b.g = b.gmres.Graph
-	default:
-		b.g, err = serve.BuildGen(&w.GenSpec)
-		if err != nil {
-			return nil, err
-		}
-	}
-	b.ws = core.NewWorkspace(b.g)
-	return b, nil
+	gen.Built
+	ws *core.Workspace
 }
 
 // localCell evaluates the cell kinds that are not expressible as one daemon
@@ -256,21 +212,21 @@ func solverCell(c *spec.Cell) ([]byte, error) {
 
 func graphstatCell(c *spec.Cell, b *built) ([]byte, error) {
 	out := map[string]any{
-		"vertices":       b.g.NumVertices(),
-		"edges":          b.g.NumEdges(),
-		"inputs":         b.g.NumInputs(),
-		"outputs":        b.g.NumOutputs(),
-		"num_operations": b.g.NumOperations(),
+		"vertices":       b.Graph.NumVertices(),
+		"edges":          b.Graph.NumEdges(),
+		"inputs":         b.Graph.NumInputs(),
+		"outputs":        b.Graph.NumOutputs(),
+		"num_operations": b.Graph.NumOperations(),
 	}
 	if c.Params.CriticalPath {
-		out["critical_path"] = b.g.CriticalPathLength()
+		out["critical_path"] = b.Graph.CriticalPathLength()
 	}
 	var iters []*cdag.VertexSet
 	switch {
-	case b.cg != nil:
-		iters = b.cg.IterationVertices
-	case b.gmres != nil:
-		iters = b.gmres.IterationVertices
+	case b.CG != nil:
+		iters = b.CG.IterationVertices
+	case b.GMRES != nil:
+		iters = b.GMRES.IterationVertices
 	}
 	if len(iters) > 0 {
 		sizes := make([]int, len(iters))
@@ -288,12 +244,12 @@ func graphstatCell(c *spec.Cell, b *built) ([]byte, error) {
 func prbwBlockGridCell(ctx context.Context, c *spec.Cell, b *built) ([]byte, error) {
 	p := c.Params
 	topo := prbw.Distributed(p.Nodes, p.ProcsPerNode, p.RegWords, p.CacheWords, p.MemWords)
-	owner := sched.BlockPartitionGrid(b.jacobi, p.Nodes)
+	owner := sched.BlockPartitionGrid(b.Jacobi, p.Nodes)
 	procOwner := make([]int, len(owner))
 	for v := range owner {
 		procOwner[v] = owner[v]*p.ProcsPerNode + v%p.ProcsPerNode
 	}
-	asg := prbw.OwnerCompute(b.g, procOwner)
+	asg := prbw.OwnerCompute(b.Graph, procOwner)
 	st, err := b.ws.PlayParallel(ctx, topo, asg)
 	if err != nil {
 		return nil, err
@@ -314,7 +270,7 @@ func sweepCell(ctx context.Context, c *spec.Cell, b *built) ([]byte, error) {
 	var order []cdag.VertexID
 	switch p.Schedule {
 	case "topo":
-		order = sched.Topological(b.g)
+		order = sched.Topological(b.Graph)
 	case "skewed":
 		// Tile edge from the fast-memory budget: two time layers of a tile
 		// must fit (Section 5.4's skewed tiling).
@@ -322,20 +278,20 @@ func sweepCell(ctx context.Context, c *spec.Cell, b *built) ([]byte, error) {
 		if tile < 2 {
 			tile = 2
 		}
-		order = sched.StencilSkewed(b.jacobi, tile)
+		order = sched.StencilSkewed(b.Jacobi, tile)
 	case "blocked":
 		// Three operand blocks per tile step.
 		block := int(math.Sqrt(float64(p.S) / 3))
 		if block < 2 {
 			block = 2
 		}
-		order = sched.MatMulBlocked(b.matmul, block)
+		order = sched.MatMulBlocked(b.MatMul, block)
 	default:
 		return nil, fmt.Errorf("no local schedule %q", p.Schedule)
 	}
 	var owner []int
 	if p.Owner == "blockgrid" {
-		owner = sched.BlockPartitionGrid(b.jacobi, p.Nodes)
+		owner = sched.BlockPartitionGrid(b.Jacobi, p.Nodes)
 	}
 	policy := memsim.Belady
 	if p.Policy == "lru" {

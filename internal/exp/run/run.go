@@ -14,10 +14,12 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cdagio/internal/core"
 	"cdagio/internal/exp/cache"
 	"cdagio/internal/exp/emit"
 	"cdagio/internal/exp/plan"
 	"cdagio/internal/exp/spec"
+	"cdagio/internal/gen"
 	"cdagio/internal/serve"
 )
 
@@ -113,22 +115,23 @@ func Execute(ctx context.Context, pl *plan.Plan, opts Options) (*Result, error) 
 		if w == "" || builds[w] != nil {
 			continue
 		}
+		// The catalog builds a workload exactly like a daemon upload.
 		wl, _ := ir.WorkloadByName(w)
-		b, err := buildWorkload(wl)
+		b, err := gen.Build(&wl.Spec)
 		if err != nil {
 			return nil, fmt.Errorf("build %q: %w", w, err)
 		}
-		builds[w] = b
+		builds[w] = &built{Built: b, ws: core.NewWorkspace(b.Graph)}
 		if opts.Remote != nil {
-			id, err := opts.Remote.UploadGen(ctx, &wl.GenSpec)
+			id, err := opts.Remote.UploadGen(ctx, &wl.Spec)
 			if err != nil {
 				return nil, fmt.Errorf("upload %q: %w", w, err)
 			}
-			if want := serve.HashID([]byte(serve.GenKey(&wl.GenSpec))); id != want {
+			if want := serve.HashID([]byte(gen.Key(&wl.Spec))); id != want {
 				return nil, fmt.Errorf("upload %q: daemon graph id %s, expected %s", w, id, want)
 			}
 		}
-		logf("built %s (%d vertices)", w, b.g.NumVertices())
+		logf("built %s (%d vertices)", w, b.Graph.NumVertices())
 	}
 
 	// Run missed cells over the pool.  Workers claim cells through an atomic

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"cdagio/internal/cdag"
+	"cdagio/internal/gen"
 	"cdagio/internal/machine"
 	"cdagio/internal/serve"
 )
@@ -169,14 +171,14 @@ func Compile(s *Spec, opts Options) (*IR, error) {
 		if _, dup := ir.workloadIdx[w.Name]; dup {
 			return nil, fmt.Errorf("workload %q: duplicate name", w.Name)
 		}
-		if !serve.KnownGenKind(w.Kind) {
+		if kinds := gen.Kinds(); !slices.Contains(kinds, strings.ToLower(w.Kind)) {
 			return nil, fmt.Errorf("workload %q: unknown generator kind %q (known: %s)",
-				w.Name, w.Kind, strings.Join(serve.GenKinds(), ", "))
+				w.Name, w.Kind, strings.Join(kinds, ", "))
 		}
-		if v, _ := serve.GenEstimate(&w.GenSpec); v <= 0 {
+		if v, _ := gen.Estimate(&w.Spec); v <= 0 {
 			return nil, fmt.Errorf("workload %q: generator %q parameters out of domain", w.Name, w.Kind)
 		}
-		if err := serve.AdmitGenSpec(&w.GenSpec, opts.Limits, opts.SolverLimit, opts.Budget); err != nil {
+		if err := serve.AdmitGenSpec(&w.Spec, opts.Limits, opts.SolverLimit, opts.Budget); err != nil {
 			return nil, fmt.Errorf("workload %q: %w", w.Name, err)
 		}
 		ir.workloadIdx[w.Name] = len(ir.Workloads)
@@ -243,7 +245,7 @@ func compileExperiment(ir *IR, ei int, e *Experiment) ([]Cell, error) {
 
 	graphID := ""
 	if w != nil {
-		graphID = serve.HashID([]byte(serve.GenKey(&w.GenSpec)))
+		graphID = serve.HashID([]byte(gen.Key(&w.Spec)))
 	}
 
 	var cells []Cell

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"os"
 
-	"cdagio/internal/serve"
+	"cdagio/internal/gen"
 )
 
 // Spec is the top-level experiment specification, decodable from strict
@@ -30,12 +30,12 @@ type Spec struct {
 	Experiments []Experiment `json:"experiments"`
 }
 
-// Workload is a named generator spec.  The generator fields are serve's
-// GenSpec verbatim, so a workload admits, builds and content-hashes exactly
-// like a daemon upload of the same spec.
+// Workload is a named generator spec.  The generator fields are the
+// catalog's Spec verbatim, so a workload admits, builds and content-hashes
+// exactly like a daemon upload of the same spec.
 type Workload struct {
 	Name string `json:"name"`
-	serve.GenSpec
+	gen.Spec
 }
 
 // Experiment is one named measurement over an optional workload.  Slice

@@ -169,6 +169,20 @@ experiments:
     workload: w
     s: [0]
 `, "out of domain"},
+		{"unknown stencil", `
+name: x
+workloads:
+  - name: w
+    kind: jacobi
+    dim: 2
+    n: 4
+    steps: 2
+    stencil: bogus
+experiments:
+  - name: e
+    kind: graphstat
+    workload: w
+`, "out of domain"},
 		{"oversized workload", `
 name: x
 workloads:

@@ -12,4 +12,10 @@
 //
 // All generators are deterministic: the same parameters always produce the
 // same graph, with the same vertex numbering.
+//
+// The catalog (catalog.go) names these families for everything that builds
+// graphs from data: cdagd uploads, cdagx workloads and the CLIs' -kernel
+// flag.  A Spec names a kind and its parameters; Build constructs it, Key
+// renders its canonical identity and Estimate bounds its size without
+// building.  A kind is added to the catalog table and nowhere else.
 package gen

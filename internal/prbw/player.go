@@ -145,8 +145,8 @@ type player struct {
 	clock int64 // compute steps executed so far; the touch timestamp
 
 	// lastUseAt[v] is the last schedule position consuming v (−1 when none);
-	// noMoreUses[v] flips exactly when the schedule passes that position,
-	// mirroring the reference player's nextUse(pos) comparison.
+	// noMoreUses[v] flips once the step at that position has fetched its
+	// operands, mirroring the reference player's nextUse(pos) comparison.
 	lastUseAt  []int32
 	noMoreUses []bool
 	// dead[v] caches whether losing one copy of v costs nothing: a copy
@@ -258,18 +258,19 @@ func PlayCtx(ctx context.Context, g *cdag.Graph, topo Topology, asg Assignment) 
 		proc := asg.Proc[i]
 		// One row slice serves every predecessor pass of this step.
 		preds := predVal[predOff[v]:predOff[v+1]]
-		// Values consumed for the last time by this step stop mattering now
-		// (the reference player's nextUse skips uses at the current position).
-		for _, p := range preds {
-			if pl.lastUseAt[p] == int32(i) && !pl.noMoreUses[p] {
-				pl.noMoreUses[p] = true
-				pl.refreshDead(p)
-			}
-		}
 		pins := pl.newStepPins(preds)
 		for _, p := range preds {
 			if err := pl.fetchToRegisters(p, proc, pins); err != nil {
 				return nil, err
+			}
+		}
+		// Values consumed for the last time by this step stop mattering once
+		// the step holds them all: flipping one earlier would let a later
+		// fetch evict its only copy.
+		for _, p := range preds {
+			if pl.lastUseAt[p] == int32(i) && !pl.noMoreUses[p] {
+				pl.noMoreUses[p] = true
+				pl.refreshDead(p)
 			}
 		}
 		regs := Loc{Level: 1, Unit: proc}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cdagio/internal/cdag"
@@ -120,19 +121,30 @@ func TestPlayMatchesReferenceEvictionChurn(t *testing.T) {
 	}
 }
 
-// TestPlayErrorMatchesReference checks that even failing schedules fail
-// identically: this CG-over-nodes configuration trips the players' shared
-// "value lost" edge (a value whose only remaining use is the in-flight step is
-// considered evictable at off-path levels) and both implementations must
-// reach it at the same vertex.
+// TestPlayErrorMatchesReference checks both outcomes of one CG-over-nodes
+// assignment.  With 64-word caches the game completes in both players with
+// identical statistics: a value whose last use is the in-flight step stays
+// live until the step has fetched every operand, so no fetch evicts its only
+// copy.  With 4-word caches a node's cache cannot hold a step's pinned
+// values, and both players must fail with the same error.
 func TestPlayErrorMatchesReference(t *testing.T) {
 	cg := gen.CG(2, 6, 2).Graph
-	topo := Distributed(2, 2, 10, 64, 1<<16)
 	asg := RoundRobin(cg, 4, 16)
-	_, errRef := PlayReference(cg, topo, asg)
-	_, errNew := PlayCtx(context.Background(), cg, topo, asg)
+	topo := Distributed(2, 2, 10, 64, 1<<16)
+	want, errRef := PlayReference(cg, topo, asg)
+	got, errNew := PlayCtx(context.Background(), cg, topo, asg)
+	if errRef != nil || errNew != nil {
+		t.Fatalf("64-word caches: reference err = %v, optimized err = %v", errRef, errNew)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("64-word caches: statistics diverge\nreference: %v\noptimized: %v", want, got)
+	}
+
+	topo = Distributed(2, 2, 10, 4, 1<<16)
+	_, errRef = PlayReference(cg, topo, asg)
+	_, errNew = PlayCtx(context.Background(), cg, topo, asg)
 	if errRef == nil || errNew == nil {
-		t.Fatalf("expected both players to fail, got reference=%v optimized=%v", errRef, errNew)
+		t.Fatalf("4-word caches: expected both players to fail, got reference=%v optimized=%v", errRef, errNew)
 	}
 	if errRef.Error() != errNew.Error() {
 		t.Fatalf("error divergence: reference %q, optimized %q", errRef, errNew)
@@ -140,6 +152,9 @@ func TestPlayErrorMatchesReference(t *testing.T) {
 	var pe *PlayError
 	if !errors.As(errNew, &pe) {
 		t.Fatalf("expected *PlayError, got %T", errNew)
+	}
+	if !strings.Contains(errNew.Error(), "full with pinned values") {
+		t.Fatalf("4-word caches: error %q, want a full-unit error", errNew)
 	}
 }
 

@@ -50,7 +50,8 @@ func PlayReference(g *cdag.Graph, topo Topology, asg Assignment) (*Stats, error)
 
 	// Execute the schedule.
 	for i, v := range asg.Order {
-		pl.pos = i
+		// While the step fetches its operands, its own uses still count.
+		pl.pos = i - 1
 		proc := asg.Proc[i]
 		preds := predVal[predOff[v]:predOff[v+1]]
 		pinned := make(map[cdag.VertexID]bool, len(preds)+1)
@@ -62,6 +63,7 @@ func PlayReference(g *cdag.Graph, topo Topology, asg Assignment) (*Stats, error)
 				return nil, err
 			}
 		}
+		pl.pos = i
 		regs := Loc{Level: 1, Unit: proc}
 		if err := pl.ensureCapacity(regs, pinned); err != nil {
 			return nil, err
@@ -98,7 +100,7 @@ type refPlayer struct {
 
 	uses    [][]int // schedule positions consuming each vertex
 	usePtr  []int
-	pos     int // current schedule position
+	pos     int // schedule position whose uses are spent
 	clock   int64
 	touched [][]map[cdag.VertexID]int64 // per level, per unit: last touch time
 }

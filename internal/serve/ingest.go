@@ -5,9 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"sort"
-	"strings"
 
 	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
@@ -22,135 +19,13 @@ type uploadRequest struct {
 	Gen   *GenSpec        `json:"gen,omitempty"`
 }
 
-// GenSpec names one of the paper's CDAG families and its size parameters.
-// Unused parameters for a kind must be zero; the canonical hash key includes
-// only the parameters the kind consumes, so equivalent specs share an ID.
-type GenSpec struct {
-	Kind       string `json:"kind"`
-	N          int    `json:"n,omitempty"`
-	K          int    `json:"k,omitempty"`
-	H          int    `json:"h,omitempty"`
-	Dim        int    `json:"dim,omitempty"`
-	Steps      int    `json:"steps,omitempty"`
-	Iterations int    `json:"iterations,omitempty"`
-	Stencil    string `json:"stencil,omitempty"` // "star" (default) or "box"
-}
-
-// satCap bounds every value in the generator size estimates: large enough
-// that no admissible graph is anywhere near it, small enough that the
-// downstream footprint arithmetic (per-vertex byte costs times a solver
-// count) cannot overflow int64.
-const satCap = int64(1) << 40
-
-// satMul and satAdd are the saturating arithmetic of the size estimates:
-// negative operands clamp to zero (out-of-domain parameters are the
-// generator's 400 to report, not a 413), and anything at or beyond satCap
-// stays pinned there.
-func satMul(a, b int64) int64 {
-	if a < 0 {
-		a = 0
-	}
-	if b < 0 {
-		b = 0
-	}
-	if a > 0 && b > satCap/a {
-		return satCap
-	}
-	return a * b
-}
-
-func satAdd(a, b int64) int64 {
-	if a < 0 {
-		a = 0
-	}
-	if b < 0 {
-		b = 0
-	}
-	if a+b > satCap {
-		return satCap
-	}
-	return a + b
-}
-
-// satPow returns base^exp, saturating.
-func satPow(base, exp int64) int64 {
-	p := int64(1)
-	for i := int64(0); i < exp; i++ {
-		p = satMul(p, base)
-	}
-	return p
-}
+// GenSpec is a generator spec: one of the catalog's CDAG families
+// (internal/gen) and its size parameters.
+type GenSpec = gen.Spec
 
 // genLabelBytesPerVertex approximates the label payload of the generators
 // ("u12[3456]"-style names) for the pre-build footprint estimate.
 const genLabelBytesPerVertex = 12
-
-// GenEstimate returns saturating upper bounds on the vertex and edge counts
-// the spec would materialize, without building anything.  Unknown kinds and
-// out-of-domain parameters estimate as zero — BuildGen rejects those with a
-// 400 — so the only job here is making sure a syntactically healthy spec
-// whose *size* is hostile never reaches an allocation.
-func GenEstimate(spec *GenSpec) (v, e int64) {
-	n, k, h := int64(spec.N), int64(spec.K), int64(spec.H)
-	dim, steps, iter := int64(spec.Dim), int64(spec.Steps), int64(spec.Iterations)
-	switch strings.ToLower(spec.Kind) {
-	case "chain":
-		return n, n
-	case "chains":
-		return satMul(k, n), satMul(k, n)
-	case "tree":
-		return satMul(2, n), satMul(2, n)
-	case "dot":
-		return satMul(4, n), satMul(4, n)
-	case "saxpy":
-		return satAdd(satMul(4, n), 1), satMul(4, n)
-	case "outer":
-		return satAdd(satMul(2, n), satMul(n, n)), satMul(2, satMul(n, n))
-	case "matmul":
-		n3 := satPow(n, 3)
-		return satAdd(satMul(2, satMul(n, n)), satMul(2, n3)), satMul(4, n3)
-	case "composite":
-		n3 := satPow(n, 3)
-		v = satAdd(satMul(4, n), satAdd(satMul(3, satMul(n, n)), satMul(2, n3)))
-		return v, satAdd(satMul(4, satMul(n, n)), satMul(4, n3))
-	case "fft":
-		stages := int64(0)
-		for s := n; s > 1; s >>= 1 {
-			stages++
-		}
-		return satMul(n, stages+1), satMul(2, satMul(n, stages))
-	case "binomial":
-		if spec.K < 0 || spec.K > 20 {
-			return 0, 0 // generator domain error, reported as 400
-		}
-		leaves := int64(1) << uint(spec.K)
-		return satMul(leaves, k+1), satMul(k, satMul(2, leaves))
-	case "pyramid":
-		rows := satAdd(h, 1)
-		return satMul(rows, satAdd(h, 2)) / 2, satMul(h, rows)
-	case "heat":
-		return satMul(n, satAdd(satMul(3, steps), 1)), satMul(steps, satMul(7, n))
-	case "jacobi":
-		np := satPow(n, dim)
-		nbr := satAdd(satMul(2, dim), 1) // star stencil
-		if strings.EqualFold(spec.Stencil, "box") {
-			nbr = satPow(3, dim)
-		}
-		return satMul(np, satAdd(steps, 1)), satMul(steps, satMul(np, nbr))
-	case "cg":
-		np := satPow(n, dim)
-		v = satAdd(satMul(3, np), satMul(iter, satAdd(satMul(10, np), 2)))
-		return v, satMul(iter, satMul(np, satAdd(20, satMul(2, dim))))
-	case "gmres":
-		np := satPow(n, dim)
-		m2 := satMul(iter, iter)
-		v = satMul(np, satAdd(satAdd(m2, satMul(6, iter)), 1))
-		e = satMul(np, satAdd(satMul(iter, satAdd(8, satMul(2, dim))), satMul(3, satMul(iter, satAdd(iter, 1)))))
-		return v, e
-	default:
-		return 0, 0
-	}
-}
 
 // AdmitGenSpec rejects a generator spec whose declared size violates the
 // upload limits or whose estimated Workspace footprint (with solverLimit
@@ -163,14 +38,14 @@ func GenEstimate(spec *GenSpec) (v, e int64) {
 // oversized spec cells at compile time under the same ceilings a daemon
 // would apply at upload time.
 func AdmitGenSpec(spec *GenSpec, lim cdag.JSONLimits, solverLimit int, budget int64) error {
-	v, e := GenEstimate(spec)
+	v, e := gen.Estimate(spec)
 	if lim.MaxVertices > 0 && v > int64(lim.MaxVertices) {
 		return limitf("generator %q: ~%d vertices exceeds limit %d", spec.Kind, v, lim.MaxVertices)
 	}
 	if lim.MaxEdges > 0 && e > int64(lim.MaxEdges) {
 		return limitf("generator %q: ~%d edges exceeds limit %d", spec.Kind, e, lim.MaxEdges)
 	}
-	fp := cdag.EstimateFootprintBytes(int(v), int(e), satMul(v, genLabelBytesPerVertex)) +
+	fp := cdag.EstimateFootprintBytes(int(v), int(e), max(v, 0)*genLabelBytesPerVertex) +
 		int64(solverLimit)*graphalg.EstimateSolverFootprintCounts(v, e)
 	if budget > 0 && fp > budget {
 		return limitf("generator %q: estimated footprint %d bytes exceeds cache budget %d bytes",
@@ -184,125 +59,18 @@ func (s *Server) checkGenSpec(spec *GenSpec) error {
 	return AdmitGenSpec(spec, s.cfg.JSONLimits, s.cfg.SolverLimit, s.cfg.CacheBudget)
 }
 
-// genKinds lists the generator kinds BuildGen accepts, sorted.
-var genKinds = []string{
-	"binomial", "cg", "chain", "chains", "composite", "dot", "fft", "gmres",
-	"heat", "jacobi", "matmul", "outer", "pyramid", "saxpy", "tree",
+// BuildGen constructs the spec's graph; a spec the catalog rejects is
+// invalid input.
+func BuildGen(spec *GenSpec) (*cdag.Graph, error) {
+	b, err := gen.Build(spec)
+	if err != nil {
+		return nil, invalidf("%v", err)
+	}
+	return b.Graph, nil
 }
 
-// GenKinds returns the generator kinds BuildGen accepts, sorted.
-func GenKinds() []string { return append([]string(nil), genKinds...) }
-
-// KnownGenKind reports whether kind (case-insensitively) names a generator
-// BuildGen accepts, letting spec compilers reject unknown kinds as boundary
-// errors without building anything.
-func KnownGenKind(kind string) bool {
-	kind = strings.ToLower(kind)
-	for _, k := range genKinds {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
-
-// BuildGen constructs the named generator graph.  The generators enforce
-// their parameter domains by panicking — fine for test code, unacceptable
-// for request data — so the whole construction runs under a recover that
-// converts the panic message into an invalid-input error.
-func BuildGen(spec *GenSpec) (g *cdag.Graph, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = invalidf("generator %q: %v", spec.Kind, r)
-		}
-	}()
-	switch strings.ToLower(spec.Kind) {
-	case "chain":
-		return gen.Chain(spec.N), nil
-	case "chains":
-		return gen.IndependentChains(spec.K, spec.N), nil
-	case "tree":
-		return gen.ReductionTree(spec.N), nil
-	case "dot":
-		return gen.DotProduct(spec.N), nil
-	case "saxpy":
-		return gen.Saxpy(spec.N), nil
-	case "outer":
-		return gen.OuterProduct(spec.N), nil
-	case "matmul":
-		return gen.MatMul(spec.N).Graph, nil
-	case "composite":
-		return gen.Composite(spec.N).Graph, nil
-	case "fft":
-		return gen.FFT(spec.N), nil
-	case "binomial":
-		return gen.BinomialTree(spec.K), nil
-	case "pyramid":
-		return gen.Pyramid(spec.H), nil
-	case "heat":
-		return gen.HeatEquation1D(spec.N, spec.Steps).Graph, nil
-	case "jacobi":
-		kind := gen.StencilStar
-		switch strings.ToLower(spec.Stencil) {
-		case "", "star":
-		case "box":
-			kind = gen.StencilBox
-		default:
-			return nil, invalidf("generator jacobi: unknown stencil %q (want star or box)", spec.Stencil)
-		}
-		return gen.Jacobi(spec.Dim, spec.N, spec.Steps, kind).Graph, nil
-	case "cg":
-		return gen.CG(spec.Dim, spec.N, spec.Iterations).Graph, nil
-	case "gmres":
-		return gen.GMRES(spec.Dim, spec.N, spec.Iterations).Graph, nil
-	default:
-		return nil, invalidf("unknown generator kind %q", spec.Kind)
-	}
-}
-
-// GenKey renders the canonical identity string of a generator spec: the
-// lower-cased kind plus exactly the parameters that kind consumes, so
-// {"kind":"chain","n":8} and {"kind":"Chain","n":8,"k":0} hash identically.
-func GenKey(spec *GenSpec) string {
-	kind := strings.ToLower(spec.Kind)
-	params := map[string]int{}
-	switch kind {
-	case "chain", "tree", "dot", "saxpy", "outer", "matmul", "composite", "fft":
-		params["n"] = spec.N
-	case "chains":
-		params["k"], params["n"] = spec.K, spec.N
-	case "binomial":
-		params["k"] = spec.K
-	case "pyramid":
-		params["h"] = spec.H
-	case "heat":
-		params["n"], params["steps"] = spec.N, spec.Steps
-	case "jacobi":
-		params["dim"], params["n"], params["steps"] = spec.Dim, spec.N, spec.Steps
-		st := strings.ToLower(spec.Stencil)
-		if st == "" {
-			st = "star"
-		}
-		return fmt.Sprintf("gen/jacobi/dim=%d,n=%d,steps=%d,stencil=%s",
-			spec.Dim, spec.N, spec.Steps, st)
-	case "cg", "gmres":
-		params["dim"], params["n"], params["iter"] = spec.Dim, spec.N, spec.Iterations
-	}
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	fmt.Fprintf(&b, "gen/%s/", kind)
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%d", k, params[k])
-	}
-	return b.String()
-}
+// GenKey renders the canonical identity string of a generator spec.
+func GenKey(spec *GenSpec) string { return gen.Key(spec) }
 
 // HashID renders a content identity string as the daemon's graph ID.
 func HashID(identity []byte) string {

@@ -5,44 +5,6 @@ import (
 	"testing"
 )
 
-// TestGenEstimateIsUpperBound builds a small instance of every generator kind
-// and checks the pre-build size estimate dominates the real counts: the
-// estimate's only job is to be safely conservative, so it must never be
-// smaller than what the generator actually materializes (or admission would
-// wrongly 413 graphs that fit).
-func TestGenEstimateIsUpperBound(t *testing.T) {
-	specs := []GenSpec{
-		{Kind: "chain", N: 9},
-		{Kind: "chains", K: 3, N: 4},
-		{Kind: "tree", N: 9},
-		{Kind: "dot", N: 9},
-		{Kind: "saxpy", N: 9},
-		{Kind: "outer", N: 5},
-		{Kind: "matmul", N: 4},
-		{Kind: "composite", N: 3},
-		{Kind: "fft", N: 16},
-		{Kind: "binomial", K: 4},
-		{Kind: "pyramid", H: 5},
-		{Kind: "heat", N: 5, Steps: 3},
-		{Kind: "jacobi", Dim: 2, N: 4, Steps: 2},
-		{Kind: "jacobi", Dim: 2, N: 4, Steps: 2, Stencil: "box"},
-		{Kind: "cg", Dim: 2, N: 3, Iterations: 2},
-		{Kind: "gmres", Dim: 2, N: 3, Iterations: 2},
-	}
-	for i := range specs {
-		spec := &specs[i]
-		g, err := BuildGen(spec)
-		if err != nil {
-			t.Fatalf("%s: BuildGen: %v", GenKey(spec), err)
-		}
-		v, e := GenEstimate(spec)
-		if int64(g.NumVertices()) > v || int64(g.NumEdges()) > e {
-			t.Errorf("%s: built %d vertices / %d edges but estimated only %d / %d — the estimate must be an upper bound",
-				GenKey(spec), g.NumVertices(), g.NumEdges(), v, e)
-		}
-	}
-}
-
 // TestGenSpecRejectedBeforeBuild feeds tiny request bodies naming enormous
 // generators through ingestGraph under the default limits: each must be
 // rejected as a resource limit by the declared-size pre-check, before a
@@ -70,6 +32,27 @@ func TestGenSpecRejectedBeforeBuild(t *testing.T) {
 		var se *Error
 		if !errors.As(err, &se) || !errors.Is(se.Class, ErrResourceLimit) {
 			t.Errorf("%s: err %v, want ErrResourceLimit", body, err)
+		}
+	}
+}
+
+// TestGenSpecOutOfDomainIsInvalid feeds specs whose parameters no generator
+// accepts, at sizes that would exceed every limit if they meant anything:
+// each must be rejected as invalid input (400), not as a resource limit
+// (413), because the size estimate of an out-of-domain spec is zero.
+func TestGenSpecOutOfDomainIsInvalid(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, body := range []string{
+		`{"gen":{"kind":"jacobi","dim":3,"n":100000,"steps":2,"stencil":"bogus"}}`,
+		`{"gen":{"kind":"binomial","k":40}}`,
+	} {
+		_, err := s.ingestGraph([]byte(body))
+		var se *Error
+		if !errors.As(err, &se) || !errors.Is(se.Class, ErrInvalidInput) {
+			t.Errorf("%s: err %v, want ErrInvalidInput", body, err)
 		}
 	}
 }
