@@ -116,6 +116,35 @@ experiments:
 	}
 }
 
+// TestOutOfDomainWorkloadFailsPlan plans a spec whose jacobi workload omits
+// dim: its grid has no axes, so the catalog cannot build it, and the compile
+// step must reject it with one "cdagx: ..." line naming the domain.
+func TestOutOfDomainWorkloadFailsPlan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nodim.yaml")
+	text := `name: nodim
+workloads:
+  - name: w
+    kind: jacobi
+    n: 4
+    steps: 2
+experiments:
+  - name: e
+    kind: graphstat
+    workload: w
+`
+	if err := os.WriteFile(path, []byte(text), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, err := cdagx(t, "plan", path)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("cdagx plan exited with %v, want a non-zero status (stdout %q)", err, stdout)
+	}
+	if !strings.HasPrefix(stderr, "cdagx: ") || !strings.Contains(stderr, "parameters out of domain") || strings.Count(stderr, "\n") != 1 {
+		t.Fatalf("stderr %q, want one \"cdagx: ...\" line saying the parameters are out of domain", stderr)
+	}
+}
+
 // TestUnknownCommandExits2 passes a subcommand cdagx does not have.
 func TestUnknownCommandExits2(t *testing.T) {
 	_, stderr, err := cdagx(t, "frobnicate")

@@ -211,3 +211,27 @@ func TestWorkspaceEnginesMatchFreeFunctions(t *testing.T) {
 		t.Fatalf("MinDominatorSize: (%d, %v, %v), want (%d, %v, nil)", gotK, gotDom, err, wantK, wantDom)
 	}
 }
+
+// TestWMaxAllocationsPerScan pins a warmed Workspace's all-candidates w^max
+// scan to a fixed number of allocations per call: scanning Composite(12)
+// (3,936 vertices) may allocate at most 32 more times than scanning
+// Composite(6) (564 vertices), where one allocation per candidate in any of
+// the three passes would add thousands.  AllocsPerRun runs the scan at
+// GOMAXPROCS 1, so it takes one worker.
+func TestWMaxAllocationsPerScan(t *testing.T) {
+	allocs := func(n int) float64 {
+		ws := NewWorkspace(gen.Composite(n).Graph)
+		scan := func() {
+			if _, _, err := ws.WMax(context.Background(), nil, graphalg.WMaxOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan()
+		return testing.AllocsPerRun(3, scan)
+	}
+	small, large := allocs(6), allocs(12)
+	t.Logf("%v allocations at n=6, %v at n=12", small, large)
+	if large > small+32 {
+		t.Errorf("%v allocations at n=12 against %v at n=6: the scan allocates per candidate", large, small)
+	}
+}

@@ -43,15 +43,25 @@ type params struct {
 }
 
 // entry is one catalog kind: the rendering of the parameters its key
-// consumes, its builder and its saturating size estimate.
+// consumes, its builder, its generator's parameter domain (the builder
+// panics exactly outside it) and its saturating size estimate, which is
+// only consulted inside the domain.
 type entry struct {
 	key      func(s *Spec) string
 	build    func(s *Spec) (Built, error)
+	domain   func(p params) bool
 	estimate func(p params) (v, e int64)
 }
 
 // keyN keys the kinds sized by n alone.
 func keyN(s *Spec) string { return fmt.Sprintf("n=%d", s.N) }
+
+// nPositive is the domain of the kinds that need n >= 1 and nothing else.
+func nPositive(p params) bool { return p.n >= 1 }
+
+// gridDomain is the domain of the grid kinds: a grid of dim >= 1 axes of
+// n >= 1 points, run for t >= 1 steps or iterations.
+func gridDomain(p params, t int64) bool { return p.dim >= 1 && p.n >= 1 && t >= 1 }
 
 // graph is the build result of a kind without a typed result.
 func graph(g *cdag.Graph) (Built, error) { return Built{Graph: g}, nil }
@@ -59,12 +69,10 @@ func graph(g *cdag.Graph) (Built, error) { return Built{Graph: g}, nil }
 // catalog holds every generator kind, keyed by its lower-case name.
 var catalog = map[string]entry{
 	"binomial": {
-		key:   func(s *Spec) string { return fmt.Sprintf("k=%d", s.K) },
-		build: func(s *Spec) (Built, error) { return graph(BinomialTree(s.K)) },
+		key:    func(s *Spec) string { return fmt.Sprintf("k=%d", s.K) },
+		build:  func(s *Spec) (Built, error) { return graph(BinomialTree(s.K)) },
+		domain: func(p params) bool { return p.k >= 0 && p.k <= 20 },
 		estimate: func(p params) (int64, int64) {
-			if p.k < 0 || p.k > 20 {
-				return 0, 0 // out of BinomialTree's domain
-			}
 			leaves := int64(1) << p.k
 			return satMul(leaves, p.k+1), satMul(p.k, satMul(2, leaves))
 		},
@@ -75,6 +83,7 @@ var catalog = map[string]entry{
 			r := CG(s.Dim, s.N, s.Iterations)
 			return Built{Graph: r.Graph, CG: r}, nil
 		},
+		domain: func(p params) bool { return gridDomain(p, p.iter) },
 		estimate: func(p params) (int64, int64) {
 			np := satPow(p.n, p.dim)
 			v := satAdd(satMul(3, np), satMul(p.iter, satAdd(satMul(10, np), 2)))
@@ -84,16 +93,19 @@ var catalog = map[string]entry{
 	"chain": {
 		key:      keyN,
 		build:    func(s *Spec) (Built, error) { return graph(Chain(s.N)) },
+		domain:   nPositive,
 		estimate: func(p params) (int64, int64) { return p.n, p.n },
 	},
 	"chains": {
 		key:      func(s *Spec) string { return fmt.Sprintf("k=%d,n=%d", s.K, s.N) },
 		build:    func(s *Spec) (Built, error) { return graph(IndependentChains(s.K, s.N)) },
+		domain:   func(p params) bool { return p.k >= 1 && p.n >= 1 },
 		estimate: func(p params) (int64, int64) { return satMul(p.k, p.n), satMul(p.k, p.n) },
 	},
 	"composite": {
-		key:   keyN,
-		build: func(s *Spec) (Built, error) { return graph(Composite(s.N).Graph) },
+		key:    keyN,
+		build:  func(s *Spec) (Built, error) { return graph(Composite(s.N).Graph) },
+		domain: nPositive,
 		estimate: func(p params) (int64, int64) {
 			n3 := satPow(p.n, 3)
 			v := satAdd(satMul(4, p.n), satAdd(satMul(3, satMul(p.n, p.n)), satMul(2, n3)))
@@ -103,11 +115,13 @@ var catalog = map[string]entry{
 	"dot": {
 		key:      keyN,
 		build:    func(s *Spec) (Built, error) { return graph(DotProduct(s.N)) },
+		domain:   nPositive,
 		estimate: func(p params) (int64, int64) { return satMul(4, p.n), satMul(4, p.n) },
 	},
 	"fft": {
-		key:   keyN,
-		build: func(s *Spec) (Built, error) { return graph(FFT(s.N)) },
+		key:    keyN,
+		build:  func(s *Spec) (Built, error) { return graph(FFT(s.N)) },
+		domain: func(p params) bool { return p.n >= 2 && p.n&(p.n-1) == 0 },
 		estimate: func(p params) (int64, int64) {
 			stages := int64(0)
 			for s := p.n; s > 1; s >>= 1 {
@@ -122,6 +136,7 @@ var catalog = map[string]entry{
 			r := GMRES(s.Dim, s.N, s.Iterations)
 			return Built{Graph: r.Graph, GMRES: r}, nil
 		},
+		domain: func(p params) bool { return gridDomain(p, p.iter) },
 		estimate: func(p params) (int64, int64) {
 			np := satPow(p.n, p.dim)
 			m2 := satMul(p.iter, p.iter)
@@ -130,8 +145,9 @@ var catalog = map[string]entry{
 		},
 	},
 	"heat": {
-		key:   func(s *Spec) string { return fmt.Sprintf("n=%d,steps=%d", s.N, s.Steps) },
-		build: func(s *Spec) (Built, error) { return graph(HeatEquation1D(s.N, s.Steps).Graph) },
+		key:    func(s *Spec) string { return fmt.Sprintf("n=%d,steps=%d", s.N, s.Steps) },
+		build:  func(s *Spec) (Built, error) { return graph(HeatEquation1D(s.N, s.Steps).Graph) },
+		domain: func(p params) bool { return p.n >= 2 && p.steps >= 1 },
 		estimate: func(p params) (int64, int64) {
 			return satMul(p.n, satAdd(satMul(3, p.steps), 1)), satMul(p.steps, satMul(7, p.n))
 		},
@@ -152,11 +168,12 @@ var catalog = map[string]entry{
 			r := Jacobi(s.Dim, s.N, s.Steps, kind)
 			return Built{Graph: r.Graph, Jacobi: r}, nil
 		},
+		domain: func(p params) bool {
+			_, err := stencilKind(p.stencil)
+			return err == nil && gridDomain(p, p.steps)
+		},
 		estimate: func(p params) (int64, int64) {
-			kind, err := stencilKind(p.stencil)
-			if err != nil {
-				return 0, 0
-			}
+			kind, _ := stencilKind(p.stencil)
 			nbr := satAdd(satMul(2, p.dim), 1)
 			if kind == StencilBox {
 				nbr = satPow(3, p.dim)
@@ -166,23 +183,26 @@ var catalog = map[string]entry{
 		},
 	},
 	"matmul": {
-		key:   keyN,
-		build: func(s *Spec) (Built, error) { r := MatMul(s.N); return Built{Graph: r.Graph, MatMul: r}, nil },
+		key:    keyN,
+		build:  func(s *Spec) (Built, error) { r := MatMul(s.N); return Built{Graph: r.Graph, MatMul: r}, nil },
+		domain: nPositive,
 		estimate: func(p params) (int64, int64) {
 			n3 := satPow(p.n, 3)
 			return satAdd(satMul(2, satMul(p.n, p.n)), satMul(2, n3)), satMul(4, n3)
 		},
 	},
 	"outer": {
-		key:   keyN,
-		build: func(s *Spec) (Built, error) { return graph(OuterProduct(s.N)) },
+		key:    keyN,
+		build:  func(s *Spec) (Built, error) { return graph(OuterProduct(s.N)) },
+		domain: nPositive,
 		estimate: func(p params) (int64, int64) {
 			return satAdd(satMul(2, p.n), satMul(p.n, p.n)), satMul(2, satMul(p.n, p.n))
 		},
 	},
 	"pyramid": {
-		key:   func(s *Spec) string { return fmt.Sprintf("h=%d", s.H) },
-		build: func(s *Spec) (Built, error) { return graph(Pyramid(s.H)) },
+		key:    func(s *Spec) string { return fmt.Sprintf("h=%d", s.H) },
+		build:  func(s *Spec) (Built, error) { return graph(Pyramid(s.H)) },
+		domain: func(p params) bool { return p.h >= 0 },
 		estimate: func(p params) (int64, int64) {
 			rows := satAdd(p.h, 1)
 			return satMul(rows, satAdd(p.h, 2)) / 2, satMul(p.h, rows)
@@ -191,11 +211,13 @@ var catalog = map[string]entry{
 	"saxpy": {
 		key:      keyN,
 		build:    func(s *Spec) (Built, error) { return graph(Saxpy(s.N)) },
+		domain:   nPositive,
 		estimate: func(p params) (int64, int64) { return satAdd(satMul(4, p.n), 1), satMul(4, p.n) },
 	},
 	"tree": {
 		key:      keyN,
 		build:    func(s *Spec) (Built, error) { return graph(ReductionTree(s.N)) },
+		domain:   nPositive,
 		estimate: func(p params) (int64, int64) { return satMul(2, p.n), satMul(2, p.n) },
 	},
 }
@@ -247,16 +269,20 @@ func Key(s *Spec) string {
 
 // Estimate returns saturating upper bounds on the vertex and edge counts the
 // spec would build, without building anything.  Unknown kinds and
-// out-of-domain parameters estimate as zero, as Build rejects them, so the
-// only job here is to make sure a healthy spec whose size is hostile never
-// reaches an allocation.
+// out-of-domain parameters — exactly the specs Build rejects — estimate as
+// (0, 0), so the only job here is to make sure a healthy spec whose size is
+// hostile never reaches an allocation.
 func Estimate(s *Spec) (v, e int64) {
 	c, ok := catalog[strings.ToLower(s.Kind)]
 	if !ok {
 		return 0, 0
 	}
-	return c.estimate(params{int64(s.N), int64(s.K), int64(s.H), int64(s.Dim),
-		int64(s.Steps), int64(s.Iterations), s.Stencil})
+	p := params{int64(s.N), int64(s.K), int64(s.H), int64(s.Dim),
+		int64(s.Steps), int64(s.Iterations), s.Stencil}
+	if !c.domain(p) {
+		return 0, 0
+	}
+	return c.estimate(p)
 }
 
 // satCap bounds every value in the size estimates: large enough that no
@@ -266,8 +292,8 @@ func Estimate(s *Spec) (v, e int64) {
 const satCap = int64(1) << 40
 
 // satMul and satAdd are the saturating arithmetic of the size estimates:
-// negative operands clamp to zero (out-of-domain parameters are Build's to
-// report), and anything at or beyond satCap stays pinned there.
+// negative operands clamp to zero, and anything at or beyond satCap stays
+// pinned there.
 func satMul(a, b int64) int64 {
 	a, b = max(a, 0), max(b, 0)
 	if a > 0 && b > satCap/a {

@@ -117,11 +117,51 @@ func TestEstimateHugeParameters(t *testing.T) {
 	}
 }
 
+// TestEstimateZeroExactlyOutOfDomain probes every kind on a grid of small,
+// zero and negative parameters (no kind reads both k and h, or both steps
+// and iterations, so each pair shares a value) and requires an estimate of
+// (0, 0) exactly for the specs Build rejects.  A nonzero estimate for a
+// rejected spec lets spec compilers and admission checks accept it, and a
+// zero one for a buildable spec rejects it.
+func TestEstimateZeroExactlyOutOfDomain(t *testing.T) {
+	small := []int{-1, 0, 1, 2}
+	for _, kind := range Kinds() {
+		rejected := 0
+		for _, n := range []int{-3, -1, 0, 1, 2, 3, 4, 6, 8} {
+			for _, kh := range small {
+				for _, dim := range small {
+					for _, steps := range small {
+						for _, stencil := range []string{"", "box", "bogus"} {
+							s := Spec{Kind: kind, N: n, K: kh, H: kh, Dim: dim, Steps: steps, Iterations: steps, Stencil: stencil}
+							_, err := Build(&s)
+							v, e := Estimate(&s)
+							switch {
+							case err != nil && (v != 0 || e != 0):
+								t.Errorf("%s: Build fails (%v) but the estimate is %d / %d", Key(&s), err, v, e)
+							case err == nil && v <= 0:
+								t.Errorf("%s: Build succeeds but the estimate is %d / %d", Key(&s), v, e)
+							}
+							if err != nil {
+								rejected++
+							}
+						}
+					}
+				}
+			}
+		}
+		if rejected == 0 {
+			t.Errorf("%s: no probe spec is out of domain", kind)
+		}
+	}
+}
+
 // FuzzSpec builds arbitrary specs of every kind whose estimate is at most
-// 4,096 vertices and 16,384 edges.  Build must never panic; a built graph
-// must be non-empty, within its estimate and a valid RBW CDAG; and zeroing a
-// field that leaves the key unchanged must leave the estimate and the built
-// graph unchanged, so equal keys (and so equal graph IDs) mean equal graphs.
+// 4,096 vertices and 16,384 edges.  No count may be negative, and a spec
+// Build rejects must estimate as (0, 0).  Build must never panic; a built
+// graph must be non-empty, within its estimate and a valid RBW CDAG; and
+// zeroing a field that leaves the key unchanged must leave the estimate and
+// the built graph unchanged, so equal keys (and so equal graph IDs) mean
+// equal graphs.
 func FuzzSpec(f *testing.F) {
 	kinds := Kinds()
 	for i, kind := range kinds {
@@ -146,11 +186,17 @@ func FuzzSpec(f *testing.F) {
 			s.Kind = strings.ToUpper(s.Kind)
 		}
 		v, e := Estimate(&s)
+		if v < 0 || e < 0 {
+			t.Fatalf("%+v: negative estimate %d / %d", s, v, e)
+		}
 		if v > 4096 || e > 16384 {
 			t.Skip()
 		}
 		b, err := Build(&s)
 		if err != nil {
+			if v != 0 || e != 0 {
+				t.Fatalf("%+v: Build fails (%v) but the estimate is %d / %d", s, err, v, e)
+			}
 			return
 		}
 		g := b.Graph

@@ -79,7 +79,7 @@ func BenchmarkWMaxScaleJacobi100k(b *testing.B) {
 // BenchmarkWMaxScaleJacobi1M is the million-vertex scale proof of the
 // incremental-flow engine: the exact all-candidates w^max scan over every
 // vertex of a 512×512, T=3 Jacobi CDAG (1,048,576 vertices, 7.06M edges).
-// The counting-sorted candidate order, the two-phase incumbent seeding, the
+// The seed pass, the keys of the bound pass, the best-first solve pass, the
 // threshold-limited late bound and the warm-started, abortable solves
 // together bring the full scan to low single-digit seconds on one core —
 // bound and witness still bit-identical to the serial reference.  Short mode
@@ -103,11 +103,12 @@ func BenchmarkWMaxScaleJacobi1M(b *testing.B) {
 }
 
 // BenchmarkWMaxSuite times the all-candidates w^max scan of each iolb-suite
-// kernel at the suite's size, so a change to the scan shows per kernel, and of
+// kernel at the suite's size, so a change to the scan shows per kernel; of
 // two trees, where a co-reachability sweep from the descendant side of every
-// candidate made the scan quadratic.  Each iteration scans through a fresh
-// SolverPool, as an iolb invocation does through its fresh Workspace.  Short
-// mode (the CI bench smoke) shrinks every kernel.
+// candidate made the scan quadratic; and of a 1-D heat equation, whose
+// thousands of candidates survive the early cut only to fall to the late one.
+// Each iteration scans through a fresh SolverPool, as an iolb invocation does
+// through its fresh Workspace.  Short mode shrinks every kernel.
 func BenchmarkWMaxSuite(b *testing.B) {
 	for _, k := range []struct {
 		name        string
@@ -131,6 +132,9 @@ func BenchmarkWMaxSuite(b *testing.B) {
 		{"reduction",
 			func() *cdag.Graph { return gen.ReductionTree(8192) },
 			func() *cdag.Graph { return gen.ReductionTree(512) }},
+		{"heat1d",
+			func() *cdag.Graph { return gen.HeatEquation1D(256, 32).Graph },
+			func() *cdag.Graph { return gen.HeatEquation1D(64, 8).Graph }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			build := k.full
@@ -143,6 +147,39 @@ func BenchmarkWMaxSuite(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w, _ := wmax(b, g, nil, WMaxOptions{Pool: NewSolverPool(g)})
+				if w < 1 {
+					b.Fatal("bogus bound")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWMaxSample times the sampled w^max scan cdagd and cdagx run by
+// default — the 32 candidates of largest degree, which the seed pass alone
+// covers — on the four graphs the cdagd-mix benchmark workload queries.
+func BenchmarkWMaxSample(b *testing.B) {
+	for _, spec := range []gen.Spec{
+		{Kind: "jacobi", Dim: 2, N: 36, Steps: 4, Stencil: "box"},
+		{Kind: "cg", Dim: 2, N: 12, Iterations: 3},
+		{Kind: "heat", N: 128, Steps: 16},
+		{Kind: "fft", N: 512},
+	} {
+		b.Run(spec.Kind, func(b *testing.B) {
+			built, err := gen.Build(&spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := built.Graph
+			vs := g.Vertices()
+			var cands []cdag.VertexID
+			for _, i := range topByDegree(g, vs, seedSample) {
+				cands = append(cands, vs[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w, _ := wmax(b, g, cands, WMaxOptions{Pool: NewSolverPool(g)})
 				if w < 1 {
 					b.Fatal("bogus bound")
 				}

@@ -111,13 +111,14 @@ func (cs *CutSolver) nextEpoch() int32 {
 // explore stamps the ancestor and descendant sets of x into the scratch marks
 // and element lists for a fresh epoch.
 func (cs *CutSolver) explore(x cdag.VertexID) {
+	cs.nextEpoch()
 	cs.exploreAnc(x)
 	cs.exploreDesc(x)
 }
 
 // exploreDesc stamps Desc(x) into the descendant marks and list under the
-// epoch opened by exploreAnc; it must follow an exploreAnc(x) call for the
-// same candidate.
+// current epoch.  The two cone walks are independent: the w^max search's seed
+// pass walks the ancestor cone first, its solve pass the descendant cone.
 func (cs *CutSolver) exploreDesc(x cdag.VertexID) {
 	e := cs.epoch
 	sOff, sVal := cs.succOff, cs.succVal
@@ -145,15 +146,13 @@ func (cs *CutSolver) exploreDesc(x cdag.VertexID) {
 	cs.stack = stack[:0]
 }
 
-// exploreAnc starts a fresh epoch and stamps Anc(x) into the ancestor marks
-// and list.  Vertices are marked before being pushed, so every CDAG edge is
-// inspected once and the stack never holds duplicates — on the high-fan-in
-// reduction vertices of Krylov CDAGs this halves the traversal's memory
-// traffic.  The w^max search explores the ancestor cone alone first: a
-// candidate pruned by its early convex cut never pays for the descendant
-// cone.
+// exploreAnc stamps Anc(x) into the ancestor marks and list under the
+// current epoch.  Vertices are marked before being pushed, so every CDAG edge
+// is inspected once and the stack never holds duplicates — on the
+// high-fan-in reduction vertices of Krylov CDAGs this halves the traversal's
+// memory traffic.
 func (cs *CutSolver) exploreAnc(x cdag.VertexID) {
-	e := cs.nextEpoch()
+	e := cs.epoch
 	pOff, pVal := cs.predOff, cs.predVal
 
 	cs.anc = cs.anc[:0]

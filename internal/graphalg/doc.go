@@ -75,6 +75,61 @@
 // the package's tests, as the reference every engine is pinned to: one fresh
 // 2|V|+2-node network per cut, and a serial scan solving every candidate.
 //
+// # The w^max scan: best first, in three passes
+//
+// MaxMinWavefrontLowerBoundCtx maximizes that bound over a candidate list and
+// returns the first candidate attaining the maximum.  Most candidates cannot
+// matter, and the scan is built to find that out as cheaply as possible.  It
+// keeps the incumbent as one packed (bound, candidate index) word, and it
+// skips a candidate whenever an upper bound on its value, packed with its
+// index, falls below the incumbent.
+//
+//  1. The seed pass solves the (at most) 32 candidates of largest in+out
+//     degree: on the paper's kernels the maximum sits at reduction roots and
+//     other high-degree vertices, so the incumbent starts at or near the
+//     final value.  A list of at most 32 candidates, such as the default
+//     samples of cdagd and cdagx, is finished here.
+//  2. The bound pass gives every other candidate a key: the smaller of its
+//     two schedule wavefronts (below), and, unless those already put it
+//     below the incumbent, the boundary of its earliest convex cut
+//     S = {x} ∪ Anc(x), one ancestor-cone walk.  Nothing is solved, so the
+//     incumbent stands still, and workers claim candidates in blocks.  The
+//     keys overwrite the schedule bounds in place; the seeds' keys become −1.
+//  3. The solve pass sorts the candidates whose key still reaches the
+//     incumbent by decreasing key, then by index, and visits them in that
+//     order.  It stops at the first key below the incumbent: every later key
+//     is lower still.  A visited candidate walks its descendant cone and
+//     prunes on its latest convex cut T = Desc(x) first.  Only when it
+//     survives does it walk its ancestor cone again and pay for the solve.
+//
+// The schedule wavefronts come from playing two topological orders once each,
+// O(V+E) for all candidates together.  The fired prefix when x fires is
+// closed under predecessors, holds {x} ∪ Anc(x) and excludes Desc(x), so it
+// is a valid convex cut around x, and its wavefront (the fired vertices with
+// an unfired successor, plus x) bounds the minimum wavefront from above.  One
+// order is Kahn's FIFO order, which fires level by level.  The other is
+// demand-driven: a depth-first post-order over predecessors from each sink
+// (sinks in ID order, predecessors in CSR order), which fires a vertex only
+// once a vertex being computed needs it, right after the last of its
+// predecessors.  Each is tight where the other is loose:
+// of the 11,774 vertices of CG(3-D, n = 8, 2 iterations), whose maximum is
+// 2,050, Kahn's order leaves 4,095 at or above it, the demand order 37 and
+// the smaller of the two 25.  The second sweep reuses the first one's
+// arrays: the topological order slice holds the search path and the fired
+// prefix, and the unfired-successor counts become predecessor cursors.
+//
+// Neither the passes nor the key order can change the result.  Every key and
+// every convex-cut or level-cut bound is an upper bound on the candidate's
+// true value, the incumbent only ever grows in packed order, and a candidate
+// is skipped only when its packed upper bound is below the incumbent at that
+// moment, so below the final maximum too.  The final packed maximum is
+// therefore that of a serial scan solving every candidate: the same bound and,
+// since ties pack by index, the same first witness, for every order, worker
+// count and timing.  The order only decides how soon the incumbent grows and
+// so how much is skipped.  On Composite(12) two candidates have a key of at
+// least the maximum, 135, and the one-worker scan runs 3 Dinic solves in all,
+// where visiting the candidates by schedule wavefront ran 219.
+//
 // # Incremental flow across candidates: warm starts
 //
 // Consecutive candidates of the w^max scan induce overlapping strip networks,

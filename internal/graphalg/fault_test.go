@@ -50,6 +50,46 @@ func TestWMaxWorkerPanicIsIsolated(t *testing.T) {
 	}
 }
 
+// TestCancelStopsEveryPass cancels a one-worker scan from the fault hook
+// that runs before each candidate, once inside each of the three passes, and
+// requires the scan to return context.Canceled without starting another
+// candidate: every pass checks the context per candidate, the bound pass's
+// blocks of claimed candidates included.
+func TestCancelStopsEveryPass(t *testing.T) {
+	g := gen.Jacobi(2, 10, 4, gen.StencilBox).Graph
+	nc := g.NumVertices()
+	var calls atomic.Int64
+	scan := func(cancelAt int64) error {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		calls.Store(0)
+		restore := fault.SetHook(func(point string) {
+			if point == fault.PointWMaxWorker && calls.Add(1) == cancelAt {
+				cancel()
+			}
+		})
+		defer restore()
+		_, _, err := MaxMinWavefrontLowerBoundCtx(ctx, g, nil, WMaxOptions{Concurrency: 1})
+		return err
+	}
+	if err := scan(-1); err != nil {
+		t.Fatal(err)
+	}
+	// The seed pass visits the seeds, the bound pass every candidate.
+	before := int64(seedSample + nc)
+	if solves := calls.Load() - before; solves < 2 {
+		t.Fatalf("weak coverage: the solve pass visits %d candidates", solves)
+	}
+	for _, at := range []int64{seedSample / 2, seedSample + int64(nc)/2, before + 1} {
+		if err := scan(at); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled at candidate %d: scan returned %v, want context.Canceled", at, err)
+		}
+		if got := calls.Load(); got != at {
+			t.Errorf("cancelled at candidate %d: the scan started %d", at, got)
+		}
+	}
+}
+
 // TestSolverPoolLimit checks the in-flight cap: Get blocks at the limit until
 // a Put or Discard frees a slot, and InUse tracks occupancy.
 func TestSolverPoolLimit(t *testing.T) {

@@ -58,43 +58,15 @@ func needAgainst(best int64, i int) int {
 	return bound + 1
 }
 
-// sortByBoundDesc permutes order into decreasing ub, ties by increasing
-// candidate index — the exact order sort.Slice produced historically, built
-// by a two-pass counting sort instead: bucket offsets laid out from the
-// largest bound down, then a stable ascending-index scatter.  Schedule
-// wavefront sizes are bounded by the vertex count, so this is O(n) where the
-// comparison sort's O(n log n) was the dominant setup cost of million-vertex
-// scans.
-func sortByBoundDesc(order []int, ub []int32) {
-	maxUB := int32(0)
-	for _, u := range ub {
-		if u > maxUB {
-			maxUB = u
-		}
-	}
-	offs := make([]int32, maxUB+1)
-	for _, u := range ub {
-		offs[u]++
-	}
-	pos := int32(0)
-	for u := maxUB; u >= 0; u-- {
-		c := offs[u]
-		offs[u] = pos
-		pos += c
-	}
-	for i, u := range ub {
-		order[offs[u]] = i
-		offs[u]++
-	}
-}
-
 const (
-	// seedSample is the size of the degree-ranked sample the two-phase pass
-	// solves before the main scan.
+	// seedSample is the size of the degree-ranked sample the seed pass
+	// solves before any other candidate; a scan of at most this many
+	// candidates is the seed pass alone.
 	seedSample = 32
-	// anchorCount is the size of the degree-ranked prefix anchorSeeds moves
-	// to the front of the processing order.
-	anchorCount = 16
+	// boundBlock is how many consecutive candidates a bound-pass worker
+	// claims at once, so workers write their keys into separate 1 KiB runs
+	// of ub instead of interleaved entries that share cache lines.
+	boundBlock = 256
 )
 
 // topByDegree returns the indices of the (up to) k candidates of largest
@@ -142,11 +114,22 @@ func topByDegree(g *cdag.Graph, candidates []cdag.VertexID, k int) []int {
 // MaxMinWavefrontLowerBoundCtx returns max_x of the min-cut wavefront bound
 // at x (CutSolver.MinWavefrontAt) over the candidate vertices (all vertices
 // when candidates is nil) and the first candidate attaining it: a lower bound
-// on w^max_G from Section 3.3, which feeds Lemma 2.  The scan is a parallel
-// search over the candidates with per-worker CutSolver scratch (strip-local
-// min-cut networks, epoch-stamped vertex marks, reusable traversal stacks),
-// upper-bound pruning, warm-started solves, the mid-solve level-cut abort and
-// a two-phase pass seeded with the candidates' degree-ranked top 32.
+// on w^max_G from Section 3.3, which feeds Lemma 2.  It is a best-first
+// search in three passes, each parallel over per-worker CutSolver scratch:
+//
+//  1. Seed pass: solve the candidates of largest in+out degree, at most 32
+//     (topByDegree), so the incumbent starts at (or near) the final maximum.
+//     A scan of at most 32 candidates — cdagd's and cdagx's default samples —
+//     ends here.
+//  2. Bound pass: give every other candidate a key, an upper bound on its
+//     value: the smaller of two schedule wavefronts (scheduleWavefrontUB)
+//     and, unless those already put it below the incumbent, the boundary of
+//     its earliest convex cut, which costs one ancestor-cone walk.
+//  3. Solve pass: visit the candidates whose key still reaches the incumbent
+//     in decreasing key order, then by index (keyOrder), and stop at the
+//     first key below the incumbent.  Each walks its descendant cone and
+//     prunes on its latest convex cut first; only a survivor walks its
+//     ancestor cone again and pays for a warm-started, abortable Dinic solve.
 //
 // The result is exactly that of a serial scan solving every candidate in
 // order and keeping the first maximizer — the same bound value and the same
@@ -157,15 +140,15 @@ func topByDegree(g *cdag.Graph, candidates []cdag.VertexID, k int) []int {
 // bound is strictly below the established best, or it could at most tie it at
 // a later candidate index than a bound-attaining candidate already solved.
 // Skipped candidates therefore never affect the packed maximum the search
-// returns.
+// returns.  The passes and the key order decide only how soon the incumbent
+// grows, never what it ends at.
 //
-// The scan checks ctx at its pruning-tier boundaries — before a candidate is
-// claimed, and again between the ancestor-cone and descendant-cone
-// explorations of candidates that survive the early convex-cut bound — and
-// returns ctx.Err() promptly once the context is cancelled.  Individual
-// Dinic solves stay atomic: cancellation latency is bounded by the worker
-// count times the cost of one candidate, never by the length of the
-// candidate list.  A panic inside a worker surfaces as a *fault.PanicError.
+// The scan checks ctx before every candidate of every pass, and again inside
+// a candidate before its second cone walk, and returns ctx.Err() promptly
+// once the context is cancelled.  Individual Dinic solves stay atomic:
+// cancellation latency is bounded by the worker count times the cost of one
+// candidate, never by the length of the candidate list.  A panic inside a
+// worker surfaces as a *fault.PanicError.
 func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates []cdag.VertexID, opts WMaxOptions) (int, cdag.VertexID, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, cdag.InvalidVertex, err
@@ -175,9 +158,11 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 	g.Materialize()
 	// A pool bound to another graph would hand out solvers whose cached CSR
 	// views index the wrong adjacency; ignore it rather than silently search
-	// the wrong graph (fresh solvers are merely slower, never wrong).
-	if opts.Pool != nil && opts.Pool.g != g {
-		opts.Pool = nil
+	// the wrong graph (fresh solvers are merely slower, never wrong).  Fresh
+	// solvers go through a pool of the scan's own, so the passes share them.
+	pool := opts.Pool
+	if pool == nil || pool.g != g {
+		pool = NewSolverPool(g)
 	}
 	if candidates == nil {
 		candidates = g.Vertices()
@@ -189,29 +174,14 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
 
 	nc := len(candidates)
-
-	// Processing order: compute the schedule-wavefront upper bound for every
-	// candidate — one O(V+E) sweep for all of them, no per-candidate cone
-	// exploration — and scan in decreasing upper-bound order.  The first few
-	// max-flow solves then establish a large best-so-far that prunes the long
-	// tail of candidates outright: most are rejected on the precomputed bound
-	// alone, the rest get two more chances to be rejected on the tighter
-	// convex-cut bounds (ancestor-side first, so a candidate pruned by its
-	// early cut never explores its descendant cone), and only what survives
-	// all three tiers pays for a Dinic solve.
-	order := make([]int, nc)
-	for i := range order {
-		order[i] = i
-	}
-	ub := scheduleWavefrontUB(g, candidates)
-	sortByBoundDesc(order, ub)
 	seedIdx := topByDegree(g, candidates, seedSample)
-	anchorSeeds(seedIdx[:min(anchorCount, len(seedIdx))], order)
+	// ub[i] is candidate i's key, an upper bound on its value, or −1 once the
+	// seed pass has settled it.  The demand-driven schedule only pays off
+	// when a bound pass follows.
+	ub := scheduleWavefrontUB(g, candidates, len(seedIdx) < nc)
+	sOff, _ := g.SuccessorCSR()
 
 	// best holds packEntry(bound, index of the earliest candidate attaining
 	// it) and only ever increases in packed order.  Pruning a candidate when
@@ -230,37 +200,25 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 			}
 		}
 	}
-	// scan runs the tiered treatment of candidate index i: precomputed bound,
-	// then the ancestor-side convex bound, then the descendant-side bound
-	// (with early exit at the survival threshold), then an exact strip-local
-	// min-cut solve — warm-started from the worker's previous solve and
-	// abortable by level-cut certificate once it provably cannot beat the
-	// incumbent.  Every tier is exact (see the package comment), so the packed
-	// maximum is independent of phase split, worker count and timing.
-	scan := func(cs *CutSolver, i int) {
-		x := candidates[i]
-		if packEntry(int(ub[i]), i) < best.Load() {
-			return
-		}
-		if cs.succOff[x+1] == cs.succOff[x] {
+	// settle runs the tiers of candidate i that need its descendant cone:
+	// the latest convex cut (with early exit at the survival threshold), then
+	// an exact strip-local min-cut solve — warm-started from the worker's
+	// previous solve and abortable by level-cut certificate once it provably
+	// cannot beat the incumbent.  The ancestor cone is walked first unless
+	// the caller already has.  Every tier is exact (see the package comment).
+	settle := func(cs *CutSolver, x cdag.VertexID, i int, walkedAnc bool) {
+		if sOff[x+1] == sOff[x] {
 			// No descendants: the wavefront is {x} and the bound is exactly 1.
 			record(1, i)
 			return
 		}
-		cs.exploreAnc(x)
-		if packEntry(cs.earlyBound(x), i) < best.Load() {
-			return
-		}
-		// Tier boundary: the ancestor cone is explored, the descendant cone
-		// is not yet paid for — the one spot inside a candidate where bailing
-		// out early saves real work.
-		if ctx.Err() != nil {
-			return
-		}
 		cs.exploreDesc(x)
 		need := needAgainst(best.Load(), i)
-		if cs.lateBound(need) < need {
+		if cs.lateBound(need) < need || ctx.Err() != nil {
 			return
+		}
+		if !walkedAnc {
+			cs.exploreAnc(x)
 		}
 		w, pruned := cs.minWavefrontRun(x, needAgainst(best.Load(), i), true)
 		if !pruned {
@@ -268,37 +226,62 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 		}
 	}
 
-	// Phase 1 — incumbent seeding: solve the degree-ranked seed sample to
-	// completion before the broad scan, so the best-so-far starts at (or
-	// near) the final maximum and tier 1 kills the tail of the
-	// upper-bound-sorted order without any cone exploration.  Seeds record
-	// their exact bound at their true candidate index and are skipped by the
-	// main scan, so the phase split cannot change the result.  When the
-	// sample covers every candidate there is no tail to prune, and the main
-	// scan alone runs.
-	var isSeeded []bool
-	if len(seedIdx) < nc {
-		isSeeded = make([]bool, nc)
-		for _, i := range seedIdx {
-			isSeeded[i] = true
+	// Pass 1 — seeds, ancestor side first: a seed pruned by its early cut
+	// never explores its descendant cone.
+	if err := parallelFor(ctx, pool, workers, len(seedIdx), 1, func(cs *CutSolver, k int) {
+		i := seedIdx[k]
+		x := candidates[i]
+		if packEntry(int(ub[i]), i) < best.Load() {
+			return
 		}
-		sw := min(workers, len(seedIdx))
-		if err := parallelFor(ctx, opts.Pool, g, sw, len(seedIdx), func(cs *CutSolver, k int) {
-			scan(cs, seedIdx[k])
+		if sOff[x+1] != sOff[x] {
+			cs.nextEpoch()
+			cs.exploreAnc(x)
+			// Tier boundary: the descendant cone is not yet paid for.
+			if packEntry(cs.earlyBound(x), i) < best.Load() || ctx.Err() != nil {
+				return
+			}
+		}
+		settle(cs, x, i, true)
+	}); err != nil {
+		return 0, cdag.InvalidVertex, err
+	}
+
+	if len(seedIdx) < nc {
+		for _, i := range seedIdx {
+			ub[i] = -1
+		}
+		// Pass 2 — keys.  Nothing is solved, so the incumbent stands still,
+		// and a key the schedule bounds already put below it needs no walk.
+		if err := parallelFor(ctx, pool, workers, nc, boundBlock, func(cs *CutSolver, i int) {
+			x := candidates[i]
+			if packEntry(int(ub[i]), i) < best.Load() {
+				return
+			}
+			if sOff[x+1] == sOff[x] {
+				ub[i] = 1 // exact
+				return
+			}
+			cs.nextEpoch()
+			cs.exploreAnc(x)
+			ub[i] = min(ub[i], int32(cs.earlyBound(x)))
 		}); err != nil {
 			return 0, cdag.InvalidVertex, err
 		}
-	}
 
-	// Phase 2 — the full candidate scan in decreasing upper-bound order.
-	if err := parallelFor(ctx, opts.Pool, g, workers, nc, func(cs *CutSolver, k int) {
-		i := order[k]
-		if isSeeded != nil && isSeeded[i] {
-			return
+		// Pass 3 — best key first.  Once one key falls below the incumbent,
+		// every later one does too, and each returns at once.
+		order := keyOrder(ub, best.Load())
+		if err := parallelFor(ctx, pool, workers, len(order), 1, func(cs *CutSolver, k int) {
+			i := int(order[k])
+			if packEntry(int(ub[i]), i) < best.Load() {
+				return
+			}
+			cs.nextEpoch()
+			settle(cs, candidates[i], i, false)
+		}); err != nil {
+			return 0, cdag.InvalidVertex, err
 		}
-		scan(cs, i)
-	}); err != nil {
-		return 0, cdag.InvalidVertex, err
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, cdag.InvalidVertex, err
@@ -312,38 +295,53 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 	return bound, candidates[idx], nil
 }
 
+// keyOrder returns the indices i whose packed key packEntry(ub[i], i) reaches
+// floor, in decreasing packed order: larger key first, then smaller index.
+// Settled candidates (key −1) pack below every floor a solved candidate sets.
+// Keys are wavefront sizes, at most the vertex count, so a counting sort
+// orders them in O(len(ub) + largest key): bucket offsets laid out from the
+// largest key down, then a scatter in ascending index order.
+func keyOrder(ub []int32, floor int64) []int32 {
+	n, maxKey := 0, int32(0)
+	for i, u := range ub {
+		if packEntry(int(u), i) >= floor {
+			n++
+			maxKey = max(maxKey, u)
+		}
+	}
+	offs := make([]int32, maxKey+1)
+	for i, u := range ub {
+		if packEntry(int(u), i) >= floor {
+			offs[u]++
+		}
+	}
+	pos := int32(0)
+	for u := maxKey; u >= 0; u-- {
+		offs[u], pos = pos, pos+offs[u]
+	}
+	order := make([]int32, n)
+	for i, u := range ub {
+		if packEntry(int(u), i) >= floor {
+			order[offs[u]] = int32(i)
+			offs[u]++
+		}
+	}
+	return order
+}
+
 // parallelFor runs body(i) for i in [0, n) over the given number of worker
-// goroutines, each with its own CutSolver bound to g — drawn from pool when
-// one is supplied, freshly allocated otherwise.  Workers re-check ctx before
-// claiming each index and stop claiming once it is cancelled; in-flight body
-// calls run to completion (the caller surfaces ctx.Err()).
+// goroutines (at most n), each with its own CutSolver drawn from pool.  Workers claim
+// block consecutive indices at a time, re-check ctx before each index and
+// stop once it is cancelled; in-flight body calls run to completion (the
+// caller surfaces ctx.Err()).
 //
 // Every body call runs under fault.Capture: a panic inside a worker — from
 // the engine itself or injected at the fault.PointWMaxWorker point — is
-// converted
-// into a *fault.PanicError, the remaining workers stop claiming, and
+// converted into a *fault.PanicError, the remaining workers stop, and
 // parallelFor returns the error instead of crashing the process.  A solver
 // that was solving when its body panicked is discarded, never returned to
 // the pool, since its scratch may be mid-mutation.
-func parallelFor(ctx context.Context, pool *SolverPool, g *cdag.Graph, workers, n int, body func(*CutSolver, int)) error {
-	acquire := func() *CutSolver {
-		if pool != nil {
-			return pool.Get()
-		}
-		cs := NewCutSolver()
-		cs.ensureGraph(g)
-		return cs
-	}
-	release := func(cs *CutSolver) {
-		if pool != nil {
-			pool.Put(cs)
-		}
-	}
-	discard := func(cs *CutSolver) {
-		if pool != nil {
-			pool.Discard(cs)
-		}
-	}
+func parallelFor(ctx context.Context, pool *SolverPool, workers, n, block int, body func(*CutSolver, int)) error {
 	runBody := func(cs *CutSolver, i int) error {
 		return fault.Capture(fault.PointWMaxWorker, func() {
 			fault.Inject(fault.PointWMaxWorker)
@@ -361,42 +359,38 @@ func parallelFor(ctx context.Context, pool *SolverPool, g *cdag.Graph, workers, 
 		errMu.Unlock()
 		failed.Store(true)
 	}
-	if workers <= 1 {
-		cs := acquire()
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			if err := runBody(cs, i); err != nil {
-				discard(cs)
-				return err
-			}
-		}
-		release(cs)
+	if n == 0 {
 		return nil
 	}
+	workers = min(max(workers, 1), n)
 	var next atomic.Int64
+	work := func() {
+		cs := pool.Get()
+		for {
+			lo := int(next.Add(int64(block))) - block
+			if lo >= n {
+				break
+			}
+			for i := lo; i < min(lo+block, n); i++ {
+				if ctx.Err() != nil || failed.Load() {
+					pool.Put(cs)
+					return
+				}
+				if err := runBody(cs, i); err != nil {
+					fail(err)
+					pool.Discard(cs)
+					return
+				}
+			}
+		}
+		pool.Put(cs)
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			cs := acquire()
-			for {
-				if ctx.Err() != nil || failed.Load() {
-					break
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				if err := runBody(cs, i); err != nil {
-					fail(err)
-					discard(cs)
-					return
-				}
-			}
-			release(cs)
+			work()
 		}()
 	}
 	wg.Wait()
@@ -471,49 +465,52 @@ func (cs *CutSolver) earlyBound(x cdag.VertexID) int {
 	return early
 }
 
-// anchorSeeds moves the anchors — the head of the degree-ranked seed sample
-// (topByDegree) — to the front of the processing order, so the best-so-far
-// jumps to (or near) the final maximum immediately.  On the paper's workloads
-// the maximum wavefront sits at reduction roots whose schedule wavefront is
-// unremarkable but whose degree is extreme — without the anchor, the broad
-// crowd of mid-bound candidates is processed before the true maximum is known
-// and cannot be pruned.  The order is purely a performance heuristic: the
-// packed-maximum search returns an identical bound and witness under any
-// processing order.  Nothing moves when the anchors cover the whole order.
-func anchorSeeds(anchors, order []int) {
-	if len(order) <= len(anchors) {
-		return
-	}
-	isAnchor := make(map[int]bool, len(anchors))
-	for _, i := range anchors {
-		isAnchor[i] = true
-	}
-	reordered := append(make([]int, 0, len(order)), anchors...)
-	for _, o := range order {
-		if !isAnchor[o] {
-			reordered = append(reordered, o)
-		}
-	}
-	copy(order, reordered)
-}
-
-// scheduleWavefrontUB returns, for every candidate x, the wavefront size of a
-// fixed topological schedule of g at the moment x fires.  The fired prefix
-// S_x is predecessor-closed and contains {x} ∪ Anc(x), its complement
-// contains Desc(x), so (S_x, V∖S_x) is a valid convex cut around x and its
-// wavefront — the fired vertices with unfired successors, plus x itself — is
-// achievable: its size upper-bounds |W^min(x)| and hence the min-cut lower
-// bound.  One O(V+E) sweep covers every candidate, which is what lets the
+// scheduleWavefrontUB returns, for every candidate x, the wavefront size of
+// a fixed topological schedule of g at the moment x fires — with demand set,
+// the smaller of two such schedules.  The fired prefix S_x is
+// predecessor-closed and contains {x} ∪ Anc(x), its complement contains
+// Desc(x), so (S_x, V∖S_x) is a valid convex cut around x and its wavefront —
+// the fired vertices with unfired successors, plus x itself — is achievable:
+// its size upper-bounds |W^min(x)| and hence the min-cut lower bound.  One
+// O(V+E) sweep per schedule covers every candidate, which is what lets the
 // w^max search reject most candidates without ever exploring their cones.
-func scheduleWavefrontUB(g *cdag.Graph, candidates []cdag.VertexID) []int32 {
+//
+// The first schedule is Kahn's FIFO order (Graph.TopoOrder), roughly
+// breadth first.  The second is demandOrder, depth first, one sink at a
+// time.  Neither dominates the other: on CG(3-D, n = 8, 2 iterations), 4,095
+// vertices keep a Kahn wavefront of at least w^max, 37 a demand-order one,
+// and 25 the smaller of the two.  The second sweep reuses the first one's
+// arrays, so it costs time, not memory.
+func scheduleWavefrontUB(g *cdag.Graph, candidates []cdag.VertexID, demand bool) []int32 {
 	n := g.NumVertices()
 	order := g.MustTopoOrder()
-	sOff, _, pOff, pVal := g.AdjacencyCSR()
-	remaining := make([]int32, n) // unfired successors of each fired vertex
+	remaining := make([]int32, n)
 	wfAt := make([]int32, n)
+	firedWavefronts(g, order, remaining, wfAt)
+	ub := make([]int32, len(candidates))
+	for i, x := range candidates {
+		ub[i] = wfAt[x]
+	}
+	if demand {
+		demandOrder(g, order, remaining)
+		firedWavefronts(g, order, remaining, wfAt)
+		for i, x := range candidates {
+			ub[i] = min(ub[i], wfAt[x])
+		}
+	}
+	return ub
+}
+
+// firedWavefronts plays the topological order and stores in wfAt[v] the
+// wavefront size at the moment v fires: the fired vertices with an unfired
+// successor, plus v itself.  remaining is scratch of one entry per vertex
+// whose contents do not matter: each entry is set when its vertex fires,
+// before anything reads it.
+func firedWavefronts(g *cdag.Graph, order []cdag.VertexID, remaining, wfAt []int32) {
+	sOff, _, pOff, pVal := g.AdjacencyCSR()
 	live := 0
 	for _, v := range order {
-		remaining[v] = int32(sOff[v+1] - sOff[v])
+		remaining[v] = int32(sOff[v+1] - sOff[v]) // unfired successors of v
 		if remaining[v] > 0 {
 			live++
 		}
@@ -529,9 +526,53 @@ func scheduleWavefrontUB(g *cdag.Graph, candidates []cdag.VertexID) []int32 {
 		}
 		wfAt[v] = int32(w)
 	}
-	ub := make([]int32, len(candidates))
-	for i, x := range candidates {
-		ub[i] = wfAt[x]
+}
+
+// demandOrder overwrites order (one entry per vertex) with the demand-driven
+// topological order of g: the post-order of a depth-first search over
+// predecessors from each sink, sinks in ID order, predecessors in CSR order.
+// cursor is scratch of one entry per vertex, whatever its contents.
+//
+// The stack holds exactly the current search path and grows down from the
+// end of order while fired vertices fill it from the front; the two never
+// meet, since every vertex is fired, on the path or unvisited.  cursor[v] is
+// 0 while v is unvisited and 1 + the number of v's predecessors examined
+// once it is on the path.  A vertex is marked when pushed, but only one
+// predecessor is pushed at a time, so a marked predecessor has always fired:
+// one still on the path would be a descendant of the vertex, a cycle.
+// Pushing all of a vertex's unvisited predecessors at once would break this:
+// one pushed lower on the stack is marked but not yet fired, so a vertex
+// above it that needs it would skip it and fire first.
+func demandOrder(g *cdag.Graph, order []cdag.VertexID, cursor []int32) {
+	n := g.NumVertices()
+	sOff, _, pOff, pVal := g.AdjacencyCSR()
+	clear(cursor[:n])
+	fired, top := 0, n // the path is order[top:], its last vertex order[top]
+	for s := range n {
+		if sOff[s+1] != sOff[s] {
+			continue // not a sink
+		}
+		top--
+		order[top] = cdag.VertexID(s)
+		cursor[s] = 1
+		for top < n {
+			v := order[top]
+			preds := pVal[pOff[v]:pOff[v+1]]
+			c := cursor[v]
+			for int(c) <= len(preds) && cursor[preds[c-1]] != 0 {
+				c++
+			}
+			if int(c) <= len(preds) {
+				p := preds[c-1]
+				cursor[v] = c + 1
+				cursor[p] = 1
+				top--
+				order[top] = p
+				continue
+			}
+			top++
+			order[fired] = v
+			fired++
+		}
 	}
-	return ub
 }

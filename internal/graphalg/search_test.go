@@ -79,8 +79,8 @@ func TestParallelWMaxMatchesSerial(t *testing.T) {
 
 // TestParallelWMaxSubsetCandidates checks agreement on explicit candidate
 // subsets, including single candidates, empty candidate lists, and lists
-// longer than the two-phase seed sample whose candidate indices are not
-// vertex IDs or repeat a vertex.
+// longer than the seed sample whose candidate indices are not vertex IDs or
+// repeat a vertex.
 func TestParallelWMaxSubsetCandidates(t *testing.T) {
 	g := gen.Jacobi(1, 10, 3, gen.StencilStar).Graph
 	all := g.Vertices()
@@ -105,8 +105,8 @@ func TestParallelWMaxSubsetCandidates(t *testing.T) {
 	}
 }
 
-// TestTopByDegreeMatchesFullSort pins the seed ranking of the two-phase pass
-// and the anchor against a full sort of the candidate indices by in+out
+// TestTopByDegreeMatchesFullSort pins the seed ranking of the seed pass
+// against a full sort of the candidate indices by in+out
 // degree (descending, ties by index), on candidate lists with repeats and for
 // sample sizes below, at and above the list length.  On the full vertex list
 // that is wavefront.TopCandidates' order.
@@ -129,7 +129,7 @@ func TestTopByDegreeMatchesFullSort(t *testing.T) {
 			full[i] = i
 		}
 		sort.SliceStable(full, func(a, b int) bool { return deg(full[a]) > deg(full[b]) })
-		for _, k := range []int{1, anchorCount, seedSample, len(cands), len(cands) + 5} {
+		for _, k := range []int{1, seedSample / 2, seedSample, len(cands), len(cands) + 5} {
 			want := full[:min(k, len(full))]
 			if got := topByDegree(g, cands, k); !slices.Equal(got, want) {
 				t.Fatalf("list %d k=%d: topByDegree = %v, full sort %v", li, k, got, want)

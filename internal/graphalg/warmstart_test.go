@@ -142,7 +142,7 @@ func TestAbortCertificateSound(t *testing.T) {
 }
 
 // TestIncrementalModesMatchSerial checks the incremental-flow machinery —
-// two-phase seeding, warm starts and the mid-solve abort — against the serial
+// the seed pass, warm starts and the mid-solve abort — against the serial
 // all-candidates bound and witness on every generator family, at one and at
 // four workers, with the scans repeated on one solver pool: the second round
 // starts from solvers still carrying the flow paths harvested by the first,
