@@ -25,9 +25,6 @@ type Options struct {
 	// Concurrency bounds the worker pool of the min-cut wavefront search
 	// (≤ 0 selects GOMAXPROCS).
 	Concurrency int
-	// ExactPartitionLimit is the largest operation count for which the exact
-	// U(2S) search (and with it the Corollary 1 bound) runs.  Zero selects 20.
-	ExactPartitionLimit int
 	// ExactOptimalLimit is the largest vertex count for which the exact
 	// optimal pebble-game search runs.  Zero disables it.
 	ExactOptimalLimit int

@@ -52,6 +52,10 @@ type Workspace struct {
 // analyzer uses when Options.WavefrontCandidates is zero.
 const defaultCandidates = 32
 
+// exactPartitionLimit is the largest operation count for which the exact
+// U(2S) search (and with it the Corollary 1 bound) runs.
+const exactPartitionLimit = 20
+
 // NewWorkspace returns a Workspace bound to g.  It compiles g's CSR rows up
 // front, so the handle (and every solver it pools) never races on the graph's
 // lazy materialization.
@@ -266,11 +270,7 @@ func (w *Workspace) Analyze(ctx context.Context, opts Options) (*Analysis, error
 
 	// 2S-partition bound (Corollary 1) via the exact U(2S) search on small
 	// CDAGs.
-	exactLimit := opts.ExactPartitionLimit
-	if exactLimit == 0 {
-		exactLimit = 20
-	}
-	if g.NumOperations() <= exactLimit {
+	if g.NumOperations() <= exactPartitionLimit {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -280,7 +280,7 @@ func (w *Workspace) Analyze(ctx context.Context, opts Options) (*Analysis, error
 		if s <= math.MaxInt/2 {
 			s2 = 2 * s
 		}
-		if u, err := partition.MaxVertexSetSizeExact(g, s2, exactLimit); err == nil && u > 0 {
+		if u, err := partition.MaxVertexSetSizeExact(g, s2, exactPartitionLimit); err == nil && u > 0 {
 			a.LowerBounds = append(a.LowerBounds, bounds.Bound{
 				Value:       float64(partition.Corollary1Bound(s, g.NumOperations(), u)),
 				Kind:        bounds.Lower,

@@ -277,11 +277,9 @@ func compileExperiment(ir *IR, ei int, e *Experiment) ([]Cell, error) {
 	case "balance":
 		switch e.Family {
 		case "cg", "gmres":
-			ref, err := refMachine(e)
-			if err != nil {
+			if _, err := refMachine(e); err != nil {
 				return nil, err
 			}
-			_ = ref
 			if len(ir.Machines) == 0 {
 				return nil, fmt.Errorf("balance family %q needs a non-empty machines list", e.Family)
 			}

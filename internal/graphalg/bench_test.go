@@ -77,12 +77,12 @@ func BenchmarkWMaxScaleJacobi100k(b *testing.B) {
 }
 
 // BenchmarkWMaxScaleJacobi1M is the million-vertex scale proof of the
-// incremental-flow engine: the exact all-candidates w^max scan over every
-// vertex of a 512×512, T=3 Jacobi CDAG (1,048,576 vertices, 7.06M edges).
-// The seed pass, the keys of the bound pass, the best-first solve pass, the
-// threshold-limited late bound and the warm-started, abortable solves
-// together bring the full scan to low single-digit seconds on one core —
-// bound and witness still bit-identical to the serial reference.  Short mode
+// best-first scan: the exact all-candidates w^max scan over every vertex of
+// a 512×512, T=3 Jacobi CDAG (1,048,576 vertices, 7.06M edges).  The seed
+// pass, the keys of the bound pass, the best-first solve pass, the
+// threshold-limited late bound and the abortable solves together bring the
+// full scan to low single-digit seconds on one core — bound and witness
+// still bit-identical to the serial reference.  Short mode
 // (the CI bench smoke) trims to a 128×128 instance with the same shape so
 // the whole pipeline is still exercised in well under a second.
 func BenchmarkWMaxScaleJacobi1M(b *testing.B) {

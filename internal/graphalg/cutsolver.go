@@ -18,10 +18,12 @@ import (
 // strip between the cones, so the network — and the Dinic solve on it —
 // scales with the strip instead of with |V|; see the package documentation
 // for why the contraction is exact.  MinDominatorSize materializes only the
-// vertices on some input→target path.
+// vertices on some input→target path.  Every solve builds its network afresh
+// and starts from zero flow; only the scratch arrays carry over between calls.
 //
 // Bound values, witnesses and returned cut sets are bit-identical to the
-// historical per-call full vertex-split networks in every mode.
+// historical per-call full vertex-split networks, with or without the
+// mid-solve abort.
 type CutSolver struct {
 	g *cdag.Graph // graph the per-vertex scratch below is sized for
 	n int
@@ -51,15 +53,6 @@ type CutSolver struct {
 	// local id l of the current strip network (localOf's inverse).
 	stripVerts []cdag.VertexID
 
-	// Warm-start state: the flow paths of the previous minWavefront solve as
-	// graph-vertex sequences (warmBuf holds them concatenated, warmOff the
-	// boundaries), harvested from the residual network and re-seeded — after
-	// trimming to the new candidate's cones — into the next solve's network.
-	// Cleared when the solver rebinds to another graph.
-	warmBuf  []cdag.VertexID
-	warmOff  []int32
-	seedArcs []int32 // per-path arc scratch of seedPath
-
 	// strip hosts the network of the current query: a candidate's
 	// strip-local wavefront instance or a dominator strip.
 	strip flowCSR
@@ -81,8 +74,6 @@ func (cs *CutSolver) ensureGraph(g *cdag.Graph) {
 	cs.g = g
 	cs.n = n
 	cs.m = m
-	cs.warmBuf = cs.warmBuf[:0]
-	cs.warmOff = cs.warmOff[:0]
 	cs.succOff, cs.succVal, cs.predOff, cs.predVal = g.AdjacencyCSR()
 	cs.ancMark = growInt32(cs.ancMark, n)
 	cs.descMark = growInt32(cs.descMark, n)
@@ -195,56 +186,34 @@ func (cs *CutSolver) exploreAnc(x cdag.VertexID) {
 // vertices, so some minimum cut always lies inside boundary ∪ strip, which is
 // exactly the vertex set this network can cut.
 func (cs *CutSolver) minWavefront(x cdag.VertexID) int {
-	w, _ := cs.minWavefrontRun(x, 0, false)
+	w, _ := cs.minWavefrontRun(x, 0)
 	return w
 }
 
-// minWavefrontRun is minWavefront with the PR-6 incremental-flow extensions,
-// both individually optional and both value-exact:
-//
-//   - warm-start path reuse (warm): before solving, the flow paths harvested
-//     from the previous solve on this solver are trimmed to the new
-//     candidate's cones and re-seeded into the fresh network as an initial
-//     feasible flow, and Dinic only augments the difference.  Afterwards the
-//     new solve's paths are harvested for the next candidate.
-//   - mid-solve abort (need > 0): the Dinic solve runs under the level-cut
-//     certificate of maxFlowBounded and stops early when some BFS level cut
-//     proves the final wavefront must stay below need.  The second return is
-//     true for such an aborted candidate (its exact value is unknown but
-//     provably < need); otherwise the returned value is exact.
-func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int, warm bool) (int, bool) {
+// minWavefrontRun is minWavefront with the mid-solve abort: when need > 0 the
+// Dinic solve runs under the level-cut certificate of maxFlowBounded and stops
+// early once some BFS level cut proves the final wavefront must stay below
+// need.  The second return is true for such an aborted candidate (its exact
+// value is unknown but provably < need); otherwise the returned value is
+// exact.
+func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int) (int, bool) {
 	if len(cs.desc) == 0 {
 		return 1, false
 	}
-	seeded := cs.buildStrip(x, warm)
+	cs.buildStrip(x)
 	f := &cs.strip
-	var w int
-	pruned := false
-	if lim := int64(need) - seeded; need > 0 && lim > 0 {
-		flow, aborted := f.maxFlowBounded(0, 1, lim)
+	if need > 0 {
+		flow, aborted := f.maxFlowBounded(0, 1, int64(need))
 		if aborted {
-			pruned = true
-		} else {
-			w = int(seeded + flow)
+			return 0, true
 		}
-	} else {
-		w = int(seeded + f.maxFlow(0, 1))
+		return max(int(flow), 1), false
 	}
-	if warm {
-		cs.harvestPaths()
-	}
-	if pruned {
-		return 0, true
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w, false
+	return max(int(f.maxFlow(0, 1)), 1), false
 }
 
 // buildStrip builds the strip-local network of the explored candidate x
-// (which must have descendants) into cs.strip and, when warm, re-seeds the
-// previous solve's flow paths into it.  It returns the units of flow seeded.
+// (which must have descendants) into cs.strip.
 //
 // The network needs to know which free vertices have a directed path into D;
 // only those can carry flow.  Either side can find them, and buildStrip sweeps
@@ -256,14 +225,14 @@ func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int, warm bool) (int,
 // forward-reachable from A; and every path from such a vertex into D stays
 // among forward-reachable vertices, so sweepForward marks exactly the
 // co-reachable ones among them, as sweepBackward does.  The arcs, and with
-// them bounds, witnesses, cut sets and warm-start paths, are identical.
-func (cs *CutSolver) buildStrip(x cdag.VertexID, warm bool) int64 {
+// them bounds, witnesses and cut sets, are identical.
+func (cs *CutSolver) buildStrip(x cdag.VertexID) {
 	if cs.forwardCheaper(x) {
 		cs.sweepForward(x)
 	} else {
 		cs.sweepBackward(x)
 	}
-	return cs.stripNetwork(x, warm)
+	cs.stripNetwork(x)
 }
 
 // forwardCheaper reports whether the out-edges of {x} ∪ Anc(x) are fewer than
@@ -391,10 +360,8 @@ func (cs *CutSolver) sweepForward(x cdag.VertexID) {
 }
 
 // stripNetwork builds the strip-local network of the explored candidate x
-// from the co-reachability marks of a sweep (see buildStrip) and, when warm,
-// re-seeds the previous solve's flow paths into it.  It returns the units of
-// flow seeded.
-func (cs *CutSolver) stripNetwork(x cdag.VertexID, warm bool) int64 {
+// from the co-reachability marks of a sweep (see buildStrip).
+func (cs *CutSolver) stripNetwork(x cdag.VertexID) {
 	e := cs.epoch
 	f := &cs.strip
 	f.resetStage()
@@ -486,165 +453,14 @@ func (cs *CutSolver) stripNetwork(x cdag.VertexID, warm bool) int64 {
 	cs.stack = stack[:0]
 
 	f.buildFresh(int(2 + 2*cnt))
-
-	// Warm start: re-seed the previous solve's surviving path segments as an
-	// initial feasible flow.  Any feasible integral flow is a valid starting
-	// point for Dinic — augmentation always reaches the (unique) maximum flow
-	// value — so the bound is exact regardless of how many segments survive.
-	var seeded int64
-	if warm {
-		for pi := 0; pi+1 < len(cs.warmOff); pi++ {
-			seeded += cs.seedPath(x, cs.warmBuf[cs.warmOff[pi]:cs.warmOff[pi+1]], e)
-		}
-	}
-	return seeded
-}
-
-// seedPath re-seeds one harvested flow path into the current candidate's
-// freshly built strip network, returning the units of flow added (0 or 1).
-//
-// The previous solve's paths are vertex-disjoint CDAG paths (every network
-// vertex carries a unit split arc, so no two paths share any vertex).  For the
-// new candidate x with A = {x} ∪ Anc(x) and D = Desc(x): A is closed under
-// predecessors, so a path's A-vertices form a prefix; the segment from the
-// prefix's last vertex b (which must be a materialized boundary vertex of A)
-// to the last vertex before the path first enters D — or to the path's end,
-// when that end feeds D directly — is an s→t unit path of the new network:
-// s→bIn, the unit split arcs, the edge arcs between consecutive segment
-// vertices, and the contracted vOut→t arc of the final vertex.  Vertex-
-// disjointness of the original paths guarantees the seeded segments never
-// share an arc, so capacities never go negative.  Paths whose segment leaves
-// the materialized strip (dead strip for this candidate) or that never touch
-// A or reach D are skipped.
-func (cs *CutSolver) seedPath(x cdag.VertexID, vs []cdag.VertexID, e int32) int64 {
-	f := &cs.strip
-	li := -1
-	for _, v := range vs {
-		if v != x && cs.ancMark[v] != e {
-			break
-		}
-		li++
-	}
-	if li < 0 || cs.mapEp[vs[li]] != e {
-		return 0
-	}
-	end := -1
-	for j := li + 1; j < len(vs); j++ {
-		v := vs[j]
-		if cs.descMark[v] == e {
-			end = j - 1
-			break
-		}
-		if cs.mapEp[v] != e {
-			return 0
-		}
-	}
-	if end < 0 {
-		// The path never enters D; it is seedable only when its final vertex
-		// has a successor in D (its contracted sink arc was staged).
-		if cs.tEp[vs[len(vs)-1]] != e {
-			return 0
-		}
-		end = len(vs) - 1
-	}
-
-	// Collect the segment's arcs before touching any capacity, so a
-	// structurally impossible lookup (defensive: cannot happen for a
-	// materialized segment) skips the path without a partial application.
-	arcs := cs.seedArcs[:0]
-	prevOut := int32(-1)
-	for j := li; j <= end; j++ {
-		l := cs.localOf[vs[j]]
-		in, out := 2*l+2, 2*l+3
-		sp := f.findFwdArc(in, out)
-		if sp < 0 {
-			cs.seedArcs = arcs[:0]
-			return 0
-		}
-		if j == li {
-			// The super-source arc s→bIn is staged immediately before b's
-			// split arc, so its id is the split arc's minus one pair.
-			arcs = append(arcs, sp-2)
-		} else {
-			ea := f.findFwdArc(prevOut, in)
-			if ea < 0 {
-				cs.seedArcs = arcs[:0]
-				return 0
-			}
-			arcs = append(arcs, ea)
-		}
-		arcs = append(arcs, sp)
-		prevOut = out
-	}
-	ta := f.findFwdArc(prevOut, 1)
-	if ta < 0 {
-		cs.seedArcs = arcs[:0]
-		return 0
-	}
-	arcs = append(arcs, ta)
-	for _, a := range arcs {
-		f.cap[a]--
-		f.cap[a^1]++
-	}
-	cs.seedArcs = arcs[:0]
-	return 1
-}
-
-// harvestPaths decomposes the current strip network's flow into the
-// vertex-disjoint unit paths it consists of, recorded as graph-vertex
-// sequences for the next candidate's warm start.  Flow on a forward arc
-// equals its reverse partner's capacity (reverse arcs start at zero), and
-// every materialized vertex carries at most one unit through its split arc,
-// so each unit walks a unique vertex sequence from a super-source arc to the
-// super sink.  The walk only reads capacities; the residual network — and
-// therefore the canonical cut recovered from it — is untouched.
-func (cs *CutSolver) harvestPaths() {
-	f := &cs.strip
-	cs.warmBuf = cs.warmBuf[:0]
-	cs.warmOff = append(cs.warmOff[:0], 0)
-	base := f.adjOff[0]
-	for _, ai := range f.adjArc[base : base+f.adjLen[0]] {
-		if ai&1 != 0 || f.cap[ai^1] == 0 {
-			continue
-		}
-		node := f.to[ai] // vIn of the path's first vertex
-		for node > 1 {
-			cs.warmBuf = append(cs.warmBuf, cs.stripVerts[(node-2)/2])
-			out := node + 1
-			next := int32(-1)
-			ob := f.adjOff[out]
-			for _, oa := range f.adjArc[ob : ob+f.adjLen[out]] {
-				if oa&1 == 0 && f.cap[oa^1] > 0 {
-					next = f.to[oa]
-					break
-				}
-			}
-			node = next
-		}
-		cs.warmOff = append(cs.warmOff, int32(len(cs.warmBuf)))
-	}
-}
-
-// findFwdArc returns the id of the forward (even) arc u→v, or −1.  Rows of
-// fresh-built networks interleave forward arcs with residual partners of
-// incoming arcs; the parity check keeps the scan unambiguous.
-func (f *flowCSR) findFwdArc(u, v int32) int32 {
-	base := f.adjOff[u]
-	for _, ai := range f.adjArc[base : base+f.adjLen[u]] {
-		if ai&1 == 0 && f.to[ai] == v {
-			return ai
-		}
-	}
-	return -1
 }
 
 // lastStripCut returns the canonical minimum wavefront cut of the most recent
 // completed (non-aborted) minWavefront solve on this solver: the materialized
 // vertices whose vIn is residual-reachable from the super source while their
 // vOut is not.  The residual-reachable set of a maximum flow is the minimal
-// source side shared by all minimum cuts — independent of which maximum flow
-// the solve arrived at — so the set is identical whether the solve was warm-
-// started or cold; the warm/cold equivalence tests assert exactly that.
+// source side shared by all minimum cuts, independent of which maximum flow
+// the solve arrived at.
 func (cs *CutSolver) lastStripCut(out []cdag.VertexID) []cdag.VertexID {
 	f := &cs.strip
 	f.residualReach(0)

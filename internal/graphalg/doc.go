@@ -68,7 +68,7 @@
 // sink's.  Every node of the sink's level is labeled by then, and a node past
 // that level lies on no level-graph path to the sink, so the blocking flow
 // pushes the same augmenting paths in the same order as after a full BFS: the
-// residual network, the warm-start paths and the cut sets are unchanged.
+// residual network and the cut sets are unchanged.
 //
 // Results — cut values, cut sets, bounds and witnesses — are bit-identical to
 // the historical per-call full vertex-split networks.  Those survive only in
@@ -130,35 +130,7 @@
 // least the maximum, 135, and the one-worker scan runs 3 Dinic solves in all,
 // where visiting the candidates by schedule wavefront ran 219.
 //
-// # Incremental flow across candidates: warm starts
-//
-// Consecutive candidates of the w^max scan induce overlapping strip networks,
-// and the search exploits that without giving up exactness.  Every
-// materialized vertex of a strip network carries a unit split arc, so a
-// maximum (indeed any feasible integral) flow decomposes into unit paths that
-// are fully vertex-disjoint in graph space, each running from a boundary
-// vertex of A through free strip vertices to a vertex feeding D.  After each
-// solve the engine harvests that decomposition as plain vertex sequences
-// (harvestPaths); before the next candidate's solve it re-seeds each path
-// into the freshly built network (seedPath):
-//
-//   - A is predecessor-closed for the new candidate too, so a path's vertices
-//     that lie in the new A form a prefix.  The segment from the last prefix
-//     vertex b — seedable only if b is a materialized boundary vertex — to
-//     the vertex before the path first enters the new D (or to its end, when
-//     that end feeds D directly) is an s→t unit path of the new network.
-//   - Vertex-disjointness of the harvested paths carries over to the trimmed
-//     segments, so seeding them can never oversubscribe an arc: the seeded
-//     flow is feasible by construction.
-//   - Exactness needs nothing more: Dinic started from any feasible flow
-//     still terminates at the maximum flow value (augmenting paths exist
-//     until the max is reached, regardless of the starting flow).  And the
-//     canonical cut read back from the residual graph (lastStripCut) is the
-//     minimal source side shared by all minimum cuts — the residual-reachable
-//     set of ANY maximum flow — so even the cut set is independent of the
-//     warm start, which the warm/cold equivalence tests assert literally.
-//
-// # Incremental flow within a candidate: the level-cut abort
+// # Stopping a solve early: the level-cut abort
 //
 // Under the packed-maximum search, a candidate only matters if its bound
 // reaches a threshold ("need") derived from the incumbent.  maxFlowBounded

@@ -3,6 +3,7 @@ package graphalg
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -129,5 +130,44 @@ func TestSolverPoolLimit(t *testing.T) {
 	}
 	if pool.InUse() != 0 {
 		t.Fatalf("InUse after search = %d, want 0 (leaked slots)", pool.InUse())
+	}
+}
+
+// TestWorkersCappedByPoolLimit asks for 1<<20 workers from a pool capped at 2
+// solvers and records, from the hook that runs before each candidate, how far
+// the goroutine count rises during the scan.  Workers past the cap could only
+// wait in Get, so the scan may start at most 2 at a time; starting one per
+// candidate would hold hundreds of idle stacks on this graph.
+func TestWorkersCappedByPoolLimit(t *testing.T) {
+	const limit = 2
+	g := gen.Jacobi(2, 8, 3, gen.StencilBox).Graph
+	wantW, wantAt := wmax(t, g, nil, WMaxOptions{Concurrency: 1})
+	pool := NewSolverPool(g)
+	pool.SetLimit(limit)
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	restore := fault.SetHook(func(point string) {
+		if point != fault.PointWMaxWorker {
+			return
+		}
+		for n := int64(runtime.NumGoroutine()); ; {
+			cur := peak.Load()
+			if n <= cur || peak.CompareAndSwap(cur, n) {
+				break
+			}
+		}
+	})
+	w, at, err := MaxMinWavefrontLowerBoundCtx(context.Background(), g, nil,
+		WMaxOptions{Concurrency: 1 << 20, Pool: pool})
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w != wantW || at != wantAt {
+		t.Fatalf("scan = (%d, %d), want (%d, %d)", w, at, wantW, wantAt)
+	}
+	if rise := peak.Load() - int64(base); rise > limit {
+		t.Fatalf("the scan over %d candidates raised the goroutine count by %d, want at most %d",
+			g.NumVertices(), rise, limit)
 	}
 }

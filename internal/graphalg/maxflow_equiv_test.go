@@ -16,11 +16,10 @@ import (
 // it with the production core, the other with the reference, and the test
 // compares the (value, aborted) results and the residual capacity arrays.
 // Bound, witness and canonical cut are shared by every maximum flow, so the
-// other tests cannot see a changed path order; the warm starts (which re-seed
-// harvested paths, aborted solves included) depend on it.
+// other tests cannot see a changed path order.
 //
 // It covers the strip network of every vertex of every generator graph and of
-// 60 random DAGs, cold and warm-seeded, under need ∈ {0, 1, w−1, w, w+1, w+3}
+// 60 random DAGs under need ∈ {0, 1, w−1, w, w+1, w+3}
 // for the vertex's true wavefront w; and random flow networks with finite and
 // infinite capacities under every limit up to the maximum flow, where unlike
 // in the vertex-split networks any level cut may bind.
@@ -47,83 +46,63 @@ func TestMaxFlowMatchesReference(t *testing.T) {
 		randomFlowsMatch(t, trial, rng, &st)
 	}
 	// The comparison is only as strong as the solves it saw: require aborted
-	// bounded solves, bounded solves run to completion, and warm solves that
-	// started from seeded flow.
-	if st.aborted == 0 || st.completed == 0 || st.seeded == 0 {
-		t.Fatalf("weak coverage: %d aborted and %d completed bounded solves, %d seeded warm solves",
-			st.aborted, st.completed, st.seeded)
+	// bounded solves and bounded solves run to completion.
+	if st.aborted == 0 || st.completed == 0 {
+		t.Fatalf("weak coverage: %d aborted and %d completed bounded solves", st.aborted, st.completed)
 	}
 }
 
 // solveStats counts the kinds of solves the comparisons exercised.
-type solveStats struct{ aborted, completed, seeded int }
+type solveStats struct{ aborted, completed int }
 
 // stripFlowsMatch compares the production and reference solves on the strip
-// network of every vertex of g (every fourth under -short), for cold solvers
-// and for warm solvers kept in lockstep: their harvested paths must agree
-// after every solve, since the next candidate's network is seeded from them.
+// network of every vertex of g (every fourth under -short).
 func stripFlowsMatch(t *testing.T, name string, g *cdag.Graph, st *solveStats) {
 	t.Helper()
-	truth := NewCutSolver()
+	truth, a, b := NewCutSolver(), NewCutSolver(), NewCutSolver()
 	truth.ensureGraph(g)
+	a.ensureGraph(g)
+	b.ensureGraph(g)
 	step := 1
 	if testing.Short() {
 		step = 4 // every fourth vertex: the race job runs -short
 	}
 	vs := g.Vertices()
-	for _, warm := range []bool{false, true} {
-		a, b := NewCutSolver(), NewCutSolver()
-		a.ensureGraph(g)
-		b.ensureGraph(g)
-		for vi := 0; vi < len(vs); vi += step {
-			x := vs[vi]
-			truth.explore(x)
-			w, _ := truth.minWavefrontRun(x, 0, false)
-			for _, need := range []int{0, 1, w - 1, w, w + 1, w + 3} {
-				if need < 0 {
-					continue
-				}
-				a.explore(x)
-				b.explore(x)
-				if len(a.desc) == 0 {
-					continue // the bound is 1 without a network
-				}
-				seeded := a.buildStrip(x, warm)
-				if sb := b.buildStrip(x, warm); sb != seeded {
-					t.Fatalf("%s vertex %d (warm=%v need=%d): seeded %d and %d units", name, x, warm, need, seeded, sb)
-				}
-				if seeded > 0 {
-					st.seeded++
-				}
-				var got, want int64
-				var gotAb, wantAb bool
-				if lim := int64(need) - seeded; need > 0 && lim > 0 {
-					got, gotAb = a.strip.maxFlowBounded(0, 1, lim)
-					want, wantAb = b.strip.maxFlowBoundedReference(0, 1, lim)
-					if wantAb {
-						st.aborted++
-					} else {
-						st.completed++
-					}
+	for vi := 0; vi < len(vs); vi += step {
+		x := vs[vi]
+		truth.explore(x)
+		w := truth.minWavefront(x)
+		for _, need := range []int{0, 1, w - 1, w, w + 1, w + 3} {
+			if need < 0 {
+				continue
+			}
+			a.explore(x)
+			b.explore(x)
+			if len(a.desc) == 0 {
+				continue // the bound is 1 without a network
+			}
+			a.buildStrip(x)
+			b.buildStrip(x)
+			var got, want int64
+			var gotAb, wantAb bool
+			if need > 0 {
+				got, gotAb = a.strip.maxFlowBounded(0, 1, int64(need))
+				want, wantAb = b.strip.maxFlowBoundedReference(0, 1, int64(need))
+				if wantAb {
+					st.aborted++
 				} else {
-					got = a.strip.maxFlow(0, 1)
-					want = b.strip.maxFlowReference(0, 1)
+					st.completed++
 				}
-				if got != want || gotAb != wantAb {
-					t.Fatalf("%s vertex %d (warm=%v need=%d): (flow, aborted) = (%d, %v), reference (%d, %v)",
-						name, x, warm, need, got, gotAb, want, wantAb)
-				}
-				if !slices.Equal(a.strip.cap, b.strip.cap) {
-					t.Fatalf("%s vertex %d (warm=%v need=%d): residual capacities differ from the reference", name, x, warm, need)
-				}
-				if warm {
-					a.harvestPaths()
-					b.harvestPaths()
-					if !slices.Equal(a.warmBuf, b.warmBuf) || !slices.Equal(a.warmOff, b.warmOff) {
-						t.Fatalf("%s vertex %d (need=%d): harvested paths %v/%v, reference %v/%v",
-							name, x, need, a.warmBuf, a.warmOff, b.warmBuf, b.warmOff)
-					}
-				}
+			} else {
+				got = a.strip.maxFlow(0, 1)
+				want = b.strip.maxFlowReference(0, 1)
+			}
+			if got != want || gotAb != wantAb {
+				t.Fatalf("%s vertex %d (need=%d): (flow, aborted) = (%d, %v), reference (%d, %v)",
+					name, x, need, got, gotAb, want, wantAb)
+			}
+			if !slices.Equal(a.strip.cap, b.strip.cap) {
+				t.Fatalf("%s vertex %d (need=%d): residual capacities differ from the reference", name, x, need)
 			}
 		}
 	}

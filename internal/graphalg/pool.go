@@ -128,8 +128,9 @@ func (p *SolverPool) Discard(cs *CutSolver) {
 // estimate, not an accounting of live allocations.  The formula was sized when
 // every solver also cached a static 2V+2-node vertex-split network of g.  It
 // is kept unchanged, so the serving layer admits and evicts exactly the
-// workspaces it did before; without that network it errs high, the safe side
-// for a memory budget.
+// workspaces it did before.  Without that network it errs high, and higher
+// still since solvers stopped keeping the previous solve's flow paths: the
+// safe side for a memory budget.
 func EstimateSolverFootprint(g *cdag.Graph) int64 {
 	return EstimateSolverFootprintCounts(int64(g.NumVertices()), int64(g.NumEdges()))
 }

@@ -15,7 +15,8 @@ import (
 // MaxMinWavefrontLowerBoundCtx.  Neither knob changes the result: bound value
 // and witness vertex are identical for every worker count and pool.
 type WMaxOptions struct {
-	// Concurrency is the number of worker goroutines scanning candidates.
+	// Concurrency is the number of worker goroutines scanning candidates, at
+	// most: a pass starts no more than Pool's solver limit, when it has one.
 	// Zero or negative selects runtime.GOMAXPROCS(0).
 	Concurrency int
 	// Pool supplies the per-worker CutSolvers.  Workers of a search draw
@@ -129,7 +130,7 @@ func topByDegree(g *cdag.Graph, candidates []cdag.VertexID, k int) []int {
 //     in decreasing key order, then by index (keyOrder), and stop at the
 //     first key below the incumbent.  Each walks its descendant cone and
 //     prunes on its latest convex cut first; only a survivor walks its
-//     ancestor cone again and pays for a warm-started, abortable Dinic solve.
+//     ancestor cone again and pays for an abortable Dinic solve.
 //
 // The result is exactly that of a serial scan solving every candidate in
 // order and keeping the first maximizer — the same bound value and the same
@@ -202,10 +203,10 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 	}
 	// settle runs the tiers of candidate i that need its descendant cone:
 	// the latest convex cut (with early exit at the survival threshold), then
-	// an exact strip-local min-cut solve — warm-started from the worker's
-	// previous solve and abortable by level-cut certificate once it provably
-	// cannot beat the incumbent.  The ancestor cone is walked first unless
-	// the caller already has.  Every tier is exact (see the package comment).
+	// an exact strip-local min-cut solve from zero flow, abortable by
+	// level-cut certificate once it provably cannot beat the incumbent.  The
+	// ancestor cone is walked first unless the caller already has.  Every
+	// tier is exact (see the package comment).
 	settle := func(cs *CutSolver, x cdag.VertexID, i int, walkedAnc bool) {
 		if sOff[x+1] == sOff[x] {
 			// No descendants: the wavefront is {x} and the bound is exactly 1.
@@ -220,7 +221,7 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 		if !walkedAnc {
 			cs.exploreAnc(x)
 		}
-		w, pruned := cs.minWavefrontRun(x, needAgainst(best.Load(), i), true)
+		w, pruned := cs.minWavefrontRun(x, needAgainst(best.Load(), i))
 		if !pruned {
 			record(w, i)
 		}
@@ -330,10 +331,13 @@ func keyOrder(ub []int32, floor int64) []int32 {
 }
 
 // parallelFor runs body(i) for i in [0, n) over the given number of worker
-// goroutines (at most n), each with its own CutSolver drawn from pool.  Workers claim
+// goroutines, each with its own CutSolver drawn from pool.  Workers claim
 // block consecutive indices at a time, re-check ctx before each index and
 // stop once it is cancelled; in-flight body calls run to completion (the
-// caller surfaces ctx.Err()).
+// caller surfaces ctx.Err()).  It starts no more workers than there are
+// blocks, nor than pool's limit when it has one: every worker takes a solver
+// before it claims work, so a worker past the blocks would take (or build)
+// one only to find nothing left, and one past the limit would wait in Get.
 //
 // Every body call runs under fault.Capture: a panic inside a worker — from
 // the engine itself or injected at the fault.PointWMaxWorker point — is
@@ -362,7 +366,10 @@ func parallelFor(ctx context.Context, pool *SolverPool, workers, n, block int, b
 	if n == 0 {
 		return nil
 	}
-	workers = min(max(workers, 1), n)
+	workers = min(max(workers, 1), (n+block-1)/block)
+	if limit := pool.Limit(); limit > 0 {
+		workers = min(workers, limit)
+	}
 	var next atomic.Int64
 	work := func() {
 		cs := pool.Get()

@@ -16,8 +16,7 @@ import (
 // same network arc for arc (to, cap and adjArc), the same strip vertices, the
 // same solved value and the same canonical cut.  buildStrip picks one sweep
 // per candidate by cost alone, so the two must be interchangeable wherever
-// either can run.  Both solvers run cold and warm-seeded in lockstep, so the
-// seeding reads the marks of either sweep too.
+// either can run.
 //
 // It covers every vertex (every fourth under -short) of the generator graphs,
 // of 60 random DAGs and of FFT(256), BinomialTree(7), ReductionTree(256) and
@@ -63,52 +62,43 @@ func stripSweepsAgree(t *testing.T, name string, g *cdag.Graph) int {
 	}
 	vs := g.Vertices()
 	stripped := 0
-	for _, warm := range []bool{false, true} {
-		fw, bw := NewCutSolver(), NewCutSolver()
-		fw.ensureGraph(g)
-		bw.ensureGraph(g)
-		var cutF, cutB []cdag.VertexID
-		for vi := 0; vi < len(vs); vi += step {
-			x := vs[vi]
-			fw.explore(x)
-			bw.explore(x)
-			if len(fw.desc) == 0 {
-				continue // the bound is 1 without a network
+	fw, bw := NewCutSolver(), NewCutSolver()
+	fw.ensureGraph(g)
+	bw.ensureGraph(g)
+	var cutF, cutB []cdag.VertexID
+	for vi := 0; vi < len(vs); vi += step {
+		x := vs[vi]
+		fw.explore(x)
+		bw.explore(x)
+		if len(fw.desc) == 0 {
+			continue // the bound is 1 without a network
+		}
+		fw.sweepForward(x)
+		fw.stripNetwork(x)
+		bw.sweepBackward(x)
+		bw.stripNetwork(x)
+		where := fmt.Sprintf("%s vertex %d", name, x)
+		f, b := &fw.strip, &bw.strip
+		if f.n != b.n || !slices.Equal(f.to, b.to) || !slices.Equal(f.cap, b.cap) || !slices.Equal(f.adjArc, b.adjArc) {
+			t.Fatalf("%s: networks differ: %d nodes and %d arcs forward, %d nodes and %d arcs backward",
+				where, f.n, len(f.to), b.n, len(b.to))
+		}
+		if !slices.Equal(fw.stripVerts, bw.stripVerts) {
+			t.Fatalf("%s: strip vertices %v forward, %v backward", where, fw.stripVerts, bw.stripVerts)
+		}
+		for _, v := range fw.stripVerts {
+			if v != x && fw.ancMark[v] != fw.epoch {
+				stripped++
+				break
 			}
-			fw.sweepForward(x)
-			seededF := fw.stripNetwork(x, warm)
-			bw.sweepBackward(x)
-			seededB := bw.stripNetwork(x, warm)
-			where := fmt.Sprintf("%s vertex %d (warm=%v)", name, x, warm)
-			if seededF != seededB {
-				t.Fatalf("%s: seeded %d units forward, %d backward", where, seededF, seededB)
-			}
-			f, b := &fw.strip, &bw.strip
-			if f.n != b.n || !slices.Equal(f.to, b.to) || !slices.Equal(f.cap, b.cap) || !slices.Equal(f.adjArc, b.adjArc) {
-				t.Fatalf("%s: networks differ: %d nodes and %d arcs forward, %d nodes and %d arcs backward",
-					where, f.n, len(f.to), b.n, len(b.to))
-			}
-			if !slices.Equal(fw.stripVerts, bw.stripVerts) {
-				t.Fatalf("%s: strip vertices %v forward, %v backward", where, fw.stripVerts, bw.stripVerts)
-			}
-			for _, v := range fw.stripVerts {
-				if v != x && fw.ancMark[v] != fw.epoch {
-					stripped++
-					break
-				}
-			}
-			flowF, flowB := f.maxFlow(0, 1), b.maxFlow(0, 1)
-			if flowF != flowB {
-				t.Fatalf("%s: flow %d forward, %d backward", where, flowF, flowB)
-			}
-			cutF, cutB = fw.lastStripCut(cutF), bw.lastStripCut(cutB)
-			if !slices.Equal(cutF, cutB) {
-				t.Fatalf("%s: cut %v forward, %v backward", where, cutF, cutB)
-			}
-			if warm {
-				fw.harvestPaths()
-				bw.harvestPaths()
-			}
+		}
+		flowF, flowB := f.maxFlow(0, 1), b.maxFlow(0, 1)
+		if flowF != flowB {
+			t.Fatalf("%s: flow %d forward, %d backward", where, flowF, flowB)
+		}
+		cutF, cutB = fw.lastStripCut(cutF), bw.lastStripCut(cutB)
+		if !slices.Equal(cutF, cutB) {
+			t.Fatalf("%s: cut %v forward, %v backward", where, cutF, cutB)
 		}
 	}
 	return stripped
