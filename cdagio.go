@@ -25,8 +25,8 @@
 //   - pebble games: the sequential red-blue and red-blue-white games with
 //     rule checking, schedule players and an exact optimal solver, plus the
 //     parallel P-RBW game over a storage hierarchy;
-//   - lower bounds: 2S-partitioning, min-cut wavefronts, decomposition and
-//     tagging, the parallel vertical/horizontal conversions, and the paper's
+//   - lower bounds: 2S-partitioning (Corollary 1), min-cut wavefronts
+//     (Lemma 2, and Theorems 8 and 9 applied per iteration), and the paper's
 //     closed forms for CG, GMRES, Jacobi and matmul;
 //   - machine models and balance analysis: the Table-1 machines and the
 //     Equation 7–10 bandwidth-bound verdicts;

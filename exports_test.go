@@ -12,23 +12,49 @@ import (
 	"testing"
 )
 
-// testOnlyExports lists, one "<dir> <[Recv.]Name>" per line, the exported
-// functions and methods that only tests call.
-const testOnlyExports = "testdata/test_only_exports.txt"
+// testOnlyFuncs lists, one "<dir> <[Recv.]Name>" per line under "#" headings
+// that give the reason, the functions and methods that only tests reach.
+const testOnlyFuncs = "testdata/test_only_exports.txt"
 
-// TestNoNewTestOnlyExports keeps exported functions and methods that only
-// tests call from growing back.  It parses every non-test Go file of the
-// repository (vendor and testdata excluded; the cdagbench module counts as a
-// caller) and lists each exported function and method whose name appears in
-// no such file other than as its own declaration.  That list must equal
-// testdata/test_only_exports.txt: a new entry is an export nothing calls, to
-// be wired, unexported or deleted; a listed entry that is gone or now has a
-// caller must leave the file.  Matching is by name, so a namesake elsewhere
-// can hide an entry but never invent one.
+// interfaceRoots are the methods the standard library calls through an
+// interface (error, fmt.Stringer, errors.Unwrap, encoding/json, sort and
+// container/heap, net/http), so no call site in the repository names them.
+var interfaceRoots = []string{
+	"Error", "String", "Unwrap", "MarshalJSON", "UnmarshalJSON",
+	"Len", "Less", "Swap", "Push", "Pop", "ServeHTTP",
+}
+
+// TestNoNewTestOnlyExports keeps functions that only tests reach from
+// growing back, whole call chains included.  It parses every non-test Go file
+// of the repository (vendor and testdata excluded; the cdagbench module
+// counts as a caller) and marks names live, starting from main in package
+// main, every init, every identifier in a non-function declaration and
+// interfaceRoots.  A function or method is live once its name is live, and
+// the identifiers in a live function's body become live in turn.  Every
+// function and method, exported or not, that never becomes live must be
+// listed in testdata/test_only_exports.txt, and every listed one must still
+// exist and stay unreached: a new entry is code only tests run, to be wired
+// or deleted; a listed entry that is gone or now live must leave the file.
+// Matching is by name, so a namesake elsewhere can hide an entry but never
+// invent one.
 func TestNoNewTestOnlyExports(t *testing.T) {
-	type decl struct{ entry, name string }
+	type decl struct {
+		entry string
+		fd    *ast.FuncDecl
+	}
 	var decls []decl
-	used := make(map[string]bool)
+	live := make(map[string]bool)
+	for _, name := range interfaceRoots {
+		live[name] = true
+	}
+	markIdents := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				live[id.Name] = true
+			}
+			return true
+		})
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -47,43 +73,51 @@ func TestNoNewTestOnlyExports(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		declared := make(map[*ast.Ident]bool)
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok {
-				continue
-			}
-			declared[fd.Name] = true
-			if !fd.Name.IsExported() {
+				markIdents(d)
 				continue
 			}
 			name := fd.Name.Name
+			if fd.Recv == nil && (name == "init" || name == "main" && f.Name.Name == "main") {
+				markIdents(fd.Body)
+				continue
+			}
 			if fd.Recv != nil {
 				name = receiverType(fd.Recv.List[0].Type) + "." + name
 			}
-			decls = append(decls, decl{filepath.ToSlash(filepath.Dir(path)) + " " + name, fd.Name.Name})
+			decls = append(decls, decl{filepath.ToSlash(filepath.Dir(path)) + " " + name, fd})
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// Grow the live set to a fixed point: each pass walks the bodies of the
+	// functions whose names went live since the last one.
+	for grew := true; grew; {
+		grew = false
+		for i, d := range decls {
+			if d.fd != nil && live[d.fd.Name.Name] {
+				if d.fd.Body != nil {
+					markIdents(d.fd.Body)
+				}
+				decls[i].fd = nil
+				grew = true
+			}
+		}
+	}
 	var got []string
 	for _, d := range decls {
-		if !used[d.name] {
+		if d.fd != nil {
 			got = append(got, d.entry)
 		}
 	}
 	slices.Sort(got)
 	got = slices.Compact(got)
-	raw, err := os.ReadFile(testOnlyExports)
+	raw, err := os.ReadFile(testOnlyFuncs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +129,12 @@ func TestNoNewTestOnlyExports(t *testing.T) {
 	}
 	for _, e := range got {
 		if !slices.Contains(want, e) {
-			t.Errorf("%s: exported, but only tests call it; wire, unexport or delete it", e)
+			t.Errorf("%s: only tests reach it; wire or delete it", e)
 		}
 	}
 	for _, e := range want {
 		if !slices.Contains(got, e) {
-			t.Errorf("%s: listed in %s, but it is gone or now has a non-test caller; remove the line", e, testOnlyExports)
+			t.Errorf("%s: listed in %s, but it is gone or now reached from a main package; remove the line", e, testOnlyFuncs)
 		}
 	}
 }

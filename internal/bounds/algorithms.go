@@ -231,10 +231,6 @@ type JacobiParams struct {
 // Points returns n^d.
 func (p JacobiParams) Points() float64 { return powInt(float64(p.N), p.Dim) }
 
-// Flops returns the vertex count n^d·T used as the work term |V| in the
-// balance analysis (one weighted-average update per grid point per step).
-func (p JacobiParams) Flops() float64 { return p.Points() * float64(p.Steps) }
-
 // JacobiLower returns the Theorem 10 lower bound n^d·T / (4·P·(2S)^{1/d}).
 func JacobiLower(p JacobiParams, s int64) Bound {
 	procs := float64(p.Processors)

@@ -1,6 +1,5 @@
-// Package bounds collects the data-movement bounds the paper derives:
-// generic composition theorems (decomposition, input/output deletion,
-// tagging, non-disjoint decomposition), the parallel conversion theorems
+// Package bounds collects the data-movement bounds the paper derives: the
+// decomposition theorem (Theorem 2), the parallel conversion theorems
 // (vertical and horizontal I/O, Theorems 5–7), and the closed-form bounds for
 // the algorithms analyzed in Section 5 (matrix multiplication, CG, GMRES,
 // Jacobi stencils) plus the classical kernels used as cross-checks.
@@ -57,7 +56,7 @@ func (b Bound) String() string {
 	return s
 }
 
-// --- Generic composition results -------------------------------------------
+// --- Composition ----------------------------------------------------------
 
 // Decomposition composes per-sub-CDAG lower bounds by addition (Theorem 2):
 // for any disjoint partitioning of the vertices, the sum of the sub-CDAGs'
@@ -71,34 +70,6 @@ func Decomposition(sub []Bound) Bound {
 		total += b.Value
 	}
 	return Bound{Value: total, Kind: Lower, Technique: "decomposition (Theorem 2)"}
-}
-
-// IODeletion lifts a lower bound on the input/output-stripped CDAG C to the
-// original CDAG C′ that additionally contains dI input and dO output vertices
-// (Corollary 2): IO(C′) ≥ IO(C) + |dI| + |dO|.
-func IODeletion(inner Bound, dI, dO int) Bound {
-	return Bound{
-		Value:       inner.Value + float64(dI) + float64(dO),
-		Kind:        Lower,
-		Technique:   "input/output deletion (Corollary 2) over " + inner.Technique,
-		Assumptions: inner.Assumptions,
-	}
-}
-
-// Tagging converts a lower bound proven on a CDAG with extra input/output
-// tags (C′) into a lower bound for the original CDAG C (Theorem 3):
-// IO(C) ≥ IO(C′) − |dI| − |dO|.
-func Tagging(tagged Bound, dI, dO int) Bound {
-	v := tagged.Value - float64(dI) - float64(dO)
-	if v < 0 {
-		v = 0
-	}
-	return Bound{
-		Value:       v,
-		Kind:        Lower,
-		Technique:   "tagging (Theorem 3) over " + tagged.Technique,
-		Assumptions: tagged.Assumptions,
-	}
 }
 
 // --- Parallel conversion theorems ------------------------------------------
@@ -175,18 +146,6 @@ func OuterProductIO(n int) Bound {
 		Value:     float64(2*n) + float64(n)*float64(n),
 		Kind:      Lower,
 		Technique: "outer product compulsory I/O",
-	}
-}
-
-// CompositeUpper returns the I/O cost of the Section-3 strategy for the
-// composite computation sum((p·qᵀ)(r·sᵀ)): 4n loads plus one store, feasible
-// with 4n+4 words of fast memory (recomputation allowed).
-func CompositeUpper(n int) Bound {
-	return Bound{
-		Value:       float64(4*n) + 1,
-		Kind:        Upper,
-		Technique:   "composite recomputation strategy (Section 3)",
-		Assumptions: "S >= 4n+4, Hong-Kung game",
 	}
 }
 

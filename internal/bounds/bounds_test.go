@@ -26,17 +26,6 @@ func TestCompositionHelpers(t *testing.T) {
 	if d.Value != 15 || d.Kind != Lower {
 		t.Errorf("Decomposition = %+v", d)
 	}
-	io := IODeletion(Bound{Value: 7, Kind: Lower, Technique: "inner"}, 3, 2)
-	if io.Value != 12 {
-		t.Errorf("IODeletion = %v", io.Value)
-	}
-	tag := Tagging(Bound{Value: 7, Kind: Lower, Technique: "inner"}, 3, 2)
-	if tag.Value != 2 {
-		t.Errorf("Tagging = %v", tag.Value)
-	}
-	if Tagging(Bound{Value: 1, Kind: Lower}, 5, 5).Value != 0 {
-		t.Errorf("Tagging should clamp at 0")
-	}
 }
 
 func TestParallelConversions(t *testing.T) {
@@ -80,10 +69,6 @@ func TestKernelClosedForms(t *testing.T) {
 	o := OuterProductIO(10)
 	if o.Value != 120 {
 		t.Errorf("OuterProductIO = %v, want 120", o.Value)
-	}
-	c := CompositeUpper(10)
-	if c.Value != 41 || c.Kind != Upper {
-		t.Errorf("CompositeUpper = %+v", c)
 	}
 	f := FFTLower(1024, 32)
 	wantF := 1024 * 10 / (2 * math.Log2(64))
@@ -229,9 +214,6 @@ func TestFlopsCounts(t *testing.T) {
 		t.Errorf("GMRES flops = %v", gm.Flops())
 	}
 	ja := JacobiParams{Dim: 2, N: 10, Steps: 7}
-	if ja.Flops() != 700 {
-		t.Errorf("Jacobi flops = %v", ja.Flops())
-	}
 	if cg.Points() != 1000 || gm.Points() != 1000 || ja.Points() != 100 {
 		t.Errorf("points wrong")
 	}

@@ -252,8 +252,8 @@ func TestCSRReserveAfterMaterialize(t *testing.T) {
 	g.Materialize()
 	g.ReserveEdges(1)
 	g.AddEdge(1, 2)
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) || g.NumEdges() != 2 {
-		t.Fatalf("edges lost: 0->1=%v 1->2=%v |E|=%d", g.HasEdge(0, 1), g.HasEdge(1, 2), g.NumEdges())
+	if !hasEdge(g, 0, 1) || !hasEdge(g, 1, 2) || g.NumEdges() != 2 {
+		t.Fatalf("edges lost: 0->1=%v 1->2=%v |E|=%d", hasEdge(g, 0, 1), hasEdge(g, 1, 2), g.NumEdges())
 	}
 }
 
@@ -337,10 +337,6 @@ func TestAddVertexBytes(t *testing.T) {
 	}
 	if g.Label(w) != "other" || !g.IsInput(w) {
 		t.Fatalf("AddInputBytes wrong: %q input=%v", g.Label(w), g.IsInput(w))
-	}
-	g.SetLabel(v, "renamed")
-	if g.Label(v) != "renamed" || g.Label(w) != "other" {
-		t.Fatalf("SetLabel override wrong: %q / %q", g.Label(v), g.Label(w))
 	}
 }
 

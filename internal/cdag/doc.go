@@ -43,8 +43,7 @@
 // hold their targets in first-insertion order (exactly the order the
 // historical slice-of-slices representation produced, so traversal-derived
 // schedules, bounds and I/O statistics are bit-identical across the
-// representations — see the equivalence tests in csr_test.go); SortAdjacency
-// optionally normalizes the lists to increasing vertex order.
+// representations — see the equivalence tests in csr_test.go).
 //
 // Mutating a compiled graph is permitted while it is not frozen: the staging
 // buffer is reconstituted from the CSR arrays and the next query recompiles.

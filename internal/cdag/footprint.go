@@ -13,9 +13,6 @@ func (g *Graph) FootprintBytes() int64 {
 	b += int64(cap(g.eu))*4 + int64(cap(g.ev))*4
 	b += int64(cap(g.succOff))*8 + int64(cap(g.predOff))*8
 	b += int64(cap(g.succVal))*4 + int64(cap(g.predVal))*4
-	for _, l := range g.labelOverride {
-		b += int64(len(l)) + 16
-	}
 	return b
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // VertexID identifies a vertex within a Graph.  IDs are dense: the vertices
@@ -39,13 +38,11 @@ type Graph struct {
 
 	n int // |V|
 
-	// Labels are stored flat: labelBuf holds the concatenated label bytes and
-	// labelEnd[v] the end offset of v's label (its start is labelEnd[v-1]).
-	// SetLabel rewrites go to the sparse override map so the flat buffer stays
-	// append-only.
-	labelBuf      []byte
-	labelEnd      []int32
-	labelOverride map[VertexID]string
+	// Labels are stored flat and are fixed once their vertex is added:
+	// labelBuf holds the concatenated label bytes and labelEnd[v] the end
+	// offset of v's label (its start is labelEnd[v-1]).
+	labelBuf []byte
+	labelEnd []int32
 
 	input  []bool // input tag per vertex
 	output []bool // output tag per vertex
@@ -409,19 +406,6 @@ func (g *Graph) AddEdge(u, v VertexID) {
 	g.ev = append(g.ev, v)
 }
 
-// HasEdge reports whether the edge u→v is present.
-func (g *Graph) HasEdge(u, v VertexID) bool {
-	if !g.ValidVertex(u) || !g.ValidVertex(v) {
-		return false
-	}
-	for _, w := range g.Succ(u) {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Succ returns the successors of v as a subslice of the graph's flat CSR
 // array, in first-insertion order.  The returned slice is owned by the graph
 // and must not be modified.
@@ -492,24 +476,11 @@ func (g *Graph) InDegree(v VertexID) int {
 // Label returns the label of v (possibly empty).
 func (g *Graph) Label(v VertexID) string {
 	g.checkVertex(v)
-	if l, ok := g.labelOverride[v]; ok {
-		return l
-	}
 	start := int32(0)
 	if v > 0 {
 		start = g.labelEnd[v-1]
 	}
 	return string(g.labelBuf[start:g.labelEnd[v]])
-}
-
-// SetLabel sets the label of v.
-func (g *Graph) SetLabel(v VertexID, label string) {
-	g.mutable()
-	g.checkVertex(v)
-	if g.labelOverride == nil {
-		g.labelOverride = make(map[VertexID]string)
-	}
-	g.labelOverride[v] = label
 }
 
 // IsInput reports whether v is tagged as an input vertex.
@@ -637,12 +608,6 @@ func (g *Graph) Clone() *Graph {
 		nEdges:   g.nEdges,
 		dirty:    g.dirty,
 	}
-	if g.labelOverride != nil {
-		c.labelOverride = make(map[VertexID]string, len(g.labelOverride))
-		for v, l := range g.labelOverride {
-			c.labelOverride[v] = l
-		}
-	}
 	if g.eu != nil {
 		c.eu = append([]VertexID(nil), g.eu...)
 		c.ev = append([]VertexID(nil), g.ev...)
@@ -703,19 +668,4 @@ func (g *Graph) Validate(mode ValidateMode) error {
 func (g *Graph) String() string {
 	return fmt.Sprintf("CDAG %q: |V|=%d |E|=%d |I|=%d |O|=%d",
 		g.name, g.NumVertices(), g.NumEdges(), g.nInputs, g.nOutputs)
-}
-
-// SortAdjacency sorts all adjacency lists in increasing vertex order.  The
-// analyses do not require sorted adjacency, but sorting makes traversals and
-// generated schedules independent of construction order, which keeps tests
-// and benchmarks deterministic across generator refactorings.
-func (g *Graph) SortAdjacency() {
-	g.mutable()
-	g.ensure()
-	for v := 0; v < g.n; v++ {
-		row := g.succVal[g.succOff[v]:g.succOff[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		row = g.predVal[g.predOff[v]:g.predOff[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-	}
 }

@@ -3,6 +3,7 @@ package cdag
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,6 +25,16 @@ func diamond(t testing.TB) (*Graph, [4]VertexID) {
 	return g, [4]VertexID{a, b, c, d}
 }
 
+// hasEdge reports whether the edge u→v is present.
+func hasEdge(g *Graph, u, v VertexID) bool {
+	for _, w := range g.Succ(u) {
+		if w == v {
+			return true
+		}
+	}
+	return false
+}
+
 func TestGraphBasics(t *testing.T) {
 	g, v := diamond(t)
 	if got := g.NumVertices(); got != 4 {
@@ -41,7 +52,7 @@ func TestGraphBasics(t *testing.T) {
 	if got := g.NumOperations(); got != 3 {
 		t.Errorf("NumOperations = %d, want 3", got)
 	}
-	if !g.HasEdge(v[0], v[1]) || g.HasEdge(v[1], v[0]) {
+	if !hasEdge(g, v[0], v[1]) || hasEdge(g, v[1], v[0]) {
 		t.Errorf("edge presence wrong")
 	}
 	if g.InDegree(v[3]) != 2 || g.OutDegree(v[0]) != 2 {
@@ -150,11 +161,8 @@ func TestTopoOrderCyclic(t *testing.T) {
 	g.AddEdge(a, b)
 	g.AddEdge(b, c)
 	g.AddEdge(c, a)
-	if _, err := g.TopoOrder(); err == nil {
-		t.Fatalf("expected cycle error")
-	}
-	if g.IsAcyclic() {
-		t.Fatalf("IsAcyclic = true for cyclic graph")
+	if _, err := g.TopoOrder(); !errors.Is(err, ErrCyclic) {
+		t.Fatalf("TopoOrder error = %v, want ErrCyclic", err)
 	}
 	if err := g.Validate(ValidateRBW); err == nil {
 		t.Fatalf("Validate accepted a cyclic graph")
@@ -290,11 +298,6 @@ func TestInOutMinSets(t *testing.T) {
 	if out.Len() != 1 || !out.Contains(v[3]) {
 		t.Errorf("Out = %v", out.Elements())
 	}
-	min := MinSet(g, s)
-	// Min(S): vertices with all successors outside S: d (no successors).
-	if min.Len() != 1 || !min.Contains(v[3]) {
-		t.Errorf("Min = %v", min.Elements())
-	}
 }
 
 func TestVertexSetOperations(t *testing.T) {
@@ -393,26 +396,15 @@ func TestPartitionStrict(t *testing.T) {
 	}
 }
 
-func TestDeleteInputsOutputs(t *testing.T) {
-	g, _ := diamond(t)
-	reduced, dI, dO := DeleteInputsOutputs(g)
-	if dI != 1 || dO != 1 {
-		t.Fatalf("dI=%d dO=%d, want 1,1", dI, dO)
-	}
-	if reduced.NumVertices() != 2 || reduced.NumEdges() != 0 {
-		t.Fatalf("reduced graph wrong: %v", reduced)
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	g, _ := diamond(t)
 	var buf bytes.Buffer
 	if err := g.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	back, err := ReadJSON(&buf)
+	back, err := ReadJSONLimits(&buf, JSONLimits{})
 	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
+		t.Fatalf("ReadJSONLimits: %v", err)
 	}
 	if back.NumVertices() != g.NumVertices() || back.NumEdges() != g.NumEdges() ||
 		back.NumInputs() != g.NumInputs() || back.NumOutputs() != g.NumOutputs() {
@@ -565,25 +557,6 @@ func TestJSONRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestSortAdjacency(t *testing.T) {
-	g := NewGraph("sort", 4)
-	a := g.AddVertex("a")
-	b := g.AddVertex("b")
-	c := g.AddVertex("c")
-	d := g.AddVertex("d")
-	g.AddEdge(a, d)
-	g.AddEdge(a, b)
-	g.AddEdge(a, c)
-	g.SortAdjacency()
-	succ := g.Succ(a)
-	for i := 1; i < len(succ); i++ {
-		if succ[i-1] > succ[i] {
-			t.Fatalf("successors not sorted: %v", succ)
-		}
-	}
-	_ = d
 }
 
 func TestValidVertexAndPanics(t *testing.T) {

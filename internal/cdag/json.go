@@ -46,13 +46,7 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		Inputs:   make([]int32, 0, g.nInputs),
 		Outputs:  make([]int32, 0, g.nOutputs),
 	}
-	hasLabels := len(g.labelBuf) > 0
-	for _, l := range g.labelOverride {
-		if l != "" {
-			hasLabels = true
-		}
-	}
-	if hasLabels {
+	if len(g.labelBuf) > 0 {
 		jg.Labels = make([]string, g.n)
 		for v := 0; v < g.n; v++ {
 			jg.Labels[v] = g.Label(VertexID(v))
@@ -156,12 +150,6 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 func (g *Graph) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(g)
-}
-
-// ReadJSON reads a graph in the format written by WriteJSON, with no size
-// limits.  Use ReadJSONLimits when r carries untrusted bytes.
-func ReadJSON(r io.Reader) (*Graph, error) {
-	return ReadJSONLimits(r, JSONLimits{})
 }
 
 // ReadJSONLimits reads a graph in the format written by WriteJSON, enforcing

@@ -166,23 +166,3 @@ func Out(g *Graph, s *VertexSet) *VertexSet {
 	}
 	return out
 }
-
-// MinSet returns Min(S): the set of vertices in S all of whose successors lie
-// outside S (Definition 3, the Hong–Kung minimum set).  A vertex of S with no
-// successors is in Min(S).
-func MinSet(g *Graph, s *VertexSet) *VertexSet {
-	out := NewVertexSet(g.NumVertices())
-	for _, v := range s.Elements() {
-		inMin := true
-		for _, w := range g.Succ(v) {
-			if s.Contains(w) {
-				inMin = false
-				break
-			}
-		}
-		if inMin {
-			out.Add(v)
-		}
-	}
-	return out
-}

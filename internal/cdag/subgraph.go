@@ -97,25 +97,3 @@ type PartitionError struct {
 func (e *PartitionError) Error() string {
 	return "cdag: invalid partition: " + e.Reason
 }
-
-// DeleteInputsOutputs returns a copy of g with all input-tagged and
-// output-tagged vertices removed (Corollary 2, input/output deletion), along
-// with the number of deleted inputs |dI| and outputs |dO|.  Edges incident to
-// deleted vertices are dropped.  A vertex tagged both input and output counts
-// once toward each total.
-func DeleteInputsOutputs(g *Graph) (reduced *Graph, dI, dO int) {
-	keep := NewVertexSet(g.NumVertices())
-	for _, v := range g.Vertices() {
-		if g.IsInput(v) {
-			dI++
-		}
-		if g.IsOutput(v) {
-			dO++
-		}
-		if !g.IsInput(v) && !g.IsOutput(v) {
-			keep.Add(v)
-		}
-	}
-	reduced, _ = InducedSubgraph(g, keep, g.Name()+"/inner")
-	return reduced, dI, dO
-}

@@ -48,12 +48,6 @@ func (g *Graph) MustTopoOrder() []VertexID {
 	return order
 }
 
-// IsAcyclic reports whether g contains no directed cycle.
-func (g *Graph) IsAcyclic() bool {
-	_, err := g.TopoOrder()
-	return err == nil
-}
-
 // Levels assigns each vertex its longest-path depth from the sources
 // (sources have level 0) and returns the per-vertex level along with the
 // maximum level.  The level structure is the "layer" decomposition used by

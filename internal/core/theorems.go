@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cdagio/internal/bounds"
 	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
 	"cdagio/internal/graphalg"
@@ -90,13 +89,4 @@ func GMRESMinCutBound(gm *gen.GMRESResult, s int) TheoremBound {
 	}
 	tb.ClosedForm = perIter * float64(gm.Iterations)
 	return tb
-}
-
-// AsBound converts the executable theorem bound into a bounds.Bound.
-func (tb TheoremBound) AsBound(technique string) bounds.Bound {
-	return bounds.Bound{
-		Value:     float64(tb.Total),
-		Kind:      bounds.Lower,
-		Technique: technique,
-	}
 }

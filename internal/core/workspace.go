@@ -87,10 +87,6 @@ func (w *Workspace) FootprintBytes(maxSolvers int) int64 {
 	return w.g.FootprintBytes() + int64(maxSolvers)*graphalg.EstimateSolverFootprint(w.g)
 }
 
-// Pool returns the workspace-owned cut-solver pool, for callers that want to
-// run their own graphalg queries on the workspace's solvers.
-func (w *Workspace) Pool() *graphalg.SolverPool { return w.pool }
-
 // topoSchedule returns the memoized baseline schedule (the non-input vertices
 // in topological order).
 func (w *Workspace) topoSchedule() []cdag.VertexID {

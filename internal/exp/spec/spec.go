@@ -15,8 +15,8 @@ import (
 	"cdagio/internal/gen"
 )
 
-// Spec is the top-level experiment specification, decodable from strict
-// JSON or from the YAML subset of yaml.go.
+// Spec is the top-level experiment specification, written in the YAML
+// subset of yaml.go.
 type Spec struct {
 	// Name identifies the spec in outputs.
 	Name string `json:"name"`
@@ -89,22 +89,16 @@ type Experiment struct {
 	CriticalPath bool    `json:"critical_path,omitempty"`
 }
 
-// Parse decodes a spec from JSON (if the document starts with '{') or the
-// YAML subset otherwise.  Unknown fields are boundary errors either way.
+// Parse decodes a spec from the YAML subset.  Unknown fields are boundary
+// errors.
 func Parse(data []byte) (*Spec, error) {
-	trimmed := bytes.TrimSpace(data)
-	var doc []byte
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		doc = trimmed
-	} else {
-		tree, err := parseYAML(data)
-		if err != nil {
-			return nil, err
-		}
-		doc, err = json.Marshal(tree)
-		if err != nil {
-			return nil, fmt.Errorf("spec: canonicalize yaml: %w", err)
-		}
+	tree, err := parseYAML(data)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := json.Marshal(tree)
+	if err != nil {
+		return nil, fmt.Errorf("spec: canonicalize yaml: %w", err)
 	}
 	dec := json.NewDecoder(bytes.NewReader(doc))
 	dec.DisallowUnknownFields()

@@ -190,26 +190,22 @@ func (cs *CutSolver) minWavefront(x cdag.VertexID) int {
 	return w
 }
 
-// minWavefrontRun is minWavefront with the mid-solve abort: when need > 0 the
-// Dinic solve runs under the level-cut certificate of maxFlowBounded and stops
-// early once some BFS level cut proves the final wavefront must stay below
-// need.  The second return is true for such an aborted candidate (its exact
-// value is unknown but provably < need); otherwise the returned value is
-// exact.
+// minWavefrontRun is minWavefront with the mid-solve abort: the Dinic solve
+// runs under the level-cut certificate of maxFlowBounded and stops early once
+// some BFS level cut proves the final wavefront must stay below need (never,
+// when need ≤ 0).  The second return is true for such an aborted candidate
+// (its exact value is unknown but provably < need); otherwise the returned
+// value is exact.
 func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int) (int, bool) {
 	if len(cs.desc) == 0 {
 		return 1, false
 	}
 	cs.buildStrip(x)
-	f := &cs.strip
-	if need > 0 {
-		flow, aborted := f.maxFlowBounded(0, 1, int64(need))
-		if aborted {
-			return 0, true
-		}
-		return max(int(flow), 1), false
+	flow, aborted := cs.strip.maxFlowBounded(0, 1, int64(need))
+	if aborted {
+		return 0, true
 	}
-	return max(int(f.maxFlow(0, 1)), 1), false
+	return max(int(flow), 1), false
 }
 
 // buildStrip builds the strip-local network of the explored candidate x

@@ -114,7 +114,7 @@ func (cs *CutSolver) MinDominatorSize(g *cdag.Graph, target *cdag.VertexSet) (in
 		return 0, nil
 	}
 	f.buildFresh(int(2 + 2*cnt))
-	flow := f.maxFlow(0, 1)
+	flow, _ := f.maxFlowBounded(0, 1, 0)
 	// Every source→sink path crosses a unit split arc, so flow < flowInf.
 	f.residualReach(0)
 	var cut []cdag.VertexID

@@ -173,10 +173,10 @@ func (f *flowCSR) buildFresh(n int) {
 	}
 }
 
-// maxFlow computes the maximum s→t flow with Dinic's algorithm: BFS level
-// graphs with epoch-stamped levels, then blocking flows found by an iterative
-// current-arc DFS.  The augmenting-path selection order is identical to the
-// historical recursive implementation, so residual graphs (and the cuts
+// maxFlowBounded computes the maximum s→t flow with Dinic's algorithm: BFS
+// level graphs with epoch-stamped levels, then blocking flows found by an
+// iterative current-arc DFS.  The augmenting-path selection order is identical
+// to the historical recursive implementation, so residual graphs (and the cuts
 // recovered from them) are bit-for-bit reproducible.
 //
 // Each BFS stops at the first dequeued node whose level is at least the
@@ -184,51 +184,13 @@ func (f *flowCSR) buildFresh(n int) {
 // it lies on no level-graph path to the sink, so blockingFlow pushes the same
 // augmenting paths in the same order as after a BFS over the whole
 // residual-reachable set.
-func (f *flowCSR) maxFlow(s, t int32) int64 {
-	if s == t {
-		return flowInf
-	}
-	var total int64
-	for {
-		e := f.bumpEpoch()
-		f.levelEp[s] = e
-		f.level[s] = 0
-		q := f.queue[:0]
-		q = append(q, s)
-		lt := int32(math.MaxInt32) // sink level once t is labeled
-		for qi := 0; qi < len(q); qi++ {
-			u := q[qi]
-			if f.level[u] >= lt {
-				break
-			}
-			lu := f.level[u] + 1
-			base := f.adjOff[u]
-			for _, ai := range f.adjArc[base : base+f.adjLen[u]] {
-				v := f.to[ai]
-				if f.cap[ai] > 0 && f.levelEp[v] != e {
-					f.levelEp[v] = e
-					f.level[v] = lu
-					if v == t {
-						lt = lu
-					}
-					q = append(q, v)
-				}
-			}
-		}
-		f.queue = q[:0]
-		if lt == math.MaxInt32 {
-			return total
-		}
-		total += f.blockingFlow(s, t, e)
-	}
-}
-
-// maxFlowBounded is maxFlow with a mid-solve abort: each BFS phase
-// additionally evaluates a residual level-cut certificate, and the solve stops
-// as soon as the certificate proves the final max flow must stay below lim
-// (never, when lim ≤ 0).  It returns (flow, false) with the exact max flow
-// when no certificate fired — bit-identical to maxFlow, since the certificate
-// only reads the network — or (ub, true) where ub is a proven upper bound on
+//
+// lim adds a mid-solve abort: each BFS phase also evaluates a residual
+// level-cut certificate, and the solve stops as soon as the certificate
+// proves the final max flow must stay below lim (never, when lim ≤ 0).  It
+// returns (flow, false) with the exact max flow when no certificate fired —
+// the certificate only reads the network, so the flow and the residual graph
+// do not depend on lim — or (ub, true) where ub is a proven upper bound on
 // the max flow with ub < lim.
 //
 // The certificate: after a BFS from s assigns levels, every residual arc
@@ -248,12 +210,12 @@ func (f *flowCSR) maxFlow(s, t int32) int64 {
 // after every addition: the infinite arcs of the vertex-split networks would
 // otherwise overflow, and a row of several of them would wrap negative.
 //
-// The BFS stops at the sink's level exactly as maxFlow's does, and it builds
-// the sums as it scans: when u at level k is scanned, an arc with cap > 0 to
-// a node v either labels v at level k+1 or finds v already labeled at a level
-// ≤ k+1, so the arcs that cross from level k to k+1 are exactly the scanned
-// arcs whose head sits at level k+1.  Every level below the sink's is scanned
-// in full before the BFS stops, so the sums are complete.
+// The BFS builds the sums as it scans: when u at level k is scanned, an arc
+// with cap > 0 to a node v either labels v at level k+1 or finds v already
+// labeled at a level ≤ k+1, so the arcs that cross from level k to k+1 are
+// exactly the scanned arcs whose head sits at level k+1.  Every level below
+// the sink's is scanned in full before the BFS stops, so the sums are
+// complete.
 func (f *flowCSR) maxFlowBounded(s, t int32, lim int64) (int64, bool) {
 	if s == t {
 		return flowInf, false

@@ -10,8 +10,8 @@ import (
 	"cdagio/internal/cdag"
 )
 
-// TestMaxFlowMatchesReference requires maxFlow and maxFlowBounded to push the
-// same augmenting paths in the same order as the full-BFS reference solves of
+// TestMaxFlowMatchesReference requires maxFlowBounded, with and without a
+// limit, to push the same augmenting paths in the same order as the full-BFS reference solves of
 // maxflow_reference_test.go.  Two solvers build the same network; one solves
 // it with the production core, the other with the reference, and the test
 // compares the (value, aborted) results and the residual capacity arrays.
@@ -83,10 +83,10 @@ func stripFlowsMatch(t *testing.T, name string, g *cdag.Graph, st *solveStats) {
 			}
 			a.buildStrip(x)
 			b.buildStrip(x)
-			var got, want int64
-			var gotAb, wantAb bool
+			got, gotAb := a.strip.maxFlowBounded(0, 1, int64(need))
+			var want int64
+			var wantAb bool
 			if need > 0 {
-				got, gotAb = a.strip.maxFlowBounded(0, 1, int64(need))
 				want, wantAb = b.strip.maxFlowBoundedReference(0, 1, int64(need))
 				if wantAb {
 					st.aborted++
@@ -94,7 +94,6 @@ func stripFlowsMatch(t *testing.T, name string, g *cdag.Graph, st *solveStats) {
 					st.completed++
 				}
 			} else {
-				got = a.strip.maxFlow(0, 1)
 				want = b.strip.maxFlowReference(0, 1)
 			}
 			if got != want || gotAb != wantAb {
@@ -110,9 +109,9 @@ func stripFlowsMatch(t *testing.T, name string, g *cdag.Graph, st *solveStats) {
 
 // randomFlowsMatch compares the production and reference solves on one random
 // network: 4–40 nodes, source 0, sink 1, arcs of capacity 1–3 or flowInf
-// (parallel and antiparallel arcs included), solved by maxFlow and by
-// maxFlowBounded under every limit from 0 to the maximum flow + 1 (at most
-// 65: an all-infinite path makes the maximum flowInf).
+// (parallel and antiparallel arcs included), solved by maxFlowBounded with
+// no limit and under every limit from 0 to the maximum flow + 1 (at most 65:
+// an all-infinite path makes the maximum flowInf).
 func randomFlowsMatch(t *testing.T, trial int, rng *rand.Rand, st *solveStats) {
 	t.Helper()
 	n := 4 + rng.Intn(37)
@@ -133,9 +132,9 @@ func randomFlowsMatch(t *testing.T, trial int, rng *rand.Rand, st *solveStats) {
 	a.buildFresh(n)
 	b.buildFresh(n)
 	cap0 := slices.Clone(a.cap)
-	maxf, want := a.maxFlow(0, 1), b.maxFlowReference(0, 1)
-	if maxf != want || !slices.Equal(a.cap, b.cap) {
-		t.Fatalf("random network %d: maxFlow %d, reference %d, residuals equal: %v",
+	maxf, _ := a.maxFlowBounded(0, 1, 0)
+	if want := b.maxFlowReference(0, 1); maxf != want || !slices.Equal(a.cap, b.cap) {
+		t.Fatalf("random network %d: max flow %d, reference %d, residuals equal: %v",
 			trial, maxf, want, slices.Equal(a.cap, b.cap))
 	}
 	for lim := int64(0); lim <= min(maxf, 64)+1; lim++ {
@@ -172,7 +171,9 @@ func TestBuildFreshSizesEachArcSlice(t *testing.T) {
 	if !slices.Equal(a.to, b.to) || !slices.Equal(a.cap, b.cap) || !slices.Equal(a.adjArc, b.adjArc) {
 		t.Fatalf("networks differ: to %v/%v, cap %v/%v, adjArc %v/%v", a.to, b.to, a.cap, b.cap, a.adjArc, b.adjArc)
 	}
-	if fa, fb := a.maxFlow(0, 1), b.maxFlow(0, 1); fa != 8 || fb != 8 {
+	fa, _ := a.maxFlowBounded(0, 1, 0)
+	fb, _ := b.maxFlowBounded(0, 1, 0)
+	if fa != 8 || fb != 8 {
 		t.Fatalf("max flow %d and %d, want 8", fa, fb)
 	}
 }

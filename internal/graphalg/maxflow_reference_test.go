@@ -5,10 +5,10 @@ package graphalg
 // the whole residual-reachable set, and the level-cut certificate sums the
 // crossing capacities in a second pass over the queue.  They are the
 // executable specification of the flow core's augmenting-path order — tests
-// assert that maxFlow and maxFlowBounded leave identical values, abort
-// verdicts and residual capacities (see TestMaxFlowMatchesReference).
+// assert that maxFlowBounded leaves identical values, abort verdicts and
+// residual capacities (see TestMaxFlowMatchesReference).
 
-// maxFlowReference is maxFlow with the full BFS.
+// maxFlowReference is maxFlowBounded with no limit and the full BFS.
 func (f *flowCSR) maxFlowReference(s, t int32) int64 {
 	if s == t {
 		return flowInf

@@ -121,7 +121,7 @@ func minVertexCut(g *cdag.Graph, sources, targets []cdag.VertexID, uncuttable fu
 		f.stageEdge(int32(2*tgt)+1, t, flowInf)
 	}
 	f.buildFresh(2*n + 2)
-	flow := f.maxFlow(s, t)
+	flow, _ := f.maxFlowBounded(s, t, 0)
 	if flow >= flowInf {
 		return -1, nil
 	}

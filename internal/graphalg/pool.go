@@ -31,9 +31,6 @@ func NewSolverPool(g *cdag.Graph) *SolverPool {
 	return &SolverPool{g: g}
 }
 
-// Graph returns the graph the pool's solvers are bound to.
-func (p *SolverPool) Graph() *cdag.Graph { return p.g }
-
 // SetLimit caps the number of solvers outstanding from the pool at once:
 // when n solvers are out, further Get calls block until one is returned with
 // Put (or dropped with Discard).  This is the serving layer's global

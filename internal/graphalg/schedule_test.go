@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cdagio/internal/cdag"
+	"cdagio/internal/gen"
 )
 
 // scheduleGraph is one graph of the schedule-bound property tests.
@@ -114,6 +115,41 @@ func TestDemandOrderIsTopological(t *testing.T) {
 		if want := demandOrderReference(g); !slices.Equal(order, want) {
 			t.Fatalf("%s: demand order %v, recursive post-order %v", sg.name, order, want)
 		}
+	}
+}
+
+// TestScheduleWavefrontsChain pins the Section 3.3 schedule wavefront on a
+// chain: every vertex's wavefront is the vertex alone.
+func TestScheduleWavefrontsChain(t *testing.T) {
+	g := gen.Chain(5)
+	wf := make([]int32, 5)
+	firedWavefronts(g, g.MustTopoOrder(), make([]int32, 5), wf)
+	for v, w := range wf {
+		if w != 1 {
+			t.Errorf("wavefront at %d = %d, want 1", v, w)
+		}
+	}
+}
+
+// TestScheduleWavefrontsDiamond pins the schedule wavefronts of the diamond
+// a -> {b, c} -> d fired in the order a, b, c, d.
+func TestScheduleWavefrontsDiamond(t *testing.T) {
+	g := cdag.NewGraph("diamond", 4)
+	a := g.AddInput("a")
+	b := g.AddVertex("b")
+	c := g.AddVertex("c")
+	d := g.AddOutput("d")
+	g.AddEdge(a, b)
+	g.AddEdge(a, c)
+	g.AddEdge(b, d)
+	g.AddEdge(c, d)
+	wf := make([]int32, 4)
+	firedWavefronts(g, []cdag.VertexID{a, b, c, d}, make([]int32, 4), wf)
+	// After firing b: a (successor c unfired) and b (successor d unfired)
+	// are both live -> wavefront 2.  After firing c: b and c live -> 2.
+	want := []int32{1, 2, 2, 1}
+	if !slices.Equal(wf, want) {
+		t.Errorf("wavefronts = %v, want %v", wf, want)
 	}
 }
 

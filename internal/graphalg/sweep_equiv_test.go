@@ -92,7 +92,8 @@ func stripSweepsAgree(t *testing.T, name string, g *cdag.Graph) int {
 				break
 			}
 		}
-		flowF, flowB := f.maxFlow(0, 1), b.maxFlow(0, 1)
+		flowF, _ := f.maxFlowBounded(0, 1, 0)
+		flowB, _ := b.maxFlowBounded(0, 1, 0)
 		if flowF != flowB {
 			t.Fatalf("%s: flow %d forward, %d backward", where, flowF, flowB)
 		}

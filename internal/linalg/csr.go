@@ -13,9 +13,6 @@ type CSR struct {
 	Values     []float64 // length NNZ
 }
 
-// NNZ returns the number of stored non-zeros.
-func (m *CSR) NNZ() int { return len(m.Values) }
-
 // coord is a triplet used while assembling a CSR matrix.
 type coord struct {
 	r, c int
@@ -102,18 +99,6 @@ func (m *CSR) At(r, c int) float64 {
 		}
 	}
 	return 0
-}
-
-// ToDense converts the matrix to dense form (for tests on small systems).
-func (m *CSR) ToDense() *Dense {
-	d := NewDense(m.Rows, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		cols, vals := m.Row(r)
-		for i, c := range cols {
-			d.Add(r, c, vals[i])
-		}
-	}
-	return d
 }
 
 // IsSymmetric reports whether the matrix equals its transpose within tol.

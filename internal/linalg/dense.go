@@ -22,14 +22,6 @@ func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Dense) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
 
-// Add accumulates x into element (i, j).
-func (m *Dense) Add(i, j int, x float64) { m.Data[i*m.Cols+j] += x }
-
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	return &Dense{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
 // MulVec returns A·x as a new vector.
 func (m *Dense) MulVec(x Vector) Vector {
 	if len(x) != m.Cols {
@@ -45,57 +37,6 @@ func (m *Dense) MulVec(x Vector) Vector {
 		y[i] = s
 	}
 	return y
-}
-
-// Mul returns the matrix product A·B.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	c := NewDense(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				c.Add(i, j, a*b.At(k, j))
-			}
-		}
-	}
-	return c
-}
-
-// OuterProduct returns the rank-1 matrix u·vᵀ.
-func OuterProduct(u, v Vector) *Dense {
-	m := NewDense(len(u), len(v))
-	for i, ui := range u {
-		for j, vj := range v {
-			m.Set(i, j, ui*vj)
-		}
-	}
-	return m
-}
-
-// SumElements returns the sum of all elements of m.
-func (m *Dense) SumElements() float64 {
-	var s float64
-	for _, x := range m.Data {
-		s += x
-	}
-	return s
-}
-
-// Transpose returns Aᵀ as a new matrix.
-func (m *Dense) Transpose() *Dense {
-	t := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
 }
 
 // Identity returns the n×n identity matrix.

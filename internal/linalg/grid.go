@@ -89,19 +89,3 @@ func (g Grid) Laplacian() *CSR {
 	}
 	return b.Build()
 }
-
-// StencilWeights describes a (2r+1)^d box stencil with uniform averaging
-// weights used by the Jacobi smoother workloads.
-type StencilWeights struct {
-	Radius int
-	Dim    int
-}
-
-// NumPoints returns the number of stencil points (2r+1)^d.
-func (s StencilWeights) NumPoints() int {
-	p := 1
-	for i := 0; i < s.Dim; i++ {
-		p *= 2*s.Radius + 1
-	}
-	return p
-}

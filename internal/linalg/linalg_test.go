@@ -37,9 +37,10 @@ func TestVectorOps(t *testing.T) {
 	if !z.Equalish(Vector{7, 7, 7}, 0) {
 		t.Errorf("Fill = %v", z)
 	}
-	c := NewVector(3).Copy(v)
-	if !c.Equalish(v, 0) {
-		t.Errorf("Copy = %v", c)
+	c := v.Clone()
+	c[0] = 9
+	if v[0] != 1 || !c.Equalish(Vector{9, 2, 3}, 0) {
+		t.Errorf("Clone not independent: %v %v", v, c)
 	}
 	if v.Equalish(Vector{1, 2}, 0) {
 		t.Errorf("Equalish accepted different lengths")
@@ -50,7 +51,6 @@ func TestVectorPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"dot":  func() { Vector{1}.Dot(Vector{1, 2}) },
 		"axpy": func() { Vector{1}.Axpy(1, Vector{1, 2}) },
-		"copy": func() { Vector{1}.Copy(Vector{1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -76,25 +76,11 @@ func TestDenseOps(t *testing.T) {
 	if !y.Equalish(Vector{6, 15}, 1e-12) {
 		t.Errorf("MulVec = %v", y)
 	}
-	at := a.Transpose()
-	if at.Rows != 3 || at.Cols != 2 || at.At(2, 1) != 6 {
-		t.Errorf("Transpose wrong: %+v", at)
+	if a.At(1, 2) != 6 {
+		t.Errorf("At(1, 2) = %v, want 6", a.At(1, 2))
 	}
-	prod := a.Mul(at) // 2x2
-	if prod.At(0, 0) != 14 || prod.At(0, 1) != 32 || prod.At(1, 1) != 77 {
-		t.Errorf("Mul wrong: %+v", prod)
-	}
-	if got := prod.SumElements(); got != 14+32+32+77 {
-		t.Errorf("SumElements = %v", got)
-	}
-	id := Identity(3)
-	if !a.Mul(id).MulVec(x).Equalish(y, 1e-12) {
-		t.Errorf("A·I != A")
-	}
-	c := a.Clone()
-	c.Add(0, 0, 10)
-	if a.At(0, 0) != 1 || c.At(0, 0) != 11 {
-		t.Errorf("Clone not independent")
+	if !Identity(3).MulVec(x).Equalish(x, 0) {
+		t.Errorf("I·x != x")
 	}
 }
 
@@ -111,31 +97,11 @@ func TestDensePanics(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Errorf("expected Mul dimension panic")
-			}
-		}()
-		a.Mul(NewDense(3, 3))
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
 				t.Errorf("expected NewDense negative panic")
 			}
 		}()
 		NewDense(-1, 2)
 	}()
-}
-
-func TestOuterProduct(t *testing.T) {
-	u := Vector{1, 2}
-	v := Vector{3, 4, 5}
-	m := OuterProduct(u, v)
-	if m.Rows != 2 || m.Cols != 3 {
-		t.Fatalf("shape %dx%d", m.Rows, m.Cols)
-	}
-	if m.At(1, 2) != 10 || m.At(0, 0) != 3 {
-		t.Errorf("outer product values wrong: %+v", m)
-	}
 }
 
 func TestCSRBuildAndMulVec(t *testing.T) {
@@ -149,8 +115,8 @@ func TestCSRBuildAndMulVec(t *testing.T) {
 	b.Add(2, 2, 2)
 	b.Add(2, 2, 1) // duplicate: summed to 3
 	m := b.Build()
-	if m.NNZ() != 7 {
-		t.Fatalf("NNZ = %d, want 7", m.NNZ())
+	if len(m.Values) != 7 {
+		t.Fatalf("stored non-zeros = %d, want 7", len(m.Values))
 	}
 	if m.At(2, 2) != 3 || m.At(0, 2) != 0 {
 		t.Errorf("At wrong: %v %v", m.At(2, 2), m.At(0, 2))
@@ -159,9 +125,8 @@ func TestCSRBuildAndMulVec(t *testing.T) {
 	if !y.Equalish(Vector{1, 0, 2}, 1e-12) {
 		t.Errorf("MulVec = %v", y)
 	}
-	d := m.ToDense()
-	if d.At(1, 2) != -1 {
-		t.Errorf("ToDense wrong")
+	if m.At(1, 2) != -1 {
+		t.Errorf("At(1, 2) = %v, want -1", m.At(1, 2))
 	}
 	if !m.IsSymmetric(1e-12) {
 		t.Errorf("matrix should be symmetric (only diagonal differs from Laplacian)")
@@ -214,14 +179,6 @@ func TestTridiagonal(t *testing.T) {
 	back := lhs.MulVec(x)
 	if !back.Equalish(rhs, 1e-10) {
 		t.Errorf("Thomas solve residual too large: %v vs %v", back, rhs)
-	}
-	// CSR conversion must agree with direct MulVec.
-	csr := lhs.ToCSR()
-	if !csr.MulVec(u).Equalish(lhs.MulVec(u), 1e-12) {
-		t.Errorf("CSR and tridiagonal MulVec disagree")
-	}
-	if !csr.IsSymmetric(1e-12) {
-		t.Errorf("heat matrix should be symmetric")
 	}
 }
 
@@ -317,17 +274,6 @@ func TestGridLaplacian(t *testing.T) {
 	}
 }
 
-func TestStencilWeights(t *testing.T) {
-	s := StencilWeights{Radius: 1, Dim: 2}
-	if s.NumPoints() != 9 {
-		t.Errorf("9-point stencil NumPoints = %d", s.NumPoints())
-	}
-	s3 := StencilWeights{Radius: 1, Dim: 3}
-	if s3.NumPoints() != 27 {
-		t.Errorf("27-point stencil NumPoints = %d", s3.NumPoints())
-	}
-}
-
 // Property: dot product is symmetric and norm is non-negative, and
 // ‖u+v‖ ≤ ‖u‖+‖v‖ (triangle inequality) for random vectors.
 func TestVectorProperties(t *testing.T) {
@@ -370,7 +316,7 @@ func TestCSRDenseAgreementProperty(t *testing.T) {
 			c := int(e>>8) % n
 			v := float64(int8(e>>16)) / 16.0
 			b.Add(r, c, v)
-			d.Add(r, c, v)
+			d.Set(r, c, d.At(r, c)+v)
 		}
 		m := b.Build()
 		x := NewVector(n)

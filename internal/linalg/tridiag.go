@@ -42,21 +42,6 @@ func (t Tridiagonal) MulVec(x Vector) Vector {
 	return y
 }
 
-// ToCSR converts the tridiagonal matrix to CSR form.
-func (t Tridiagonal) ToCSR() *CSR {
-	b := NewCSRBuilder(t.N, t.N)
-	for i := 0; i < t.N; i++ {
-		if i > 0 {
-			b.Add(i, i-1, t.Off)
-		}
-		b.Add(i, i, t.Diag)
-		if i+1 < t.N {
-			b.Add(i, i+1, t.Off)
-		}
-	}
-	return b.Build()
-}
-
 // Solve solves T·x = rhs with the Thomas algorithm and returns x.
 func (t Tridiagonal) Solve(rhs Vector) Vector {
 	if len(rhs) != t.N {

@@ -78,15 +78,6 @@ func (v Vector) Sub(w Vector) Vector {
 	return v.AddScaled(-1, w)
 }
 
-// Copy copies w into v (lengths must match) and returns v.
-func (v Vector) Copy(w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: copy length mismatch %d vs %d", len(v), len(w)))
-	}
-	copy(v, w)
-	return v
-}
-
 // Equalish reports whether v and w agree element-wise within tol.
 func (v Vector) Equalish(w Vector, tol float64) bool {
 	if len(v) != len(w) {

@@ -79,11 +79,6 @@ func (m Machine) NodePeakFlops() float64 {
 	return float64(m.CoresPerNode) * m.FlopsPerCore
 }
 
-// PeakFlops returns the aggregate peak floating-point throughput.
-func (m Machine) PeakFlops() float64 {
-	return float64(m.Nodes) * m.NodePeakFlops()
-}
-
 // VerticalBalance returns the machine-balance parameter for the data movement
 // between the node main memory and the outermost cache (words/FLOP):
 // B_vert / (N_cores × F).  This is the quantity on the right-hand side of
@@ -109,25 +104,6 @@ func (m Machine) HorizontalBalance() (float64, error) {
 		return 0, fmt.Errorf("machine %q: network bandwidth not specified", m.Name)
 	}
 	return m.NetworkBandwidthWordsPerSec / m.NodePeakFlops(), nil
-}
-
-// LevelBalance returns the balance parameter B_l / (|P_l| × F) for the data
-// movement between hierarchy level index l (0-based into Levels) and its
-// children, where |P_l| is the number of cores served by one unit of that
-// level.
-func (m Machine) LevelBalance(l int) (float64, error) {
-	if l < 0 || l >= len(m.Levels) {
-		return 0, fmt.Errorf("machine %q: level %d out of range [0,%d)", m.Name, l, len(m.Levels))
-	}
-	lev := m.Levels[l]
-	if lev.BandwidthWordsPerSec <= 0 {
-		return 0, fmt.Errorf("machine %q: level %q bandwidth not specified", m.Name, lev.Name)
-	}
-	if lev.CountPerNode <= 0 {
-		return 0, fmt.Errorf("machine %q: level %q has no units", m.Name, lev.Name)
-	}
-	coresPerUnit := float64(m.CoresPerNode) / float64(lev.CountPerNode)
-	return lev.BandwidthWordsPerSec / (coresPerUnit * m.FlopsPerCore), nil
 }
 
 // Validate checks that the machine description is internally consistent.

@@ -73,9 +73,6 @@ func TestDerivedQuantities(t *testing.T) {
 	if m.NodePeakFlops() != 16e9 {
 		t.Errorf("NodePeakFlops = %v", m.NodePeakFlops())
 	}
-	if m.PeakFlops() != 64e9 {
-		t.Errorf("PeakFlops = %v", m.PeakFlops())
-	}
 	vb, err := m.VerticalBalance()
 	if err != nil || math.Abs(vb-0.5) > 1e-12 {
 		t.Errorf("vertical balance = %v (%v), want 0.5", vb, err)
@@ -83,10 +80,6 @@ func TestDerivedQuantities(t *testing.T) {
 	hb, err := m.HorizontalBalance()
 	if err != nil || math.Abs(hb-1.0/16.0) > 1e-12 {
 		t.Errorf("horizontal balance = %v (%v)", hb, err)
-	}
-	lb, err := m.LevelBalance(0)
-	if err != nil || math.Abs(lb-0.5) > 1e-12 {
-		t.Errorf("level balance = %v (%v)", lb, err)
 	}
 	if err := m.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -103,13 +96,6 @@ func TestBalanceErrors(t *testing.T) {
 	}
 	if _, err := m.HorizontalBalance(); err == nil {
 		t.Errorf("expected horizontal balance error without bandwidth")
-	}
-	if _, err := m.LevelBalance(0); err == nil {
-		t.Errorf("expected level balance error for missing level")
-	}
-	m.Levels = []Level{{Name: "L1", CountPerNode: 1, CapacityWords: 100}}
-	if _, err := m.LevelBalance(0); err == nil {
-		t.Errorf("expected level balance error without bandwidth")
 	}
 }
 

@@ -3,7 +3,9 @@
 // validation of S-partitions, construction of the 2S-partition associated
 // with a pebble game (the Theorem 1 construction), exact computation of the
 // largest admissible vertex set U(2S) on small CDAGs, and the resulting I/O
-// lower bounds of Lemma 1 and Corollary 1.
+// lower bound of Corollary 1.  Lemma 1's S·(H(2S) − 1) needs the minimum
+// number of parts H(2S), which no engine computes; Corollary 1 bounds it
+// through U(2S) instead.
 package partition
 
 import (
@@ -82,17 +84,6 @@ func (p SPartition) Validate(g *cdag.Graph) error {
 // NumParts returns h, the number of parts.
 func (p SPartition) NumParts() int { return len(p.Parts) }
 
-// MaxPartSize returns the size of the largest part.
-func (p SPartition) MaxPartSize() int {
-	max := 0
-	for _, part := range p.Parts {
-		if part.Len() > max {
-			max = part.Len()
-		}
-	}
-	return max
-}
-
 // FromGameTrace builds the 2S-partition associated with a complete RBW game
 // (the construction in the proof of Theorem 1): the move sequence is split
 // into consecutive segments containing exactly S I/O moves each (the last
@@ -145,38 +136,20 @@ func FromGameTrace(g *cdag.Graph, res pebble.Result) (SPartition, error) {
 	return p, nil
 }
 
-// Lemma1Bound returns the I/O lower bound of Lemma 1: S × (H(2S) − 1), where
-// h2S is the minimum number of parts of any valid 2S-partition.  A product
-// beyond int64 saturates at math.MaxInt64.
-func Lemma1Bound(s, h2S int) int64 {
-	if h2S < 1 {
-		return 0
-	}
-	return sPartsBound(s, h2S-1)
-}
-
 // Corollary1Bound returns the I/O lower bound of Corollary 1:
 // S × (|V − I| / U(2S) − 1), where u2S bounds the size of the largest vertex
 // set of any valid 2S-partition from above.  A product beyond int64
 // saturates at math.MaxInt64.
 func Corollary1Bound(s, numOperations, u2S int) int64 {
-	if u2S < 1 || numOperations < 1 {
+	if s < 1 || u2S < 1 || numOperations < 1 {
 		return 0
 	}
-	parts := numOperations / u2S
-	if parts < 1 {
+	k := numOperations/u2S - 1
+	if k < 1 {
 		return 0
 	}
-	return sPartsBound(s, parts-1)
-}
-
-// sPartsBound returns S × k for the bounds above: 0 when either factor is
-// below 1, math.MaxInt64 when the product does not fit.  A wrapped product
-// would still be a sound lower bound, but not the one the formula states.
-func sPartsBound(s, k int) int64 {
-	if s < 1 || k < 1 {
-		return 0
-	}
+	// A wrapped product would still be a sound lower bound, but not the one
+	// the formula states.
 	if int64(k) > math.MaxInt64/int64(s) {
 		return math.MaxInt64
 	}
@@ -226,45 +199,4 @@ func MaxVertexSetSizeExact(g *cdag.Graph, limit int, maxVertices int) (int, erro
 		}
 	}
 	return best, nil
-}
-
-// GreedyPartition builds a valid S-partition by slicing a topological order
-// of the non-input vertices greedily: each part grows until adding the next
-// vertex would violate the |In| ≤ S or |Out| ≤ S constraint.  Because the
-// parts follow a topological order there is never a circuit between them.
-// The resulting partition witnesses an upper bound on H(S) (the minimum
-// number of parts), which brackets the Lemma 1 bound from above in tests and
-// reports.
-func GreedyPartition(g *cdag.Graph, s int) (SPartition, error) {
-	if s < 1 {
-		return SPartition{}, fmt.Errorf("partition: S must be positive")
-	}
-	parts := []*cdag.VertexSet{}
-	current := cdag.NewVertexSet(g.NumVertices())
-	for _, v := range g.MustTopoOrder() {
-		if g.IsInput(v) {
-			continue
-		}
-		current.Add(v)
-		if cdag.In(g, current).Len() > s || cdag.Out(g, current).Len() > s {
-			current.Remove(v)
-			if current.Len() == 0 {
-				return SPartition{}, fmt.Errorf("partition: vertex %d alone violates the S=%d constraints", v, s)
-			}
-			parts = append(parts, current)
-			current = cdag.NewVertexSet(g.NumVertices())
-			current.Add(v)
-			if cdag.In(g, current).Len() > s || cdag.Out(g, current).Len() > s {
-				return SPartition{}, fmt.Errorf("partition: vertex %d alone violates the S=%d constraints", v, s)
-			}
-		}
-	}
-	if current.Len() > 0 {
-		parts = append(parts, current)
-	}
-	p := SPartition{S: s, Parts: parts}
-	if err := p.Validate(g); err != nil {
-		return SPartition{}, err
-	}
-	return p, nil
 }

@@ -141,9 +141,6 @@ func (game *Game) Graph() *cdag.Graph { return game.graph }
 // Variant returns the rule set in force.
 func (game *Game) Variant() Variant { return game.variant }
 
-// RedPebbles returns the number of red pebbles available (S).
-func (game *Game) RedPebbles() int { return game.s }
-
 // RedInUse returns the number of vertices currently holding a red pebble.
 func (game *Game) RedInUse() int { return game.red.Len() }
 

@@ -30,7 +30,7 @@ func mustApply(t *testing.T, game *Game, m Move) {
 func TestGameRulesChain(t *testing.T) {
 	g := gen.Chain(3) // x0 -> x1 -> x2
 	game := NewGame(g, RBW, 2, true)
-	if game.Variant() != RBW || game.RedPebbles() != 2 || game.Graph() != g {
+	if game.Variant() != RBW || game.Graph() != g {
 		t.Fatalf("game accessors wrong")
 	}
 	// Loading a non-blue vertex fails.

@@ -160,58 +160,6 @@ func BlockPartitionGrid(r *gen.JacobiResult, nodes int) []int {
 	return owner
 }
 
-// BlockPartitionVector assigns vertices of a vector-structured CDAG (CG,
-// GMRES) to nodes: every vertex whose label carries a grid-point index is
-// owned by the block that index falls into, and scalar vertices (reductions,
-// alpha/gamma) are owned by node 0.  ownerOfIndex maps a linear grid index to
-// its node.
-func BlockPartitionVector(g *cdag.Graph, points, nodes int, indexOf func(v cdag.VertexID) (int, bool)) []int {
-	if nodes < 1 {
-		panic("sched: need at least one node")
-	}
-	owner := make([]int, g.NumVertices())
-	for _, v := range g.Vertices() {
-		if idx, ok := indexOf(v); ok {
-			o := idx * nodes / points
-			if o >= nodes {
-				o = nodes - 1
-			}
-			owner[v] = o
-		} else {
-			owner[v] = 0
-		}
-	}
-	return owner
-}
-
-// GridIndexFromLabel builds an indexOf function for the CDAGs generated by
-// package gen, whose vector-element vertices carry labels of the form
-// "name[idx]".  Scalar vertices (no bracket) report ok = false.
-func GridIndexFromLabel(g *cdag.Graph) func(cdag.VertexID) (int, bool) {
-	return func(v cdag.VertexID) (int, bool) {
-		label := g.Label(v)
-		open := -1
-		for i := 0; i < len(label); i++ {
-			if label[i] == '[' {
-				open = i
-				break
-			}
-		}
-		if open < 0 || label[len(label)-1] != ']' {
-			return 0, false
-		}
-		idx := 0
-		for i := open + 1; i < len(label)-1; i++ {
-			c := label[i]
-			if c < '0' || c > '9' {
-				return 0, false
-			}
-			idx = idx*10 + int(c-'0')
-		}
-		return idx, true
-	}
-}
-
 // Validate checks that the schedule covers exactly the non-input vertices of
 // g in dependence order; it returns nil when the schedule is executable.  The
 // dependence sweep visits every predecessor row, so it reads the hoisted CSR

@@ -114,46 +114,6 @@ func TestBlockPartitionGridPanics(t *testing.T) {
 	BlockPartitionGrid(gen.Jacobi(1, 8, 2, gen.StencilStar), 0)
 }
 
-func TestBlockPartitionVectorAndLabels(t *testing.T) {
-	cg := gen.CG(1, 16, 2)
-	g := cg.Graph
-	indexOf := GridIndexFromLabel(g)
-	// Vector-element vertices parse; scalar vertices do not.
-	if idx, ok := indexOf(cg.Graph.Inputs()[0]); !ok || idx != 0 {
-		t.Errorf("input index = %d, %v", idx, ok)
-	}
-	if _, ok := indexOf(cg.AlphaVertex[0]); ok {
-		t.Errorf("alpha vertex should not parse as a vector element")
-	}
-	owner := BlockPartitionVector(g, 16, 4, indexOf)
-	if len(owner) != g.NumVertices() {
-		t.Fatalf("owner length wrong")
-	}
-	counts := make([]int, 4)
-	for _, o := range owner {
-		counts[o]++
-	}
-	for n, c := range counts {
-		if c == 0 {
-			t.Errorf("node %d owns nothing", n)
-		}
-	}
-	// Scalars live on node 0.
-	if owner[cg.AlphaVertex[0]] != 0 {
-		t.Errorf("alpha should live on node 0")
-	}
-}
-
-func TestBlockPartitionVectorPanics(t *testing.T) {
-	g := gen.Chain(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic for zero nodes")
-		}
-	}()
-	BlockPartitionVector(g, 3, 0, GridIndexFromLabel(g))
-}
-
 func TestValidateErrors(t *testing.T) {
 	g := gen.Chain(4) // 0(in) 1 2 3(out)
 	if err := Validate(g, []cdag.VertexID{1, 2, 3}); err != nil {

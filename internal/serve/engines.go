@@ -302,6 +302,15 @@ func RunEngine(ctx context.Context, ws *core.Workspace, engine string, body []by
 		if err := decodeBody(body, &req); err != nil {
 			return nil, err
 		}
+		// The play sizes state for every processor before any work, and
+		// gives each storage unit that comes to hold a value a |V|-entry
+		// position index (4 bytes a vertex).  So p is capped at |V|, and a
+		// round-robin play, whose p register files all hold values, may
+		// index no more bytes than the Workspace itself occupies.
+		n := g.NumVertices()
+		if req.P > n {
+			return nil, invalidf("prbw: p = %d exceeds the graph's %d vertices", req.P, n)
+		}
 		topo := prbw.TwoLevel(req.P, req.S1, req.SL)
 		if err := topo.Validate(); err != nil {
 			return nil, invalidf("topology: %v", err)
@@ -311,6 +320,10 @@ func RunEngine(ctx context.Context, ws *core.Workspace, engine string, body []by
 		case "", "single":
 			asg = prbw.SingleProcessor(g)
 		case "roundrobin":
+			if index, own := 4*int64(req.P+1)*int64(n), ws.FootprintBytes(1); index > own {
+				return nil, invalidf("prbw: a round-robin play over p = %d processors indexes %d bytes, more than the Workspace's %d-byte footprint",
+					req.P, index, own)
+			}
 			asg = prbw.RoundRobin(g, req.P, req.Grain)
 		default:
 			return nil, invalidf("unknown assignment %q (want single or roundrobin)", req.Assignment)
@@ -333,7 +346,7 @@ func RunEngine(ctx context.Context, ws *core.Workspace, engine string, body []by
 		if err := decodeBody(body, &req); err != nil {
 			return nil, err
 		}
-		cfg, err := req.config()
+		cfg, err := req.config(g)
 		if err != nil {
 			return nil, err
 		}
@@ -359,7 +372,7 @@ func RunEngine(ctx context.Context, ws *core.Workspace, engine string, body []by
 		}
 		jobs := make([]memsim.Job, len(req.Jobs))
 		for i := range req.Jobs {
-			cfg, err := req.Jobs[i].config()
+			cfg, err := req.Jobs[i].config(g)
 			if err != nil {
 				return nil, err
 			}
@@ -387,13 +400,18 @@ type simulateRequest struct {
 	Policy    string `json:"policy,omitempty"`
 }
 
-func (r *simulateRequest) config() (memsim.Config, error) {
+// config validates the request against g.  The simulator sizes state for
+// every node before any work, so a node count above |V| is rejected.
+func (r *simulateRequest) config(g *cdag.Graph) (memsim.Config, error) {
 	policy, err := parseMemsimPolicy(r.Policy)
 	if err != nil {
 		return memsim.Config{}, err
 	}
 	if r.Nodes < 1 {
 		return memsim.Config{}, invalidf("simulate: nodes = %d, need at least 1", r.Nodes)
+	}
+	if n := g.NumVertices(); r.Nodes > n {
+		return memsim.Config{}, invalidf("simulate: nodes = %d exceeds the graph's %d vertices", r.Nodes, n)
 	}
 	if r.FastWords < 1 {
 		return memsim.Config{}, invalidf("simulate: fast_words = %d, need at least 1", r.FastWords)

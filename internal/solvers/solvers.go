@@ -319,10 +319,3 @@ func HeatEquation1D(u0 linalg.Vector, alpha float64, steps int) (linalg.Vector, 
 	}
 	return u, Stats{Iterations: steps, Flops: flops, Converged: true}, nil
 }
-
-// MatMul multiplies two dense matrices with the classical triple loop and
-// returns the product with an operation count (2·n³ for square n×n inputs).
-func MatMul(a, b *linalg.Dense) (*linalg.Dense, Stats) {
-	c := a.Mul(b)
-	return c, Stats{Flops: int64(2) * int64(a.Rows) * int64(a.Cols) * int64(b.Cols), Converged: true}
-}

@@ -193,26 +193,6 @@ func TestHeatEquation1D(t *testing.T) {
 	}
 }
 
-func TestMatMul(t *testing.T) {
-	a := linalg.NewDense(3, 3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			a.Set(i, j, float64(i*3+j+1))
-		}
-	}
-	c, stats := MatMul(a, linalg.Identity(3))
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if c.At(i, j) != a.At(i, j) {
-				t.Fatalf("A·I != A at (%d,%d)", i, j)
-			}
-		}
-	}
-	if stats.Flops != 2*27 {
-		t.Errorf("flops = %d, want 54", stats.Flops)
-	}
-}
-
 func TestCGAndGMRESAgree(t *testing.T) {
 	// On a symmetric positive-definite system both solvers find the same
 	// solution.

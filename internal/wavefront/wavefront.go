@@ -1,97 +1,17 @@
 // Package wavefront implements the schedule-side half of the min-cut based
-// lower-bound technique of Section 3.3: schedule wavefronts, the
-// degree-ranked candidate samples the w^max scan is run on, and the Lemma 2
-// I/O lower bound 2·(w^max − S).  The minimum-cardinality wavefronts and the
-// w^max scan itself are vertex min-cut computations and live in graphalg
-// (CutSolver.MinWavefrontAt, MaxMinWavefrontLowerBoundCtx).
+// lower-bound technique of Section 3.3: the degree-ranked candidate samples
+// the w^max scan is run on, and the Lemma 2 I/O lower bound 2·(w^max − S).
+// The wavefronts themselves and the w^max scan live in graphalg: schedule
+// wavefronts key the scan's candidates, and the minimum-cardinality
+// wavefronts are vertex min-cut computations (CutSolver.MinWavefrontAt,
+// MaxMinWavefrontLowerBoundCtx).
 //
 // The bounds computed here remain valid for CDAGs with tagged inputs because
 // untagging inputs can only decrease the I/O complexity (Theorem 3), and the
 // wavefront computation itself never looks at input/output tags.
 package wavefront
 
-import (
-	"fmt"
-
-	"cdagio/internal/cdag"
-)
-
-// ScheduleWavefronts returns, for a complete firing order of all vertices of
-// g (inputs included), the size of the wavefront after each firing: the
-// number of already-fired vertices (including the one just fired) that still
-// have an unfired successor, plus the vertex itself.  The maximum over the
-// schedule is a lower bound on the fast-memory footprint of that schedule.
-func ScheduleWavefronts(g *cdag.Graph, order []cdag.VertexID) ([]int, error) {
-	n := g.NumVertices()
-	if len(order) != n {
-		return nil, fmt.Errorf("wavefront: order has %d vertices, graph has %d", len(order), n)
-	}
-	fired := make([]bool, n)
-	position := make([]int, n)
-	for i := range position {
-		position[i] = -1
-	}
-	for i, v := range order {
-		if !g.ValidVertex(v) {
-			return nil, fmt.Errorf("wavefront: vertex %d out of range", v)
-		}
-		if position[v] >= 0 {
-			return nil, fmt.Errorf("wavefront: vertex %d fired twice", v)
-		}
-		position[v] = i
-	}
-	// remaining[v] counts unfired successors of v.
-	remaining := make([]int, n)
-	for v := 0; v < n; v++ {
-		remaining[v] = g.OutDegree(cdag.VertexID(v))
-	}
-	// live counts fired vertices that still have unfired successors.
-	live := 0
-	sizes := make([]int, len(order))
-	// One hoisted predecessor row serves both passes of each step.
-	predOff, predVal := g.PredecessorCSR()
-	for i, v := range order {
-		preds := predVal[predOff[v]:predOff[v+1]]
-		for _, p := range preds {
-			if !fired[p] {
-				return nil, fmt.Errorf("wavefront: vertex %d fired before its predecessor %d", v, p)
-			}
-		}
-		fired[v] = true
-		if remaining[v] > 0 {
-			live++
-		}
-		for _, p := range preds {
-			remaining[p]--
-			if remaining[p] == 0 {
-				live--
-			}
-		}
-		// The wavefront contains v by definition even when v has no unfired
-		// successors left.
-		w := live
-		if remaining[v] == 0 {
-			w++
-		}
-		sizes[i] = w
-	}
-	return sizes, nil
-}
-
-// MaxScheduleWavefront returns the largest wavefront of the schedule.
-func MaxScheduleWavefront(g *cdag.Graph, order []cdag.VertexID) (int, error) {
-	sizes, err := ScheduleWavefronts(g, order)
-	if err != nil {
-		return 0, err
-	}
-	max := 0
-	for _, s := range sizes {
-		if s > max {
-			max = s
-		}
-	}
-	return max, nil
-}
+import "cdagio/internal/cdag"
 
 // Lemma2Bound returns the I/O lower bound of Lemma 2: 2·(wmax − S), never
 // negative.  It clamps before it multiplies, so an S near the int64 limit
@@ -186,17 +106,4 @@ func TopCandidates(g *cdag.Graph, k int) []cdag.VertexID {
 		siftDown(0, end)
 	}
 	return out
-}
-
-// NonDisjointBound composes per-sub-CDAG wavefront bounds according to the
-// non-disjoint decomposition of Theorem 4 as it is used in Theorems 8 and 9:
-// for each designated vertex x_i of a (possibly overlapping) sub-CDAG C_i,
-// the I/O of the whole CDAG is at least the sum over i of
-// 2·(|W^min_{C_i}(x_i)| − S).  wavefronts lists the |W^min| values.
-func NonDisjointBound(wavefronts []int, s int) int64 {
-	var total int64
-	for _, w := range wavefronts {
-		total += Lemma2Bound(w, s)
-	}
-	return total
 }

@@ -23,65 +23,6 @@ func wmax(t *testing.T, g *cdag.Graph, candidates []cdag.VertexID) (int, cdag.Ve
 	return w, at
 }
 
-func TestScheduleWavefrontsChain(t *testing.T) {
-	g := gen.Chain(5)
-	order := g.MustTopoOrder()
-	sizes, err := ScheduleWavefronts(g, order)
-	if err != nil {
-		t.Fatalf("ScheduleWavefronts: %v", err)
-	}
-	// On a chain the wavefront is always exactly one vertex.
-	for i, s := range sizes {
-		if s != 1 {
-			t.Errorf("wavefront[%d] = %d, want 1", i, s)
-		}
-	}
-	max, err := MaxScheduleWavefront(g, order)
-	if err != nil || max != 1 {
-		t.Errorf("max wavefront = %d (%v), want 1", max, err)
-	}
-}
-
-func TestScheduleWavefrontsDiamond(t *testing.T) {
-	g := cdag.NewGraph("diamond", 4)
-	a := g.AddInput("a")
-	b := g.AddVertex("b")
-	c := g.AddVertex("c")
-	d := g.AddOutput("d")
-	g.AddEdge(a, b)
-	g.AddEdge(a, c)
-	g.AddEdge(b, d)
-	g.AddEdge(c, d)
-	sizes, err := ScheduleWavefronts(g, []cdag.VertexID{a, b, c, d})
-	if err != nil {
-		t.Fatalf("ScheduleWavefronts: %v", err)
-	}
-	// After firing b: a (successor c unfired) and b (successor d unfired)
-	// are both live -> wavefront 2.  After firing c: b and c live -> 2.
-	want := []int{1, 2, 2, 1}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Errorf("wavefront[%d] = %d, want %d (all: %v)", i, sizes[i], want[i], sizes)
-		}
-	}
-}
-
-func TestScheduleWavefrontsErrors(t *testing.T) {
-	g := gen.Chain(3)
-	if _, err := ScheduleWavefronts(g, []cdag.VertexID{0, 1}); err == nil {
-		t.Errorf("expected length error")
-	}
-	if _, err := ScheduleWavefronts(g, []cdag.VertexID{0, 1, 1}); err == nil {
-		t.Errorf("expected duplicate error")
-	}
-	if _, err := ScheduleWavefronts(g, []cdag.VertexID{1, 0, 2}); err == nil {
-		t.Errorf("expected dependence error")
-	}
-	if _, err := ScheduleWavefronts(g, []cdag.VertexID{0, 1, 99}); err == nil {
-		t.Errorf("expected range error")
-	}
-}
-
 func TestWavefrontIsScheduleFootprintLowerBound(t *testing.T) {
 	// For any schedule, the maximum wavefront is at most the number of red
 	// pebbles needed to run it plus the I/O... more directly: the Lemma 2
@@ -142,16 +83,6 @@ func TestMinWavefrontAtReduction(t *testing.T) {
 	wg := cs.MinWavefrontAt(cg.Graph, cg.GammaVertex[0])
 	if wg < n {
 		t.Errorf("CG gamma wavefront = %d, want >= %d", wg, n)
-	}
-}
-
-func TestNonDisjointBound(t *testing.T) {
-	// Two sub-CDAGs with wavefronts 10 and 6, S = 4: 2(10-4) + 2(6-4) = 16.
-	if got := NonDisjointBound([]int{10, 6}, 4); got != 16 {
-		t.Errorf("NonDisjointBound = %d, want 16", got)
-	}
-	if got := NonDisjointBound(nil, 4); got != 0 {
-		t.Errorf("empty NonDisjointBound = %d, want 0", got)
 	}
 }
 
