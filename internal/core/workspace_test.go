@@ -214,13 +214,16 @@ func TestWorkspaceEnginesMatchFreeFunctions(t *testing.T) {
 
 // TestWMaxAllocationsPerScan pins a warmed Workspace's all-candidates w^max
 // scan to a fixed number of allocations per call: scanning Composite(12)
-// (3,936 vertices) may allocate at most 32 more times than scanning
-// Composite(6) (564 vertices), where one allocation per candidate in any of
-// the three passes would add thousands.  AllocsPerRun runs the scan at
-// GOMAXPROCS 1, so it takes one worker.
+// (3,791 vertices) may allocate at most 32 more times than scanning
+// Composite(6) (527 vertices), and FFT(1024) (11,264 vertices) at most 32
+// more than FFT(64) (448 vertices), where one allocation per candidate in
+// any of the three passes would add thousands.  The FFT scans prune most
+// candidates on source intervals, whose pass reuses the schedule sweeps'
+// arrays.  AllocsPerRun runs the scan at GOMAXPROCS 1, so it takes one
+// worker.
 func TestWMaxAllocationsPerScan(t *testing.T) {
-	allocs := func(n int) float64 {
-		ws := NewWorkspace(gen.Composite(n).Graph)
+	allocs := func(g *cdag.Graph) float64 {
+		ws := NewWorkspace(g)
 		scan := func() {
 			if _, _, err := ws.WMax(context.Background(), nil, graphalg.WMaxOptions{}); err != nil {
 				t.Fatal(err)
@@ -229,9 +232,19 @@ func TestWMaxAllocationsPerScan(t *testing.T) {
 		scan()
 		return testing.AllocsPerRun(3, scan)
 	}
-	small, large := allocs(6), allocs(12)
-	t.Logf("%v allocations at n=6, %v at n=12", small, large)
-	if large > small+32 {
-		t.Errorf("%v allocations at n=12 against %v at n=6: the scan allocates per candidate", large, small)
+	for _, pair := range []struct {
+		kernel       string
+		small, large *cdag.Graph
+	}{
+		{"composite", gen.Composite(6).Graph, gen.Composite(12).Graph},
+		{"fft", gen.FFT(64), gen.FFT(1024)},
+	} {
+		small, large := allocs(pair.small), allocs(pair.large)
+		t.Logf("%s: %v allocations on %d vertices, %v on %d", pair.kernel,
+			small, pair.small.NumVertices(), large, pair.large.NumVertices())
+		if large > small+32 {
+			t.Errorf("%s: %v allocations on %d vertices against %v on %d: the scan allocates per candidate",
+				pair.kernel, large, pair.large.NumVertices(), small, pair.small.NumVertices())
+		}
 	}
 }

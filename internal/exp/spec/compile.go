@@ -139,8 +139,9 @@ func (ir *IR) CellsOf(e int) []*Cell {
 
 // Compile validates the spec and lowers it into an IR.  All validation is
 // boundary-time: unknown kinds, unknown machines, out-of-domain or oversized
-// workloads (via serve's admission estimates) and malformed experiment
-// matrices fail here, before any graph is built.
+// workloads (via serve's admission estimates), malformed experiment matrices
+// and specs of more than maxCells cells fail here, before any graph is
+// built.
 func Compile(s *Spec, opts Options) (*IR, error) {
 	if opts.Limits == (cdag.JSONLimits{}) {
 		opts.Limits = serve.DefaultJSONLimits()
@@ -199,6 +200,9 @@ func Compile(s *Spec, opts Options) (*IR, error) {
 		}
 		seen[e.Name] = true
 		cells, err := compileExperiment(ir, ei, e)
+		if err == nil {
+			err = fitCells(ir, len(cells))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiment %q: %w", e.Name, err)
 		}
@@ -206,6 +210,25 @@ func Compile(s *Spec, opts Options) (*IR, error) {
 		ir.Cells = append(ir.Cells, cells...)
 	}
 	return ir, nil
+}
+
+// maxCells bounds the cells one spec compiles to.  A sweep's cells are the
+// product of four lists, so without it a spec of a few kilobytes asks for
+// billions of cells before anything else is checked.
+const maxCells = 1 << 12
+
+// fitCells fails when an experiment whose cells are the product of lists of
+// the given lengths would take the spec past maxCells.  The kinds whose
+// lists multiply call it before expanding them; Compile calls it once more
+// on every experiment's cells.
+func fitCells(ir *IR, lens ...int) error {
+	room, n := maxCells-len(ir.Cells), 1
+	for _, l := range lens {
+		if n *= l; n > room {
+			return fmt.Errorf("the spec expands to more than %d cells", maxCells)
+		}
+	}
+	return nil
 }
 
 // graphCellKinds require a workload; graph-free kinds must not name one.
@@ -362,6 +385,9 @@ func compileExperiment(ir *IR, ei int, e *Experiment) ([]Cell, error) {
 		if len(e.S) == 0 {
 			return nil, fmt.Errorf("analyze needs a non-empty s list")
 		}
+		if err := fitCells(ir, len(e.S)); err != nil {
+			return nil, err
+		}
 		for _, s := range e.S {
 			if s < 1 {
 				return nil, fmt.Errorf("analyze: s = %d out of domain", s)
@@ -379,6 +405,9 @@ func compileExperiment(ir *IR, ei int, e *Experiment) ([]Cell, error) {
 		}
 		variant, err := normVariant(e.Variant)
 		if err != nil {
+			return nil, err
+		}
+		if err := fitCells(ir, len(e.S)); err != nil {
 			return nil, err
 		}
 		for _, s := range e.S {
@@ -403,6 +432,9 @@ func compileExperiment(ir *IR, ei int, e *Experiment) ([]Cell, error) {
 		}
 		policies, err := normPolicies(e.Policies)
 		if err != nil {
+			return nil, err
+		}
+		if err := fitCells(ir, len(e.S), len(policies)); err != nil {
 			return nil, err
 		}
 		for _, s := range e.S {
@@ -447,6 +479,9 @@ func compileExperiment(ir *IR, ei int, e *Experiment) ([]Cell, error) {
 			nodes := e.Nodes
 			if len(nodes) == 0 {
 				return nil, fmt.Errorf("prbw assignment blockgrid needs a non-empty nodes list")
+			}
+			if err := fitCells(ir, len(nodes)); err != nil {
+				return nil, err
 			}
 			for _, nd := range nodes {
 				if nd < 1 {
@@ -513,6 +548,9 @@ func compileExperiment(ir *IR, ei int, e *Experiment) ([]Cell, error) {
 			default:
 				return nil, fmt.Errorf("unknown sweep schedule %q (want topo, skewed or blocked)", sched)
 			}
+		}
+		if err := fitCells(ir, len(e.S), len(policies), len(schedules), len(nodes)); err != nil {
+			return nil, err
 		}
 		for _, s := range e.S {
 			if s < 1 {

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -190,6 +191,21 @@ experiments:
   - name: e
     kind: table1
 `, "unknown field"},
+		// 41 × 1 × 41 × 41 = 68,921 cells from a spec of a few hundred bytes.
+		{"oversized sweep", `
+name: x
+workloads:
+  - name: w
+    kind: chain
+    n: 4
+experiments:
+  - name: e
+    kind: sweep
+    workload: w
+    s: [` + strings.Repeat("1, ", 40) + `1]
+    schedules: [` + strings.Repeat("topo, ", 40) + `topo]
+    nodes: [` + strings.Repeat("1, ", 40) + `1]
+`, "more than 4096 cells"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -253,4 +269,115 @@ experiments:
 	if got, want := string(ir.Cells[1].Body), `{"s":8}`; got != want {
 		t.Errorf("analyze body = %s, want %s", got, want)
 	}
+}
+
+// FuzzCompile feeds arbitrary bytes, up to 16 KiB, to Parse and then
+// Compile.  Neither may panic, and compiling one parsed spec twice must give
+// the same error, or the same cells with the same keys in the same order.
+// The seeds are small specs of every experiment kind: a seed the size of
+// specs/paper.yaml leaves the fuzzer minimizing instead of mutating.
+func FuzzCompile(f *testing.F) {
+	f.Add([]byte(yamlSpec))
+	f.Add([]byte(`
+name: m
+machines: [bgq]
+workloads:
+  - name: j
+    kind: jacobi
+    dim: 2
+    n: 6
+    steps: 2
+    stencil: box
+experiments:
+  - name: b
+    kind: balance
+    family: cg
+    machine: bgq
+    dim: 3
+    n: 8
+    iterations: 2
+  - name: g
+    kind: balance
+    family: gmres
+    machine: bgq
+    dim: 3
+    n: 8
+    m_sweep: [2, 4]
+  - name: jb
+    kind: balance
+    family: jacobi
+    machine: bgq
+    max_dim: 4
+  - name: s
+    kind: solver
+    family: heat
+    n: 8
+    steps: 2
+  - name: w
+    kind: wmax
+    workload: j
+    candidates: 4
+  - name: o
+    kind: optimal
+    workload: j
+    s: [4]
+    variant: hk
+    max_states: 100
+  - name: p
+    kind: prbw
+    workload: j
+    assignment: blockgrid
+    nodes: [1, 2]
+    procs_per_node: 2
+    reg_words: 8
+    cache_words: 96
+    mem_words: 1024
+  - name: sw
+    kind: sweep
+    workload: j
+    s: [8, 16]
+    policies: [lru]
+    schedules: [topo, skewed]
+    nodes: [1, 2]
+    owner: blockgrid
+    bound: jacobi
+`))
+	f.Add([]byte(`
+name: r
+workloads:
+  - name: f
+    kind: fft
+    n: 8
+experiments:
+  - name: st
+    kind: graphstat
+    workload: f
+    critical_path: true
+  - name: pr
+    kind: prbw
+    workload: f
+    assignment: roundrobin
+    p: 2
+    s1: 8
+    sl: 64
+    grain: 2
+`))
+	f.Add([]byte("name: x\nexperiments:\n  - name: e\n    kind: play\n    workload: w\n    s: [0]\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 16<<10 {
+			t.Skip()
+		}
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		a, errA := Compile(s, Options{})
+		b, errB := Compile(s, Options{})
+		if (errA == nil) != (errB == nil) || errA != nil && errA.Error() != errB.Error() {
+			t.Fatalf("compiled twice: errors %v and %v", errA, errB)
+		}
+		if errA == nil && !reflect.DeepEqual(a.Cells, b.Cells) {
+			t.Fatalf("compiled twice: %d and %d cells, or their keys or order differ", len(a.Cells), len(b.Cells))
+		}
+	})
 }

@@ -73,7 +73,7 @@ func TestAbortCertificateSound(t *testing.T) {
 					continue
 				}
 				cs.explore(x)
-				got, aborted := cs.minWavefrontRun(x, need)
+				got, aborted := cs.minWavefrontRun(x, need, sourceSpans{})
 				if aborted {
 					if want >= need {
 						t.Fatalf("%s vertex %d (need=%d): aborted but true bound is %d", name, x, need, want)

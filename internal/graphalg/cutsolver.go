@@ -186,7 +186,7 @@ func (cs *CutSolver) exploreAnc(x cdag.VertexID) {
 // vertices, so some minimum cut always lies inside boundary ∪ strip, which is
 // exactly the vertex set this network can cut.
 func (cs *CutSolver) minWavefront(x cdag.VertexID) int {
-	w, _ := cs.minWavefrontRun(x, 0)
+	w, _ := cs.minWavefrontRun(x, 0, sourceSpans{})
 	return w
 }
 
@@ -195,12 +195,13 @@ func (cs *CutSolver) minWavefront(x cdag.VertexID) int {
 // some BFS level cut proves the final wavefront must stay below need (never,
 // when need ≤ 0).  The second return is true for such an aborted candidate
 // (its exact value is unknown but provably < need); otherwise the returned
-// value is exact.
-func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int) (int, bool) {
+// value is exact.  spans, when it holds intervals, lets the backward sweep
+// skip what A cannot reach (see buildStrip); the network is the same.
+func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int, spans sourceSpans) (int, bool) {
 	if len(cs.desc) == 0 {
 		return 1, false
 	}
-	cs.buildStrip(x)
+	cs.buildStrip(x, spans)
 	flow, aborted := cs.strip.maxFlowBounded(0, 1, int64(need))
 	if aborted {
 		return 0, true
@@ -220,13 +221,14 @@ func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int) (int, bool) {
 // marks only on free successors of A and of strip vertices, all of which are
 // forward-reachable from A; and every path from such a vertex into D stays
 // among forward-reachable vertices, so sweepForward marks exactly the
-// co-reachable ones among them, as sweepBackward does.  The arcs, and with
-// them bounds, witnesses and cut sets, are identical.
-func (cs *CutSolver) buildStrip(x cdag.VertexID) {
+// co-reachable ones among them, as sweepBackward does, with or without
+// spans.  The arcs, and with them bounds, witnesses and cut sets, are
+// identical.
+func (cs *CutSolver) buildStrip(x cdag.VertexID, spans sourceSpans) {
 	if cs.forwardCheaper(x) {
 		cs.sweepForward(x)
 	} else {
-		cs.sweepBackward(x)
+		cs.sweepBackward(x, spans)
 	}
 	cs.stripNetwork(x)
 }
@@ -262,13 +264,19 @@ func (cs *CutSolver) forwardCheaper(x cdag.VertexID) bool {
 // the strip (no path to the sink) cannot change the min cut and keeps the
 // network tight even when the incomparable set is large (shallow stencil
 // sweeps, wide Krylov iterations).
-func (cs *CutSolver) sweepBackward(x cdag.VertexID) {
+//
+// With spans it also skips every vertex whose source interval misses x's,
+// and so never reaches its ancestors through it.  Neither it nor any of its
+// ancestors is reachable from A = {x} ∪ Anc(x), and stripNetwork reads
+// coMark only on vertices reachable from A, so the network is the same arc
+// for arc.
+func (cs *CutSolver) sweepBackward(x cdag.VertexID, spans sourceSpans) {
 	e := cs.epoch
 	pOff, pVal := cs.predOff, cs.predVal
 	stack := cs.stack[:0]
 	for _, d := range cs.desc {
 		for _, p := range pVal[pOff[d]:pOff[d+1]] {
-			if p == x || cs.ancMark[p] == e || cs.descMark[p] == e || cs.coMark[p] == e {
+			if p == x || cs.ancMark[p] == e || cs.descMark[p] == e || cs.coMark[p] == e || spans.misses(x, p) {
 				continue
 			}
 			cs.coMark[p] = e
@@ -279,7 +287,7 @@ func (cs *CutSolver) sweepBackward(x cdag.VertexID) {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, p := range pVal[pOff[u]:pOff[u+1]] {
-			if p == x || cs.ancMark[p] == e || cs.descMark[p] == e || cs.coMark[p] == e {
+			if p == x || cs.ancMark[p] == e || cs.descMark[p] == e || cs.coMark[p] == e || spans.misses(x, p) {
 				continue
 			}
 			cs.coMark[p] = e

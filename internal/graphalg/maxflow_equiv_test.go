@@ -81,8 +81,8 @@ func stripFlowsMatch(t *testing.T, name string, g *cdag.Graph, st *solveStats) {
 			if len(a.desc) == 0 {
 				continue // the bound is 1 without a network
 			}
-			a.buildStrip(x)
-			b.buildStrip(x)
+			a.buildStrip(x, sourceSpans{})
+			b.buildStrip(x, sourceSpans{})
 			got, gotAb := a.strip.maxFlowBounded(0, 1, int64(need))
 			var want int64
 			var wantAb bool

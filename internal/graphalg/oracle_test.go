@@ -202,11 +202,12 @@ func minDominatorSizeFull(g *cdag.Graph, target *cdag.VertexSet) (int, []cdag.Ve
 // upperBound computes wavefrontUpperBound(g, x) from the current epoch's
 // marks with the search's own tiers, earlyBound and lateBound: the smaller
 // boundary of the earliest and latest convex cuts around x, always counting x
-// itself.
+// itself.  The late bound runs without source intervals, which is what makes
+// it the latest convex cut's boundary.
 func (cs *CutSolver) upperBound(x cdag.VertexID) int {
 	if len(cs.desc) == 0 {
 		// With no descendants the latest cut has boundary {x}.
 		return 1
 	}
-	return max(min(cs.earlyBound(x), cs.lateBound(math.MaxInt)), 1)
+	return max(min(cs.earlyBound(x), cs.lateBound(x, math.MaxInt, sourceSpans{})), 1)
 }

@@ -129,8 +129,16 @@ func topByDegree(g *cdag.Graph, candidates []cdag.VertexID, k int) []int {
 //  3. Solve pass: visit the candidates whose key still reaches the incumbent
 //     in decreasing key order, then by index (keyOrder), and stop at the
 //     first key below the incumbent.  Each walks its descendant cone and
-//     prunes on its latest convex cut first; only a survivor walks its
-//     ancestor cone again and pays for an abortable Dinic solve.
+//     prunes on its late bound first; only a survivor walks its ancestor
+//     cone again and pays for an abortable Dinic solve.
+//
+// When a bound pass follows, every vertex also gets the interval of the
+// source ranks that reach it (sourceSpans), and the late bound and the
+// backward co-reachability sweep of the seed and solve passes skip every
+// vertex whose interval misses the candidate's: no such vertex is reachable
+// from the candidate's ancestor cone.  On butterflies and trees that leaves
+// a late bound of 1, and a candidate that cannot beat the incumbent is
+// pruned before its second cone walk.
 //
 // The result is exactly that of a serial scan solving every candidate in
 // order and keeping the first maximizer — the same bound value and the same
@@ -179,9 +187,10 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 	nc := len(candidates)
 	seedIdx := topByDegree(g, candidates, seedSample)
 	// ub[i] is candidate i's key, an upper bound on its value, or −1 once the
-	// seed pass has settled it.  The demand-driven schedule only pays off
-	// when a bound pass follows.
-	ub := scheduleWavefrontUB(g, candidates, len(seedIdx) < nc)
+	// seed pass has settled it.  The demand-driven schedule and the source
+	// intervals only pay off when a bound pass follows; without one, spans is
+	// empty and filters nothing.
+	ub, spans := scheduleWavefrontUB(g, candidates, len(seedIdx) < nc)
 	sOff, _ := g.SuccessorCSR()
 
 	// best holds packEntry(bound, index of the earliest candidate attaining
@@ -202,11 +211,12 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 		}
 	}
 	// settle runs the tiers of candidate i that need its descendant cone:
-	// the latest convex cut (with early exit at the survival threshold), then
-	// an exact strip-local min-cut solve from zero flow, abortable by
-	// level-cut certificate once it provably cannot beat the incumbent.  The
-	// ancestor cone is walked first unless the caller already has.  Every
-	// tier is exact (see the package comment).
+	// the late bound, the predecessors of the cone whose source interval
+	// meets x's (with early exit at the survival threshold), then an exact
+	// strip-local min-cut solve from zero flow, abortable by level-cut
+	// certificate once it provably cannot beat the incumbent.  The ancestor
+	// cone is walked first unless the caller already has.  Every tier is
+	// exact (see the package comment).
 	settle := func(cs *CutSolver, x cdag.VertexID, i int, walkedAnc bool) {
 		if sOff[x+1] == sOff[x] {
 			// No descendants: the wavefront is {x} and the bound is exactly 1.
@@ -215,13 +225,13 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 		}
 		cs.exploreDesc(x)
 		need := needAgainst(best.Load(), i)
-		if cs.lateBound(need) < need || ctx.Err() != nil {
+		if cs.lateBound(x, need, spans) < need || ctx.Err() != nil {
 			return
 		}
 		if !walkedAnc {
 			cs.exploreAnc(x)
 		}
-		w, pruned := cs.minWavefrontRun(x, needAgainst(best.Load(), i))
+		w, pruned := cs.minWavefrontRun(x, needAgainst(best.Load(), i), spans)
 		if !pruned {
 			record(w, i)
 		}
@@ -406,21 +416,45 @@ func parallelFor(ctx context.Context, pool *SolverPool, workers, n, block int, b
 	return firstErr
 }
 
-// lateBound returns the boundary size of the latest convex cut around the
-// explored candidate (T = Desc(x)): the distinct non-descendant predecessors
-// of descendants.  x is always among them — every successor of x is a
-// descendant — so the value needs no explicit max with 1.  It reads only the
-// descendant marks; the search evaluates it after the early bound, once the
-// descendant cone is explored (exploreDesc).
+// lateBound returns an upper bound on the min-cut wavefront of the explored
+// candidate x that falls below limit exactly when countLate(x, limit, spans)
+// does, so the caller prunes on lateBound(x, need, spans) < need.  With
+// spans it counts without them first, up to limit: a count that already
+// falls below limit prunes as well as the filtered one would, without an
+// interval test per vertex, and only a candidate whose count reaches limit
+// is counted again with the intervals.  On stencils, where the intervals of
+// a cone's surroundings all meet, the first count prunes nearly every
+// candidate; on butterflies and trees it reaches limit after a vertex or
+// two.
+func (cs *CutSolver) lateBound(x cdag.VertexID, limit int, spans sourceSpans) int {
+	late := cs.countLate(x, limit, sourceSpans{}, cs.epoch)
+	if late < limit || spans.lo == nil {
+		return late
+	}
+	return cs.countLate(x, limit, spans, -cs.epoch)
+}
+
+// countLate returns the size of a vertex cut around the explored candidate
+// x: the distinct non-descendant predecessors of D = Desc(x) whose source
+// interval meets x's.  Without spans that is every such predecessor, the
+// boundary of the latest convex cut (T = D).  With spans it is still a cut:
+// the last vertex before D on a path from A = {x} ∪ Anc(x) is reachable
+// from A, so its interval meets x's (see sourceSpans), and the count is
+// still an upper bound on the min cut, if no longer a convex cut's
+// boundary.  x is always counted — every successor of x is a descendant,
+// and its interval meets itself — so the value needs no explicit max with
+// 1.  It reads only the descendant marks, once the descendant cone is
+// explored (exploreDesc), and stamps the vertices it has seen in seenMark
+// with stamp, which must differ from the stamps of any earlier count of the
+// epoch.
 //
-// The count stops at limit: the caller prunes on lateBound(need) < need, and
-// once the running count reaches need the candidate survives this tier no
-// matter how much larger the true boundary is, so the rest of the — often
-// enormous — descendant cone is never walked.  Pass math.MaxInt for the full
-// boundary size.  Early exit leaves seenMark partially stamped for the
-// current epoch; no later consumer reads seenMark within an epoch, so this is
-// safe.
-func (cs *CutSolver) lateBound(limit int) int {
+// The count stops at limit: once the running count reaches the caller's
+// survival threshold, the candidate survives this tier no matter how much
+// larger the true count is, so the rest of the — often enormous —
+// descendant cone is never walked.  Pass math.MaxInt for the full count.
+// Early exit leaves seenMark partially stamped; no later consumer reads
+// seenMark within an epoch, so this is safe.
+func (cs *CutSolver) countLate(x cdag.VertexID, limit int, spans sourceSpans, stamp int32) int {
 	e := cs.epoch
 	pOff, pVal := cs.predOff, cs.predVal
 	late := 0
@@ -429,8 +463,11 @@ func (cs *CutSolver) lateBound(limit int) int {
 	}
 	for _, d := range cs.desc {
 		for _, p := range pVal[pOff[d]:pOff[d+1]] {
-			if cs.descMark[p] != e && cs.seenMark[p] != e {
-				cs.seenMark[p] = e
+			if cs.descMark[p] != e && cs.seenMark[p] != stamp {
+				cs.seenMark[p] = stamp
+				if spans.misses(x, p) {
+					continue
+				}
 				late++
 				if late >= limit {
 					return late
@@ -488,7 +525,11 @@ func (cs *CutSolver) earlyBound(x cdag.VertexID) int {
 // vertices keep a Kahn wavefront of at least w^max, 37 a demand-order one,
 // and 25 the smaller of the two.  The second sweep reuses the first one's
 // arrays, so it costs time, not memory.
-func scheduleWavefrontUB(g *cdag.Graph, candidates []cdag.VertexID, demand bool) []int32 {
+//
+// With demand set it also returns the source intervals, ranked in the
+// demand order and filled into the two arrays the sweeps leave behind;
+// without it, the empty sourceSpans.
+func scheduleWavefrontUB(g *cdag.Graph, candidates []cdag.VertexID, demand bool) ([]int32, sourceSpans) {
 	n := g.NumVertices()
 	order := g.MustTopoOrder()
 	remaining := make([]int32, n)
@@ -498,14 +539,58 @@ func scheduleWavefrontUB(g *cdag.Graph, candidates []cdag.VertexID, demand bool)
 	for i, x := range candidates {
 		ub[i] = wfAt[x]
 	}
-	if demand {
-		demandOrder(g, order, remaining)
-		firedWavefronts(g, order, remaining, wfAt)
-		for i, x := range candidates {
-			ub[i] = min(ub[i], wfAt[x])
-		}
+	if !demand {
+		return ub, sourceSpans{}
 	}
-	return ub
+	demandOrder(g, order, remaining)
+	firedWavefronts(g, order, remaining, wfAt)
+	for i, x := range candidates {
+		ub[i] = min(ub[i], wfAt[x])
+	}
+	return ub, fillSourceSpans(g, order, remaining, wfAt)
+}
+
+// sourceSpans gives every vertex v the interval [lo[v], hi[v]] of the ranks
+// of the sources (vertices without predecessors) that reach v, a source
+// reaching itself.  If p is reachable from A = {x} ∪ Anc(x), some source
+// that reaches a vertex of A reaches both x and p, so its rank lies in both
+// intervals: disjoint intervals prove in O(1) that p is not reachable from
+// A.  That holds for every ranking of the sources.  The w^max scan ranks
+// them in demand order (fillSourceSpans), which makes the intervals exact on
+// butterflies and trees, where the sources below any vertex fire
+// consecutively.  The zero value holds no intervals and proves nothing.
+type sourceSpans struct {
+	lo, hi []int32
+}
+
+// misses reports whether p's interval and x's are disjoint, so that p is
+// not reachable from {x} ∪ Anc(x).  Without intervals it reports false.
+func (sp sourceSpans) misses(x, p cdag.VertexID) bool {
+	return sp.lo != nil && (sp.hi[p] < sp.lo[x] || sp.lo[p] > sp.hi[x])
+}
+
+// fillSourceSpans ranks the sources in the order they appear in order, a
+// topological order of g, and fills lo and hi (one entry per vertex,
+// whatever their contents) with every vertex's interval: a source's own rank,
+// or the hull of its predecessors' intervals.
+func fillSourceSpans(g *cdag.Graph, order []cdag.VertexID, lo, hi []int32) sourceSpans {
+	pOff, pVal := g.PredecessorCSR()
+	rank := int32(0)
+	for _, v := range order {
+		preds := pVal[pOff[v]:pOff[v+1]]
+		if len(preds) == 0 {
+			lo[v], hi[v] = rank, rank
+			rank++
+			continue
+		}
+		l, h := lo[preds[0]], hi[preds[0]]
+		for _, p := range preds[1:] {
+			l = min(l, lo[p])
+			h = max(h, hi[p])
+		}
+		lo[v], hi[v] = l, h
+	}
+	return sourceSpans{lo, hi}
 }
 
 // firedWavefronts plays the topological order and stores in wfAt[v] the

@@ -11,12 +11,14 @@ import (
 	"cdagio/internal/gen"
 )
 
-// TestStripSweepsAgree builds every candidate's strip network twice, once
-// from the forward sweep and once from the backward sweep, and requires the
-// same network arc for arc (to, cap and adjArc), the same strip vertices, the
-// same solved value and the same canonical cut.  buildStrip picks one sweep
-// per candidate by cost alone, so the two must be interchangeable wherever
-// either can run.
+// TestStripSweepsAgree builds every candidate's strip network three times,
+// from the forward sweep, from the backward sweep, and from the backward
+// sweep that skips what the demand-order source intervals prove unreachable
+// from the ancestor cone, and requires the same network arc for arc (to, cap
+// and adjArc), the same strip vertices, the same solved value and the same
+// canonical cut.  buildStrip picks one sweep per candidate by cost alone, and
+// the w^max scan hands it intervals where MinWavefrontAt does not, so all
+// three must be interchangeable wherever they can run.
 //
 // It covers every vertex (every fourth under -short) of the generator graphs,
 // of 60 random DAGs and of FFT(256), BinomialTree(7), ReductionTree(256) and
@@ -43,48 +45,81 @@ func TestStripSweepsAgree(t *testing.T) {
 		n := 8 + rng.Intn(60)
 		graphs = append(graphs, namedGraph{fmt.Sprintf("random%d", trial), randomDAG(rng, n, 2*n)})
 	}
-	stripped := 0 // networks holding a free strip vertex, not just A's boundary
+	var stripped, skipped int
 	for _, ng := range graphs {
-		stripped += stripSweepsAgree(t, ng.name, ng.g)
+		st, sk := stripSweepsAgree(t, ng.name, ng.g)
+		stripped += st
+		skipped += sk
 	}
 	if stripped == 0 {
 		t.Fatal("weak coverage: no network held a free strip vertex")
 	}
+	if skipped == 0 {
+		t.Fatal("weak coverage: the intervals never kept the backward sweep from marking a vertex")
+	}
 }
 
 // stripSweepsAgree runs the comparison on the vertices of g and returns how
-// many of the networks held a free strip vertex.
-func stripSweepsAgree(t *testing.T, name string, g *cdag.Graph) int {
+// many of the networks held a free strip vertex, and for how many candidates
+// the intervals kept the backward sweep from marking some vertex.
+func stripSweepsAgree(t *testing.T, name string, g *cdag.Graph) (stripped, skipped int) {
 	t.Helper()
 	step := 1
 	if testing.Short() {
 		step = 4 // every fourth vertex: the race job runs -short
 	}
 	vs := g.Vertices()
-	stripped := 0
-	fw, bw := NewCutSolver(), NewCutSolver()
-	fw.ensureGraph(g)
-	bw.ensureGraph(g)
-	var cutF, cutB []cdag.VertexID
+	spans := demandSpans(g)
+	fw, bw, sw := NewCutSolver(), NewCutSolver(), NewCutSolver()
+	solvers := []struct {
+		side string
+		cs   *CutSolver
+	}{{"forward", fw}, {"backward", bw}, {"backward with intervals", sw}}
+	for _, s := range solvers {
+		s.cs.ensureGraph(g)
+	}
+	cuts := make([][]cdag.VertexID, len(solvers))
 	for vi := 0; vi < len(vs); vi += step {
 		x := vs[vi]
-		fw.explore(x)
-		bw.explore(x)
+		for _, s := range solvers {
+			s.cs.explore(x)
+		}
 		if len(fw.desc) == 0 {
 			continue // the bound is 1 without a network
 		}
 		fw.sweepForward(x)
-		fw.stripNetwork(x)
-		bw.sweepBackward(x)
-		bw.stripNetwork(x)
-		where := fmt.Sprintf("%s vertex %d", name, x)
-		f, b := &fw.strip, &bw.strip
-		if f.n != b.n || !slices.Equal(f.to, b.to) || !slices.Equal(f.cap, b.cap) || !slices.Equal(f.adjArc, b.adjArc) {
-			t.Fatalf("%s: networks differ: %d nodes and %d arcs forward, %d nodes and %d arcs backward",
-				where, f.n, len(f.to), b.n, len(b.to))
+		bw.sweepBackward(x, sourceSpans{})
+		sw.sweepBackward(x, spans)
+		for v := range bw.coMark {
+			if bw.coMark[v] == bw.epoch && sw.coMark[v] != sw.epoch {
+				skipped++
+				break
+			}
 		}
-		if !slices.Equal(fw.stripVerts, bw.stripVerts) {
-			t.Fatalf("%s: strip vertices %v forward, %v backward", where, fw.stripVerts, bw.stripVerts)
+		where := fmt.Sprintf("%s vertex %d", name, x)
+		var flows []int64
+		for i, s := range solvers {
+			s.cs.stripNetwork(x)
+			flow, _ := s.cs.strip.maxFlowBounded(0, 1, 0)
+			flows = append(flows, flow)
+			cuts[i] = s.cs.lastStripCut(cuts[i])
+		}
+		f := &fw.strip
+		for i, s := range solvers[1:] {
+			b := &s.cs.strip
+			if f.n != b.n || !slices.Equal(f.to, b.to) || !slices.Equal(f.cap, b.cap) || !slices.Equal(f.adjArc, b.adjArc) {
+				t.Fatalf("%s: networks differ: %d nodes and %d arcs forward, %d nodes and %d arcs %s",
+					where, f.n, len(f.to), b.n, len(b.to), s.side)
+			}
+			if !slices.Equal(fw.stripVerts, s.cs.stripVerts) {
+				t.Fatalf("%s: strip vertices %v forward, %v %s", where, fw.stripVerts, s.cs.stripVerts, s.side)
+			}
+			if flows[0] != flows[i+1] {
+				t.Fatalf("%s: flow %d forward, %d %s", where, flows[0], flows[i+1], s.side)
+			}
+			if !slices.Equal(cuts[0], cuts[i+1]) {
+				t.Fatalf("%s: cut %v forward, %v %s", where, cuts[0], cuts[i+1], s.side)
+			}
 		}
 		for _, v := range fw.stripVerts {
 			if v != x && fw.ancMark[v] != fw.epoch {
@@ -92,17 +127,8 @@ func stripSweepsAgree(t *testing.T, name string, g *cdag.Graph) int {
 				break
 			}
 		}
-		flowF, _ := f.maxFlowBounded(0, 1, 0)
-		flowB, _ := b.maxFlowBounded(0, 1, 0)
-		if flowF != flowB {
-			t.Fatalf("%s: flow %d forward, %d backward", where, flowF, flowB)
-		}
-		cutF, cutB = fw.lastStripCut(cutF), bw.lastStripCut(cutB)
-		if !slices.Equal(cutF, cutB) {
-			t.Fatalf("%s: cut %v forward, %v backward", where, cutF, cutB)
-		}
 	}
-	return stripped
+	return stripped, skipped
 }
 
 // TestMinWavefrontAtAllocatesNothing pins the per-candidate cost of a warmed

@@ -137,7 +137,7 @@ func Generic(name string, nodes, coresPerNode int, flopsPerCore float64,
 		CoresPerNode: coresPerNode,
 		FlopsPerCore: flopsPerCore,
 		Levels: []Level{
-			{Name: "cache", CountPerNode: 1, CapacityWords: cacheWords, BandwidthWordsPerSec: memBW},
+			{Name: "cache", CountPerNode: 1, CapacityWords: cacheWords},
 		},
 		MainMemoryWords:             memWords,
 		MainMemoryBandwidth:         memBW,

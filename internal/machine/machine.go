@@ -33,10 +33,6 @@ type Level struct {
 	CountPerNode int
 	// CapacityWords is the capacity S_l of one storage unit, in words.
 	CapacityWords int64
-	// BandwidthWordsPerSec is the total bandwidth B_l between one unit of
-	// this level and all its children at level l−1, in words per second.
-	// Zero means "not specified"; balance queries on such a level fail.
-	BandwidthWordsPerSec float64
 }
 
 // Machine describes a distributed-memory parallel machine.
