@@ -29,8 +29,11 @@ var interfaceRoots = []string{
 // of the repository (vendor and testdata excluded; the cdagbench module
 // counts as a caller) and marks names live, starting from main in package
 // main, every init, every identifier in a non-function declaration and
-// interfaceRoots.  A function or method is live once its name is live, and
-// the identifiers in a live function's body become live in turn.  Every
+// interfaceRoots.  A package-level var whose values are all bare identifiers
+// or selectors, such as the facade's var FFTLower = bounds.FFTLower, is no
+// root: like a function, it goes live once its name is live.  A function or
+// method is live once its name is live, and the identifiers in a live
+// function's body or alias become live in turn.  Every
 // function and method, exported or not, that never becomes live must be
 // listed in testdata/test_only_exports.txt, and every listed one must still
 // exist and stay unreached: a new entry is code only tests run, to be wired
@@ -43,6 +46,7 @@ func TestNoNewTestOnlyExports(t *testing.T) {
 		fd    *ast.FuncDecl
 	}
 	var decls []decl
+	var aliases []*ast.ValueSpec
 	live := make(map[string]bool)
 	for _, name := range interfaceRoots {
 		live[name] = true
@@ -74,6 +78,16 @@ func TestNoNewTestOnlyExports(t *testing.T) {
 			return err
 		}
 		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				for _, spec := range gd.Specs {
+					if vs := spec.(*ast.ValueSpec); isAlias(vs) {
+						aliases = append(aliases, vs)
+					} else {
+						markIdents(vs)
+					}
+				}
+				continue
+			}
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok {
 				markIdents(d)
@@ -96,7 +110,7 @@ func TestNoNewTestOnlyExports(t *testing.T) {
 	}
 
 	// Grow the live set to a fixed point: each pass walks the bodies of the
-	// functions whose names went live since the last one.
+	// functions and the aliases whose names went live since the last one.
 	for grew := true; grew; {
 		grew = false
 		for i, d := range decls {
@@ -105,6 +119,13 @@ func TestNoNewTestOnlyExports(t *testing.T) {
 					markIdents(d.fd.Body)
 				}
 				decls[i].fd = nil
+				grew = true
+			}
+		}
+		for i, vs := range aliases {
+			if vs != nil && slices.ContainsFunc(vs.Names, func(id *ast.Ident) bool { return live[id.Name] }) {
+				markIdents(vs)
+				aliases[i] = nil
 				grew = true
 			}
 		}
@@ -137,6 +158,19 @@ func TestNoNewTestOnlyExports(t *testing.T) {
 			t.Errorf("%s: listed in %s, but it is gone or now reached from a main package; remove the line", e, testOnlyFuncs)
 		}
 	}
+}
+
+// isAlias reports whether a var spec only renames: it has values, and each is
+// a bare identifier or a selector.
+func isAlias(vs *ast.ValueSpec) bool {
+	for _, v := range vs.Values {
+		switch v.(type) {
+		case *ast.Ident, *ast.SelectorExpr:
+		default:
+			return false
+		}
+	}
+	return len(vs.Values) > 0
 }
 
 // receiverType returns the name of a method receiver's base type.

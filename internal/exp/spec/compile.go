@@ -9,25 +9,15 @@ import (
 	"slices"
 	"strings"
 
-	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
 	"cdagio/internal/machine"
 	"cdagio/internal/serve"
 )
 
-// Options configures compilation.  The zero value admits workloads under the
-// same ceilings a default cdagd applies at upload time, so a spec that
-// compiles here will not be rejected by a daemon in -remote mode.
-type Options struct {
-	// Limits bounds workload graph sizes; zero means serve's defaults.
-	Limits cdag.JSONLimits
-	// SolverLimit is the solver count assumed by the footprint estimate;
-	// zero means 1.
-	SolverLimit int
-	// Budget bounds the estimated per-workload Workspace footprint in
-	// bytes; zero means serve.DefaultCacheBudget.
-	Budget int64
-}
+// Options configures compilation.  It has no settings: Compile admits
+// workloads under the ceilings a default cdagd applies at upload time, so a
+// spec that compiles here will not be rejected by a daemon in -remote mode.
+type Options struct{}
 
 // Params is the canonical parameter record of one cell.  Its JSON form —
 // fixed field order, zero values omitted — is part of the cell's content
@@ -142,16 +132,7 @@ func (ir *IR) CellsOf(e int) []*Cell {
 // workloads (via serve's admission estimates), malformed experiment matrices
 // and specs of more than maxCells cells fail here, before any graph is
 // built.
-func Compile(s *Spec, opts Options) (*IR, error) {
-	if opts.Limits == (cdag.JSONLimits{}) {
-		opts.Limits = serve.DefaultJSONLimits()
-	}
-	if opts.SolverLimit <= 0 {
-		opts.SolverLimit = 1
-	}
-	if opts.Budget <= 0 {
-		opts.Budget = serve.DefaultCacheBudget
-	}
+func Compile(s *Spec, _ Options) (*IR, error) {
 	ir := &IR{Name: s.Name, workloadIdx: map[string]int{}}
 	if ir.Name == "" {
 		ir.Name = "experiments"
@@ -179,7 +160,7 @@ func Compile(s *Spec, opts Options) (*IR, error) {
 		if v, _ := gen.Estimate(&w.Spec); v <= 0 {
 			return nil, fmt.Errorf("workload %q: generator %q parameters out of domain", w.Name, w.Kind)
 		}
-		if err := serve.AdmitGenSpec(&w.Spec, opts.Limits, opts.SolverLimit, opts.Budget); err != nil {
+		if err := serve.AdmitGenSpec(&w.Spec, serve.DefaultJSONLimits(), 1, serve.DefaultCacheBudget); err != nil {
 			return nil, fmt.Errorf("workload %q: %w", w.Name, err)
 		}
 		ir.workloadIdx[w.Name] = len(ir.Workloads)

@@ -109,6 +109,14 @@ func BenchmarkWMaxScaleJacobi1M(b *testing.B) {
 // thousands of candidates survive the early cut only to fall to the late one.
 // Each iteration scans through a fresh SolverPool, as an iolb invocation does
 // through its fresh Workspace.  Short mode shrinks every kernel.
+//
+// A kernel's time depends on the kernels run before it in the same process:
+// behind a faster fft and binomial, composite, cg and reduction once read
+// 14–22% slower although their scans walked the same cones, and −1%, +6% and
+// +2% when each ran alone.  To compare one kernel across commits, run it in a
+// process of its own:
+//
+//	go test -run '^$' -bench 'WMaxSuite/composite$' ./internal/graphalg
 func BenchmarkWMaxSuite(b *testing.B) {
 	for _, k := range []struct {
 		name        string

@@ -16,10 +16,12 @@ package memsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"cdagio/internal/cdag"
 	"cdagio/internal/iheap"
+	"cdagio/internal/sched"
 )
 
 // Config describes the simulated machine.
@@ -120,7 +122,8 @@ func (s *Stats) String() string {
 //
 // order lists the non-input vertices in execution order; owner[v] gives the
 // node that computes v (and that owns input v's initial copy).  A vertex with
-// owner out of range is assigned to node 0.
+// owner out of range is assigned to node 0.  sched.Check validates order, and
+// its use index gives each value's next use on a node.
 //
 // The simulation charges:
 //   - one load to node n when a value it needs is not in its fast memory but
@@ -155,71 +158,14 @@ func RunCtx(ctx context.Context, g *cdag.Graph, cfg Config, order []cdag.VertexI
 		return 0
 	}
 
-	// Validate the schedule and record positions.
-	position := make([]int, n)
-	for i := range position {
-		position[i] = -1
+	uses, err := sched.Check(g, order, cfg.FastWords)
+	if err != nil {
+		var ce *sched.CapacityError
+		if errors.As(err, &ce) {
+			return nil, fmt.Errorf("memsim: fast memory %d too small for in-degree %d", cfg.FastWords, ce.InDegree)
+		}
+		return nil, fmt.Errorf("memsim: %v", err)
 	}
-	for i, v := range order {
-		if !g.ValidVertex(v) {
-			return nil, fmt.Errorf("memsim: vertex %d out of range", v)
-		}
-		if g.IsInput(v) {
-			return nil, fmt.Errorf("memsim: input vertex %d scheduled", v)
-		}
-		if position[v] >= 0 {
-			return nil, fmt.Errorf("memsim: vertex %d scheduled twice", v)
-		}
-		position[v] = i
-	}
-	for v := 0; v < n; v++ {
-		id := cdag.VertexID(v)
-		if g.IsInput(id) {
-			continue
-		}
-		if position[v] < 0 {
-			return nil, fmt.Errorf("memsim: vertex %d missing from schedule", v)
-		}
-		for _, p := range predVal[predOff[v]:predOff[v+1]] {
-			if !g.IsInput(p) && position[p] > position[v] {
-				return nil, fmt.Errorf("memsim: vertex %d scheduled before predecessor %d", v, p)
-			}
-		}
-		if indeg := int(predOff[v+1] - predOff[v]); indeg+1 > cfg.FastWords {
-			return nil, fmt.Errorf("memsim: fast memory %d too small for in-degree %d", cfg.FastWords, indeg)
-		}
-	}
-
-	// The uses of v — the schedule positions at which some node consumes v,
-	// with the consuming node — are stored flat in one CSR-style pair: the
-	// uses of v are usePos/useNode[useOff[v]:useOff[v+1]], in increasing
-	// position order (a stable counting-sort scatter over the schedule).  Used
-	// by the Belady policy and by the write-back decision.
-	useOff := make([]int64, n+1)
-	for _, v := range order {
-		for _, p := range predVal[predOff[v]:predOff[v+1]] {
-			useOff[p+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		useOff[v+1] += useOff[v]
-	}
-	totalUses := useOff[n]
-	usePos := make([]int32, totalUses)
-	useNode := make([]int32, totalUses)
-	useCursor := make([]int64, n)
-	copy(useCursor, useOff[:n])
-	for i, v := range order {
-		nd := nodeOf(v)
-		for _, p := range predVal[predOff[v]:predOff[v+1]] {
-			usePos[useCursor[p]] = int32(i)
-			useNode[useCursor[p]] = int32(nd)
-			useCursor[p]++
-		}
-	}
-	// usePtr[v] indexes the first use of v not yet in the past (monotone).
-	usePtr := useCursor
-	copy(usePtr, useOff[:n])
 
 	stats := &Stats{
 		LoadsPerNode:      make([]int64, cfg.Nodes),
@@ -242,26 +188,18 @@ func RunCtx(ctx context.Context, g *cdag.Graph, cfg Config, order []cdag.VertexI
 		durable[v] = nodeOf(v)
 	}
 
-	const never = int(^uint(0) >> 1)
+	// The Belady key of a value on a node is its next use there; the write-back
+	// decision asks whether any node uses it later.
 	nextUseOnNode := func(v cdag.VertexID, after, node int) int {
-		// Linear scan from the shared pointer; uses are consumed in order.
-		for usePtr[v] < useOff[v+1] && int(usePos[usePtr[v]]) <= after {
-			usePtr[v]++
-		}
-		for k := usePtr[v]; k < useOff[v+1]; k++ {
-			if int(useNode[k]) == node {
-				return int(usePos[k])
+		for _, pos := range uses.Rest(v, after) {
+			if nodeOf(order[pos]) == node {
+				return int(pos)
 			}
 		}
-		return never
+		return sched.Never
 	}
 	neededLater := func(v cdag.VertexID, after int) bool {
-		for k := usePtr[v]; k < useOff[v+1]; k++ {
-			if int(usePos[k]) > after {
-				return true
-			}
-		}
-		return g.IsOutput(v)
+		return uses.Next(v, after) != sched.Never || g.IsOutput(v)
 	}
 
 	// pinStamp[v] == step marks v as pinned (an operand of the vertex firing
@@ -386,7 +324,7 @@ func (c *cache) priorityFor(pos, nextUse int) int64 {
 	if c.policy == LRU {
 		return -c.clock // least recently touched = highest priority to evict
 	}
-	if nextUse == int(^uint(0)>>1) {
+	if nextUse == sched.Never {
 		return int64(1) << 62
 	}
 	return int64(nextUse)

@@ -120,33 +120,31 @@ func TestRunPolicies(t *testing.T) {
 	}
 }
 
+// TestRunErrors pins the full text of every configuration and schedule
+// fault the simulator reports.
 func TestRunErrors(t *testing.T) {
-	g := gen.Chain(4)
-	order := sched.Topological(g)
-	if _, err := RunCtx(context.Background(), g, Config{Nodes: 0, FastWords: 4}, order, nil); err == nil {
-		t.Errorf("expected error for zero nodes")
+	chain := gen.Chain(4) // vertices 0(in),1,2,3(out)
+	dot := gen.DotProduct(4)
+	one := Config{Nodes: 1, FastWords: 4}
+	cases := []struct {
+		g     *cdag.Graph
+		cfg   Config
+		order []cdag.VertexID
+		want  string
+	}{
+		{chain, Config{Nodes: 0, FastWords: 4}, sched.Topological(chain), "memsim: need at least one node"},
+		{chain, Config{Nodes: 1, FastWords: 0}, sched.Topological(chain), "memsim: need at least one fast-memory word"},
+		{chain, one, []cdag.VertexID{0, 1, 2, 3}, "memsim: input vertex 0 scheduled for compute"},
+		{chain, one, []cdag.VertexID{1, 1, 2, 3}, "memsim: vertex 1 scheduled twice"},
+		{chain, one, []cdag.VertexID{1, 2}, "memsim: vertex 3 missing from schedule"},
+		{chain, one, []cdag.VertexID{2, 1, 3}, "memsim: vertex 2 scheduled before its predecessor 1"},
+		{chain, one, []cdag.VertexID{1, 2, 99}, "memsim: vertex 99 out of range"},
+		{dot, Config{Nodes: 1, FastWords: 2}, sched.Topological(dot), "memsim: fast memory 2 too small for in-degree 2"},
 	}
-	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 0}, order, nil); err == nil {
-		t.Errorf("expected error for zero fast memory")
-	}
-	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{0, 1, 2, 3}, nil); err == nil {
-		t.Errorf("expected error for scheduled input")
-	}
-	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{1, 1, 2, 3}, nil); err == nil {
-		t.Errorf("expected error for duplicate vertex")
-	}
-	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{1, 2}, nil); err == nil {
-		t.Errorf("expected error for missing vertex")
-	}
-	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{2, 1, 3}, nil); err == nil {
-		t.Errorf("expected error for out-of-order schedule")
-	}
-	if _, err := RunCtx(context.Background(), g, Config{Nodes: 1, FastWords: 4}, []cdag.VertexID{1, 2, 99}, nil); err == nil {
-		t.Errorf("expected error for out-of-range vertex")
-	}
-	d := gen.DotProduct(4)
-	if _, err := RunCtx(context.Background(), d, Config{Nodes: 1, FastWords: 2}, sched.Topological(d), nil); err == nil {
-		t.Errorf("expected error for fast memory below in-degree+1")
+	for i, c := range cases {
+		if _, err := RunCtx(context.Background(), c.g, c.cfg, c.order, nil); err == nil || err.Error() != c.want {
+			t.Errorf("case %d: error %v, want %q", i, err, c.want)
+		}
 	}
 }
 

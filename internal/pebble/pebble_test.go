@@ -238,37 +238,36 @@ func TestPlayScheduleBeladyVsLRU(t *testing.T) {
 	}
 }
 
+// TestPlayScheduleErrors pins the full text of every schedule fault the
+// player reports, and checks that the reference player, which keeps its own
+// checks, words each one the same way.
 func TestPlayScheduleErrors(t *testing.T) {
-	g := gen.Chain(4) // vertices 0(in),1,2,3(out)
-	// Input scheduled.
-	if _, err := PlayScheduleCtx(context.Background(), g, RBW, 2, []cdag.VertexID{0, 1, 2, 3}, Belady, false); err == nil {
-		t.Errorf("expected error for scheduled input")
+	chain := gen.Chain(4) // vertices 0(in),1,2,3(out)
+	dot := gen.DotProduct(4)
+	cases := []struct {
+		g     *cdag.Graph
+		s     int
+		order []cdag.VertexID
+		want  string
+	}{
+		{chain, 2, []cdag.VertexID{0, 1, 2, 3}, "pebble: invalid schedule: input vertex 0 scheduled for compute"},
+		{chain, 2, []cdag.VertexID{1, 1, 2, 3}, "pebble: invalid schedule: vertex 1 scheduled twice"},
+		{chain, 2, []cdag.VertexID{1, 2}, "pebble: invalid schedule: vertex 3 missing from schedule"},
+		{chain, 2, []cdag.VertexID{2, 1, 3}, "pebble: invalid schedule: vertex 2 scheduled before its predecessor 1"},
+		{chain, 2, []cdag.VertexID{1, 2, 99}, "pebble: invalid schedule: vertex 99 out of range"},
+		{chain, 0, []cdag.VertexID{1, 2, 3}, "pebble: invalid schedule: S=0: need at least one red pebble"},
+		{dot, 2, nonInputTopo(dot), "pebble: invalid schedule: S=2 too small: vertex 2 has in-degree 2"},
 	}
-	// Duplicate vertex.
-	if _, err := PlayScheduleCtx(context.Background(), g, RBW, 2, []cdag.VertexID{1, 1, 2, 3}, Belady, false); err == nil {
-		t.Errorf("expected error for duplicate vertex")
-	}
-	// Missing vertex.
-	if _, err := PlayScheduleCtx(context.Background(), g, RBW, 2, []cdag.VertexID{1, 2}, Belady, false); err == nil {
-		t.Errorf("expected error for missing vertex")
-	}
-	// Dependence violated.
-	if _, err := PlayScheduleCtx(context.Background(), g, RBW, 2, []cdag.VertexID{2, 1, 3}, Belady, false); err == nil {
-		t.Errorf("expected error for out-of-order schedule")
-	}
-	// Out of range vertex.
-	if _, err := PlayScheduleCtx(context.Background(), g, RBW, 2, []cdag.VertexID{1, 2, 99}, Belady, false); err == nil {
-		t.Errorf("expected error for out-of-range vertex")
-	}
-	// S too small for the in-degree.
-	d := gen.DotProduct(4)
-	if _, err := playTopological(d, RBW, 2, Belady); err == nil {
-		t.Errorf("expected error for S below in-degree+1")
-	}
-	var se *ScheduleError
-	_, err := playTopological(d, RBW, 2, Belady)
-	if !errors.As(err, &se) {
-		t.Errorf("error type = %T, want *ScheduleError", err)
+	ctx := context.Background()
+	for i, c := range cases {
+		_, err := PlayScheduleCtx(ctx, c.g, RBW, c.s, c.order, Belady, false)
+		var se *ScheduleError
+		if !errors.As(err, &se) || err.Error() != c.want {
+			t.Errorf("case %d: error %v (%T), want %q", i, err, err, c.want)
+		}
+		if _, errRef := playScheduleReference(ctx, c.g, RBW, c.s, c.order, Belady, false); errRef == nil || errRef.Error() != c.want {
+			t.Errorf("case %d: reference error %v, want %q", i, errRef, c.want)
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package pebble
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"cdagio/internal/cdag"
 	"cdagio/internal/iheap"
+	"cdagio/internal/sched"
 )
 
 // EvictionPolicy selects how the schedule player chooses a red pebble to
@@ -50,8 +52,9 @@ func (e *ScheduleError) Error() string { return "pebble: invalid schedule: " + e
 // PlayScheduleCtx fails if s is smaller than the largest in-degree plus one
 // (a vertex and all its predecessors must hold red pebbles simultaneously).
 //
-// The player allocates only run-constant state: use lists are a flat CSR
-// table, pinned sets are epoch stamps, and the red-pebble set is an indexed
+// sched.Check validates the schedule and indexes its uses, which give each
+// value's next use.  The player allocates only run-constant state: that
+// index, pinned sets as epoch stamps, and the red-pebble set as an indexed
 // max-heap (iheap.PriorityHeap) keyed by eviction preference, so each
 // eviction pops its victim in O(log S) instead of scanning every red pebble.
 // The heap's index holds one int32 per vertex and its entries one per
@@ -73,76 +76,20 @@ func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int,
 	if s < 1 {
 		return Result{}, &ScheduleError{Reason: fmt.Sprintf("S=%d: need at least one red pebble", s)}
 	}
+	uses, err := sched.Check(g, order, s)
+	if err != nil {
+		reason := err.Error()
+		var ce *sched.CapacityError
+		if errors.As(err, &ce) {
+			reason = fmt.Sprintf("S=%d too small: vertex %d has in-degree %d", s, ce.Vertex, ce.InDegree)
+		}
+		return Result{}, &ScheduleError{Reason: reason}
+	}
 	n := g.NumVertices()
 	// Every traversal below replays predecessor rows, so hoist the flat CSR
 	// arrays once: the rows are identical to g.Pred(v) in content and order,
 	// without the per-call facade overhead.
 	predOff, predVal := g.PredecessorCSR()
-	// Validate the schedule: every non-input exactly once, dependencies first.
-	position := make([]int, n)
-	for i := range position {
-		position[i] = -1
-	}
-	for i, v := range order {
-		if !g.ValidVertex(v) {
-			return Result{}, &ScheduleError{Reason: fmt.Sprintf("vertex %d out of range", v)}
-		}
-		if g.IsInput(v) {
-			return Result{}, &ScheduleError{Reason: fmt.Sprintf("input vertex %d scheduled for compute", v)}
-		}
-		if position[v] >= 0 {
-			return Result{}, &ScheduleError{Reason: fmt.Sprintf("vertex %d scheduled twice", v)}
-		}
-		position[v] = i
-	}
-	scheduled := 0
-	for v := 0; v < n; v++ {
-		id := cdag.VertexID(v)
-		if g.IsInput(id) {
-			continue
-		}
-		if position[v] < 0 {
-			return Result{}, &ScheduleError{Reason: fmt.Sprintf("vertex %d missing from schedule", v)}
-		}
-		scheduled++
-		for _, p := range predVal[predOff[v]:predOff[v+1]] {
-			if !g.IsInput(p) && position[p] > position[v] {
-				return Result{}, &ScheduleError{
-					Reason: fmt.Sprintf("vertex %d scheduled before its predecessor %d", v, p)}
-			}
-		}
-		if indeg := int(predOff[v+1] - predOff[v]); indeg+1 > s {
-			return Result{}, &ScheduleError{
-				Reason: fmt.Sprintf("S=%d too small: vertex %d has in-degree %d", s, v, indeg)}
-		}
-	}
-	if scheduled != len(order) {
-		return Result{}, &ScheduleError{Reason: "schedule length does not match non-input vertex count"}
-	}
-
-	// uses lists the schedule positions consuming each vertex, in increasing
-	// order, as one flat CSR table (useList[useStart[v]:useStart[v+1]]).
-	useStart := make([]int32, n+1)
-	for _, v := range order {
-		for _, p := range predVal[predOff[v]:predOff[v+1]] {
-			useStart[p+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		useStart[v+1] += useStart[v]
-	}
-	useList := make([]int32, useStart[n])
-	fill := make([]int32, n)
-	for i, v := range order {
-		for _, p := range predVal[predOff[v]:predOff[v+1]] {
-			useList[useStart[p]+fill[p]] = int32(i)
-			fill[p]++
-		}
-	}
-	usePtr := fill // reuse as cursors, reset to zero
-	for v := range usePtr {
-		usePtr[v] = 0
-	}
 	lastUse := make([]int, n)
 
 	// The red set as a max-heap over eviction keys (see evictKey).  A step's
@@ -158,20 +105,8 @@ func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int,
 	game := NewGame(g, variant, s, record)
 	clock := 0
 
-	// nextUse returns the next schedule position that consumes v strictly
-	// after position i, or a sentinel when v is no longer needed.
-	const never = int(^uint(0) >> 1)
-	nextUse := func(v cdag.VertexID, i int) int {
-		for usePtr[v] < useStart[v+1]-useStart[v] && int(useList[useStart[v]+usePtr[v]]) <= i {
-			usePtr[v]++
-		}
-		if usePtr[v] < useStart[v+1]-useStart[v] {
-			return int(useList[useStart[v]+usePtr[v]])
-		}
-		return never
-	}
 	needsPreserve := func(v cdag.VertexID, i int) bool {
-		if nextUse(v, i) != never {
+		if uses.Next(v, i) != sched.Never {
 			return true
 		}
 		return g.IsOutput(v) && !game.HasBlue(v)
@@ -187,14 +122,14 @@ func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int,
 	evictKey := func(v cdag.VertexID, i int) int64 {
 		switch {
 		case !needsPreserve(v, i):
-			return int64(never)
+			return int64(sched.Never)
 		case policy == LRU:
 			return -int64(lastUse[v])
 		}
-		if next := nextUse(v, i); next != never {
+		if next := uses.Next(v, i); next != sched.Never {
 			return int64(next)
 		}
-		return int64(never - 1)
+		return int64(sched.Never - 1)
 	}
 	// evictOne frees a red pebble, avoiding pinned vertices.  It stores the
 	// victim first when its value would otherwise be lost.
@@ -217,7 +152,7 @@ func PlayScheduleCtx(ctx context.Context, g *cdag.Graph, variant Variant, s int,
 			return nil
 		}
 		key := evictKey(v, i)
-		if key != int64(never) {
+		if key != int64(sched.Never) {
 			red.Update(v, key)
 			return nil
 		}

@@ -2,12 +2,14 @@ package prbw
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 
 	"cdagio/internal/cdag"
 	"cdagio/internal/fault"
 	"cdagio/internal/iheap"
+	"cdagio/internal/sched"
 )
 
 // Assignment describes a parallel execution of a CDAG: a single global
@@ -25,12 +27,7 @@ type Assignment struct {
 // the distribution is only vertex-by-vertex round-robin for grain 1; grain ≤ 0
 // selects one contiguous block per processor (an even block distribution).
 func RoundRobin(g *cdag.Graph, p, grain int) Assignment {
-	order := make([]cdag.VertexID, 0, g.NumOperations())
-	for _, v := range g.MustTopoOrder() {
-		if !g.IsInput(v) {
-			order = append(order, v)
-		}
-	}
+	order := sched.Topological(g)
 	if grain <= 0 {
 		grain = (len(order) + p - 1) / p
 		if grain == 0 {
@@ -54,18 +51,12 @@ func SingleProcessor(g *cdag.Graph) Assignment {
 // the topological order of g.  Vertices mapped to a negative processor are
 // assigned to processor 0.
 func OwnerCompute(g *cdag.Graph, owner []int) Assignment {
-	order := make([]cdag.VertexID, 0, g.NumOperations())
-	procs := make([]int, 0, g.NumOperations())
-	for _, v := range g.MustTopoOrder() {
-		if g.IsInput(v) {
-			continue
-		}
-		order = append(order, v)
-		p := 0
+	order := sched.Topological(g)
+	procs := make([]int, len(order))
+	for i, v := range order {
 		if int(v) < len(owner) && owner[v] >= 0 {
-			p = owner[v]
+			procs[i] = owner[v]
 		}
-		procs = append(procs, p)
 	}
 	return Assignment{Order: order, Proc: procs}
 }
@@ -74,53 +65,6 @@ func OwnerCompute(g *cdag.Graph, owner []int) Assignment {
 type PlayError struct{ Reason string }
 
 func (e *PlayError) Error() string { return "prbw: " + e.Reason }
-
-// validateAssignment checks that the assignment schedules every non-input
-// vertex exactly once in dependence order on a valid processor, and that the
-// register capacity can hold any vertex together with its predecessors.  It
-// sweeps every predecessor row, so it reads the hoisted CSR arrays directly.
-func validateAssignment(g *cdag.Graph, topo Topology, asg Assignment) error {
-	n := g.NumVertices()
-	predOff, predVal := g.PredecessorCSR()
-	position := make([]int, n)
-	for i := range position {
-		position[i] = -1
-	}
-	for i, v := range asg.Order {
-		if !g.ValidVertex(v) {
-			return &PlayError{Reason: fmt.Sprintf("vertex %d out of range", v)}
-		}
-		if g.IsInput(v) {
-			return &PlayError{Reason: fmt.Sprintf("input vertex %d scheduled", v)}
-		}
-		if position[v] >= 0 {
-			return &PlayError{Reason: fmt.Sprintf("vertex %d scheduled twice", v)}
-		}
-		if asg.Proc[i] < 0 || asg.Proc[i] >= topo.Processors() {
-			return &PlayError{Reason: fmt.Sprintf("processor %d out of range", asg.Proc[i])}
-		}
-		position[v] = i
-	}
-	for v := 0; v < n; v++ {
-		id := cdag.VertexID(v)
-		if g.IsInput(id) {
-			continue
-		}
-		if position[v] < 0 {
-			return &PlayError{Reason: fmt.Sprintf("vertex %d missing from schedule", v)}
-		}
-		if indeg := int(predOff[v+1] - predOff[v]); indeg+1 > topo.Capacity(1) {
-			return &PlayError{Reason: fmt.Sprintf("register capacity %d too small for in-degree %d of vertex %d",
-				topo.Capacity(1), indeg, v)}
-		}
-		for _, p := range predVal[predOff[v]:predOff[v+1]] {
-			if !g.IsInput(p) && position[p] > position[v] {
-				return &PlayError{Reason: fmt.Sprintf("vertex %d scheduled before predecessor %d", v, p)}
-			}
-		}
-	}
-	return nil
-}
 
 // pinSet is an allocation-free membership set of vertices protected from
 // eviction: v is pinned when stamps[v] == epoch.
@@ -144,11 +88,10 @@ type player struct {
 
 	clock int64 // compute steps executed so far; the touch timestamp
 
-	// lastUseAt[v] is the last schedule position consuming v (−1 when none);
-	// noMoreUses[v] flips once the step at that position has fetched its
-	// operands, mirroring the reference player's nextUse(pos) comparison.
-	lastUseAt  []int32
-	noMoreUses []bool
+	// No step needs v once uses.Last(v) ≤ fetched, the position of the last
+	// step holding all its operands (the reference player's nextUse(pos)).
+	uses    *sched.Uses
+	fetched int
 	// dead[v] caches whether losing one copy of v costs nothing: a copy
 	// exists elsewhere, a blue pebble backs it, or no later step needs it.
 	// It is refreshed after every game move that can flip it.
@@ -170,7 +113,9 @@ type player struct {
 // PlayCtx executes the assignment on g over the topology and returns the
 // resulting data-movement statistics of a complete legal P-RBW game.  The
 // assignment must schedule every non-input vertex exactly once in dependence
-// order, and the register capacity must exceed the largest in-degree.
+// order on a valid processor, and the register capacity must exceed the
+// largest in-degree.  sched.Check validates the order and indexes its uses,
+// from which the player reads each value's last use.
 //
 // The player's eviction order is that of the map-based reference player its
 // tests pin it against (dead values first, then least recently touched, ties
@@ -205,8 +150,19 @@ func PlayCtx(ctx context.Context, g *cdag.Graph, topo Topology, asg Assignment) 
 	if len(asg.Order) != len(asg.Proc) {
 		return nil, &PlayError{Reason: "assignment order and processor slices differ in length"}
 	}
-	if err := validateAssignment(g, topo, asg); err != nil {
-		return nil, err
+	uses, err := sched.Check(g, asg.Order, topo.Capacity(1))
+	if err != nil {
+		var ce *sched.CapacityError
+		if errors.As(err, &ce) {
+			return nil, &PlayError{Reason: fmt.Sprintf("register capacity %d too small for in-degree %d of vertex %d",
+				topo.Capacity(1), ce.InDegree, ce.Vertex)}
+		}
+		return nil, &PlayError{Reason: err.Error()}
+	}
+	for _, p := range asg.Proc {
+		if p < 0 || p >= topo.Processors() {
+			return nil, &PlayError{Reason: fmt.Sprintf("processor %d out of range", p)}
+		}
 	}
 
 	game, err := NewGame(g, topo)
@@ -218,20 +174,9 @@ func PlayCtx(ctx context.Context, g *cdag.Graph, topo Topology, asg Assignment) 
 	// scheduled vertex's row three times per step, and the rows are identical
 	// to g.Pred(v) in content and order.
 	predOff, predVal := g.PredecessorCSR()
-	pl := &player{game: game, g: g, topo: topo}
-	pl.lastUseAt = make([]int32, n)
-	for v := range pl.lastUseAt {
-		pl.lastUseAt[v] = -1
-	}
-	for i, v := range asg.Order {
-		for _, p := range predVal[predOff[v]:predOff[v+1]] {
-			pl.lastUseAt[p] = int32(i)
-		}
-	}
-	pl.noMoreUses = make([]bool, n)
+	pl := &player{game: game, g: g, topo: topo, uses: uses, fetched: -1}
 	pl.dead = make([]bool, n)
 	for v := 0; v < n; v++ {
-		pl.noMoreUses[v] = pl.lastUseAt[v] < 0
 		pl.dead[v] = pl.computeDead(cdag.VertexID(v))
 	}
 	total := 0
@@ -265,11 +210,11 @@ func PlayCtx(ctx context.Context, g *cdag.Graph, topo Topology, asg Assignment) 
 			}
 		}
 		// Values consumed for the last time by this step stop mattering once
-		// the step holds them all: flipping one earlier would let a later
+		// the step holds them all: dropping one earlier would let a later
 		// fetch evict its only copy.
+		pl.fetched = i
 		for _, p := range preds {
-			if pl.lastUseAt[p] == int32(i) && !pl.noMoreUses[p] {
-				pl.noMoreUses[p] = true
+			if uses.Last(p) == i {
 				pl.refreshDead(p)
 			}
 		}
@@ -346,7 +291,7 @@ func (pl *player) computeDead(v cdag.VertexID) bool {
 	if len(pl.game.Locations(v)) > 1 {
 		return true
 	}
-	return pl.noMoreUses[v] && !pl.g.IsOutput(v)
+	return pl.uses.Last(v) <= pl.fetched && !pl.g.IsOutput(v)
 }
 
 // refreshDead re-evaluates the deadness of v and, when it flipped, moves the

@@ -1,9 +1,11 @@
 package prbw
 
 import (
+	"errors"
 	"fmt"
 
 	"cdagio/internal/cdag"
+	"cdagio/internal/sched"
 )
 
 // PlayReference executes the assignment exactly like PlayCtx but with the
@@ -20,8 +22,18 @@ func PlayReference(g *cdag.Graph, topo Topology, asg Assignment) (*Stats, error)
 	if len(asg.Order) != len(asg.Proc) {
 		return nil, &PlayError{Reason: "assignment order and processor slices differ in length"}
 	}
-	if err := validateAssignment(g, topo, asg); err != nil {
-		return nil, err
+	if _, err := sched.Check(g, asg.Order, topo.Capacity(1)); err != nil {
+		var ce *sched.CapacityError
+		if errors.As(err, &ce) {
+			return nil, &PlayError{Reason: fmt.Sprintf("register capacity %d too small for in-degree %d of vertex %d",
+				topo.Capacity(1), ce.InDegree, ce.Vertex)}
+		}
+		return nil, &PlayError{Reason: err.Error()}
+	}
+	for _, p := range asg.Proc {
+		if p < 0 || p >= topo.Processors() {
+			return nil, &PlayError{Reason: fmt.Sprintf("processor %d out of range", p)}
+		}
 	}
 
 	game, err := NewGame(g, topo)

@@ -342,38 +342,37 @@ func TestPlayJacobiBlockPartition(t *testing.T) {
 // gen's identifier into the test names above.
 func StencilStarForTest() gen.StencilKind { return gen.StencilStar }
 
+// TestPlayErrors pins the full text of every topology and assignment fault
+// the player reports.
 func TestPlayErrors(t *testing.T) {
-	g := gen.Chain(4)
+	chain := gen.Chain(4) // vertices 0(in),1,2,3(out)
+	dot := gen.DotProduct(4)
 	topo := TwoLevel(2, 4, 64)
-	// Mismatched order/proc lengths.
-	if _, err := PlayCtx(context.Background(), g, topo, Assignment{Order: []cdag.VertexID{1}, Proc: []int{0, 1}}); err == nil {
-		t.Errorf("expected length mismatch error")
+	cases := []struct {
+		g    *cdag.Graph
+		topo Topology
+		asg  Assignment
+		want string
+	}{
+		{chain, topo, Assignment{Order: []cdag.VertexID{1}, Proc: []int{0, 1}},
+			"prbw: assignment order and processor slices differ in length"},
+		{chain, topo, Assignment{Order: []cdag.VertexID{0, 1, 2, 3}, Proc: []int{0, 0, 0, 0}},
+			"prbw: input vertex 0 scheduled for compute"},
+		{chain, topo, Assignment{Order: []cdag.VertexID{1, 2, 3}, Proc: []int{0, 0, 9}},
+			"prbw: processor 9 out of range"},
+		{chain, topo, Assignment{Order: []cdag.VertexID{1, 2}, Proc: []int{0, 0}},
+			"prbw: vertex 3 missing from schedule"},
+		{chain, topo, Assignment{Order: []cdag.VertexID{2, 1, 3}, Proc: []int{0, 0, 0}},
+			"prbw: vertex 2 scheduled before its predecessor 1"},
+		{dot, TwoLevel(1, 2, 64), SingleProcessor(dot),
+			"prbw: register capacity 2 too small for in-degree 2 of vertex 2"},
+		{chain, Topology{}, SingleProcessor(chain),
+			"prbw: topology needs at least 2 levels (registers and node memory), got 0"},
 	}
-	// Scheduled input.
-	if _, err := PlayCtx(context.Background(), g, topo, Assignment{Order: []cdag.VertexID{0, 1, 2, 3}, Proc: []int{0, 0, 0, 0}}); err == nil {
-		t.Errorf("expected scheduled-input error")
-	}
-	// Processor out of range.
-	if _, err := PlayCtx(context.Background(), g, topo, Assignment{Order: []cdag.VertexID{1, 2, 3}, Proc: []int{0, 0, 9}}); err == nil {
-		t.Errorf("expected processor range error")
-	}
-	// Missing vertex.
-	if _, err := PlayCtx(context.Background(), g, topo, Assignment{Order: []cdag.VertexID{1, 2}, Proc: []int{0, 0}}); err == nil {
-		t.Errorf("expected missing-vertex error")
-	}
-	// Dependence violation.
-	if _, err := PlayCtx(context.Background(), g, topo, Assignment{Order: []cdag.VertexID{2, 1, 3}, Proc: []int{0, 0, 0}}); err == nil {
-		t.Errorf("expected dependence error")
-	}
-	// Register file too small for the in-degree.
-	d := gen.DotProduct(4)
-	tiny := TwoLevel(1, 2, 64)
-	if _, err := PlayCtx(context.Background(), d, tiny, SingleProcessor(d)); err == nil {
-		t.Errorf("expected register-capacity error")
-	}
-	// Invalid topology.
-	if _, err := PlayCtx(context.Background(), g, Topology{}, SingleProcessor(g)); err == nil {
-		t.Errorf("expected topology error")
+	for i, c := range cases {
+		if _, err := PlayCtx(context.Background(), c.g, c.topo, c.asg); err == nil || err.Error() != c.want {
+			t.Errorf("case %d: error %v, want %q", i, err, c.want)
+		}
 	}
 }
 

@@ -7,12 +7,13 @@
 // Schedules are consumed by the schedule players in packages pebble, prbw and
 // memsim; the measured data movement of a good schedule is the empirical
 // upper bound that the benchmark harness compares against the paper's lower
-// bounds.
+// bounds.  Check is the players' common front end: it validates a schedule
+// once, in one order and one wording, and returns its Uses, the index of the
+// steps that consume each vertex, from which the players read next and last
+// uses.
 package sched
 
 import (
-	"fmt"
-
 	"cdagio/internal/cdag"
 	"cdagio/internal/gen"
 )
@@ -158,43 +159,4 @@ func BlockPartitionGrid(r *gen.JacobiResult, nodes int) []int {
 		}
 	}
 	return owner
-}
-
-// Validate checks that the schedule covers exactly the non-input vertices of
-// g in dependence order; it returns nil when the schedule is executable.  The
-// dependence sweep visits every predecessor row, so it reads the hoisted CSR
-// arrays directly.
-func Validate(g *cdag.Graph, order []cdag.VertexID) error {
-	n := g.NumVertices()
-	predOff, predVal := g.PredecessorCSR()
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, v := range order {
-		if !g.ValidVertex(v) {
-			return fmt.Errorf("sched: vertex %d out of range", v)
-		}
-		if g.IsInput(v) {
-			return fmt.Errorf("sched: input vertex %d scheduled", v)
-		}
-		if pos[v] >= 0 {
-			return fmt.Errorf("sched: vertex %d scheduled twice", v)
-		}
-		pos[v] = i
-	}
-	for v := 0; v < n; v++ {
-		if g.IsInput(cdag.VertexID(v)) {
-			continue
-		}
-		if pos[v] < 0 {
-			return fmt.Errorf("sched: vertex %d missing from schedule", v)
-		}
-		for _, p := range predVal[predOff[v]:predOff[v+1]] {
-			if !g.IsInput(p) && pos[p] > pos[v] {
-				return fmt.Errorf("sched: vertex %d scheduled before predecessor %d", v, p)
-			}
-		}
-	}
-	return nil
 }
