@@ -34,11 +34,13 @@ func iolb(t *testing.T, args ...string) (string, string, error) {
 	return stdout.String(), stderr.String(), err
 }
 
-// TestReportsMatchGolden runs the all-candidates analysis of four small
+// TestReportsMatchGolden runs the all-candidates analysis of six small
 // kernels and compares each report with testdata/<kernel>.txt byte for byte.
 // The reports are deterministic, and an engine change that claims identical
 // results must leave them alone.  A golden is the stdout of the same command
 // line, e.g. `go run ./cmd/iolb -kernel fft -n 128 -S 16 -candidates -1`.
+// fft and tree are scanned with sink intervals, binomial without: its source
+// intervals are not exact.
 func TestReportsMatchGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -48,6 +50,8 @@ func TestReportsMatchGolden(t *testing.T) {
 		{"composite", []string{"-kernel", "composite", "-n", "6", "-S", "16"}},
 		{"cg", []string{"-kernel", "cg", "-dim", "2", "-n", "6", "-iters", "2", "-S", "32"}},
 		{"jacobi", []string{"-kernel", "jacobi", "-dim", "2", "-n", "12", "-steps", "3", "-S", "16"}},
+		{"tree", []string{"-kernel", "tree", "-n", "64", "-S", "16"}},
+		{"binomial", []string{"-kernel", "binomial", "-n", "6", "-S", "16"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".txt"))

@@ -215,12 +215,14 @@ func TestWorkspaceEnginesMatchFreeFunctions(t *testing.T) {
 // TestWMaxAllocationsPerScan pins a warmed Workspace's all-candidates w^max
 // scan to a fixed number of allocations per call: scanning Composite(12)
 // (3,791 vertices) may allocate at most 32 more times than scanning
-// Composite(6) (527 vertices), and FFT(1024) (11,264 vertices) at most 32
-// more than FFT(64) (448 vertices), where one allocation per candidate in
-// any of the three passes would add thousands.  The FFT scans prune most
-// candidates on source intervals, whose pass reuses the schedule sweeps'
-// arrays.  AllocsPerRun runs the scan at GOMAXPROCS 1, so it takes one
-// worker.
+// Composite(6) (527 vertices), FFT(1024) (11,264 vertices) at most 32 more
+// than FFT(64) (448 vertices), and ReductionTree(8192) (16,383 vertices) at
+// most 32 more than ReductionTree(64) (127 vertices), where one allocation
+// per candidate in any of the three passes would add thousands.  The FFT
+// and tree scans key their candidates on source and sink intervals: the
+// source intervals reuse the schedule sweeps' arrays, and the sink intervals
+// and cone sizes take four arrays per scan.  AllocsPerRun runs the scan at
+// GOMAXPROCS 1, so it takes one worker.
 func TestWMaxAllocationsPerScan(t *testing.T) {
 	allocs := func(g *cdag.Graph) float64 {
 		ws := NewWorkspace(g)
@@ -238,6 +240,7 @@ func TestWMaxAllocationsPerScan(t *testing.T) {
 	}{
 		{"composite", gen.Composite(6).Graph, gen.Composite(12).Graph},
 		{"fft", gen.FFT(64), gen.FFT(1024)},
+		{"reduction", gen.ReductionTree(64), gen.ReductionTree(8192)},
 	} {
 		small, large := allocs(pair.small), allocs(pair.large)
 		t.Logf("%s: %v allocations on %d vertices, %v on %d", pair.kernel,

@@ -73,7 +73,7 @@ func TestAbortCertificateSound(t *testing.T) {
 					continue
 				}
 				cs.explore(x)
-				got, aborted := cs.minWavefrontRun(x, need, sourceSpans{})
+				got, aborted := cs.minWavefrontRun(x, need, spans{})
 				if aborted {
 					if want >= need {
 						t.Fatalf("%s vertex %d (need=%d): aborted but true bound is %d", name, x, need, want)

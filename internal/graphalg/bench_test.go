@@ -105,8 +105,12 @@ func BenchmarkWMaxScaleJacobi1M(b *testing.B) {
 // BenchmarkWMaxSuite times the all-candidates w^max scan of each iolb-suite
 // kernel at the suite's size, so a change to the scan shows per kernel; of
 // two trees, where a co-reachability sweep from the descendant side of every
-// candidate made the scan quadratic; and of a 1-D heat equation, whose
-// thousands of candidates survive the early cut only to fall to the late one.
+// candidate made the scan quadratic, and which fall on either side of the
+// sink-interval gate: the reduction tree's source intervals are exact, so its
+// candidates are keyed from their smaller cone, and the binomial tree's are
+// not, so its scan keys every candidate on its ancestor cone; and of a 1-D
+// heat equation, whose thousands of candidates survive the early cut only to
+// fall to the late one.
 // Each iteration scans through a fresh SolverPool, as an iolb invocation does
 // through its fresh Workspace.  Short mode shrinks every kernel.
 //

@@ -109,7 +109,8 @@ func (cs *CutSolver) explore(x cdag.VertexID) {
 
 // exploreDesc stamps Desc(x) into the descendant marks and list under the
 // current epoch.  The two cone walks are independent: the w^max search's seed
-// pass walks the ancestor cone first, its solve pass the descendant cone.
+// pass walks the ancestor cone first, its solve pass the descendant cone, and
+// its bound pass, with sink intervals, the smaller of the two.
 func (cs *CutSolver) exploreDesc(x cdag.VertexID) {
 	e := cs.epoch
 	sOff, sVal := cs.succOff, cs.succVal
@@ -186,7 +187,7 @@ func (cs *CutSolver) exploreAnc(x cdag.VertexID) {
 // vertices, so some minimum cut always lies inside boundary ∪ strip, which is
 // exactly the vertex set this network can cut.
 func (cs *CutSolver) minWavefront(x cdag.VertexID) int {
-	w, _ := cs.minWavefrontRun(x, 0, sourceSpans{})
+	w, _ := cs.minWavefrontRun(x, 0, spans{})
 	return w
 }
 
@@ -195,13 +196,13 @@ func (cs *CutSolver) minWavefront(x cdag.VertexID) int {
 // some BFS level cut proves the final wavefront must stay below need (never,
 // when need ≤ 0).  The second return is true for such an aborted candidate
 // (its exact value is unknown but provably < need); otherwise the returned
-// value is exact.  spans, when it holds intervals, lets the backward sweep
-// skip what A cannot reach (see buildStrip); the network is the same.
-func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int, spans sourceSpans) (int, bool) {
+// value is exact.  sources, when it holds intervals, lets the backward
+// sweep skip what A cannot reach (see buildStrip); the network is the same.
+func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int, sources spans) (int, bool) {
 	if len(cs.desc) == 0 {
 		return 1, false
 	}
-	cs.buildStrip(x, spans)
+	cs.buildStrip(x, sources)
 	flow, aborted := cs.strip.maxFlowBounded(0, 1, int64(need))
 	if aborted {
 		return 0, true
@@ -222,13 +223,13 @@ func (cs *CutSolver) minWavefrontRun(x cdag.VertexID, need int, spans sourceSpan
 // forward-reachable from A; and every path from such a vertex into D stays
 // among forward-reachable vertices, so sweepForward marks exactly the
 // co-reachable ones among them, as sweepBackward does, with or without
-// spans.  The arcs, and with them bounds, witnesses and cut sets, are
-// identical.
-func (cs *CutSolver) buildStrip(x cdag.VertexID, spans sourceSpans) {
+// source intervals.  The arcs, and with them bounds, witnesses and cut sets,
+// are identical.
+func (cs *CutSolver) buildStrip(x cdag.VertexID, sources spans) {
 	if cs.forwardCheaper(x) {
 		cs.sweepForward(x)
 	} else {
-		cs.sweepBackward(x, spans)
+		cs.sweepBackward(x, sources)
 	}
 	cs.stripNetwork(x)
 }
@@ -265,18 +266,18 @@ func (cs *CutSolver) forwardCheaper(x cdag.VertexID) bool {
 // network tight even when the incomparable set is large (shallow stencil
 // sweeps, wide Krylov iterations).
 //
-// With spans it also skips every vertex whose source interval misses x's,
-// and so never reaches its ancestors through it.  Neither it nor any of its
-// ancestors is reachable from A = {x} ∪ Anc(x), and stripNetwork reads
+// With sources it also skips every vertex whose source interval misses
+// x's, and so never reaches its ancestors through it.  Neither it nor any of
+// its ancestors is reachable from A = {x} ∪ Anc(x), and stripNetwork reads
 // coMark only on vertices reachable from A, so the network is the same arc
 // for arc.
-func (cs *CutSolver) sweepBackward(x cdag.VertexID, spans sourceSpans) {
+func (cs *CutSolver) sweepBackward(x cdag.VertexID, sources spans) {
 	e := cs.epoch
 	pOff, pVal := cs.predOff, cs.predVal
 	stack := cs.stack[:0]
 	for _, d := range cs.desc {
 		for _, p := range pVal[pOff[d]:pOff[d+1]] {
-			if p == x || cs.ancMark[p] == e || cs.descMark[p] == e || cs.coMark[p] == e || spans.misses(x, p) {
+			if p == x || cs.ancMark[p] == e || cs.descMark[p] == e || cs.coMark[p] == e || sources.misses(x, p) {
 				continue
 			}
 			cs.coMark[p] = e
@@ -287,7 +288,7 @@ func (cs *CutSolver) sweepBackward(x cdag.VertexID, spans sourceSpans) {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, p := range pVal[pOff[u]:pOff[u+1]] {
-			if p == x || cs.ancMark[p] == e || cs.descMark[p] == e || cs.coMark[p] == e || spans.misses(x, p) {
+			if p == x || cs.ancMark[p] == e || cs.descMark[p] == e || cs.coMark[p] == e || sources.misses(x, p) {
 				continue
 			}
 			cs.coMark[p] = e

@@ -92,9 +92,11 @@
 //  2. The bound pass gives every other candidate a key: the smaller of its
 //     two schedule wavefronts (below), and, unless those already put it
 //     below the incumbent, the boundary of its earliest convex cut
-//     S = {x} ∪ Anc(x), one ancestor-cone walk.  Nothing is solved, so the
-//     incumbent stands still, and workers claim candidates in blocks.  The
-//     keys overwrite the schedule bounds in place; the seeds' keys become −1.
+//     S = {x} ∪ Anc(x), one ancestor-cone walk.  On butterflies and trees
+//     it walks the smaller cone instead (see the sink intervals below).
+//     Nothing is solved, so the incumbent stands still, and workers claim
+//     candidates in blocks.  The keys overwrite the schedule bounds in
+//     place; the seeds' keys become −1.
 //  3. The solve pass sorts the candidates whose key still reaches the
 //     incumbent by decreasing key, then by index, and visits them in that
 //     order.  It stops at the first key below the incumbent: every later key
@@ -174,6 +176,71 @@
 // where it built 9,217 without intervals, and BinomialTree(12) 3 where it
 // built 45,057.  MinWavefrontAt, MinDominatorSize and scans of at most 32
 // candidates compute no intervals.
+//
+// # Sink intervals and the smaller cone
+//
+// The source intervals prune the solve pass, but they leave the bound pass
+// one ancestor-cone walk per candidate for its key: on FFT(1024), 10,241
+// walks, nearly all to key candidates that the late bound then prunes at
+// once.  The sink intervals are their mirror.  The sinks (vertices without
+// successors) are ranked in the post-order of a depth-first search over
+// successors from each source, sources in ID order and successors in CSR
+// order: the demand order mirrored.  A sink takes its rank, any other vertex
+// the hull of its successors' intervals, filled in that post-order, which
+// lists every vertex after its successors.  If w reaches a vertex of
+// {x} ∪ Desc(x), it reaches a sink that x reaches, and that sink's rank lies
+// in both intervals.  So disjoint intervals prove in O(1) that w cannot
+// reach Desc(x).  That holds for every ranking; the ranking only decides how
+// much gets pruned.
+//
+// The early bound filters on them.  It counts x, and each ancestor of x with
+// a successor outside A = {x} ∪ Anc(x) whose sink interval meets x's.  Every
+// A→D path leaves A along an edge from a vertex of A to a vertex outside A
+// that reaches D, so to a vertex whose interval meets x's; the vertex it
+// leaves from is x or a counted ancestor.  The counted set is still a vertex
+// cut containing x, so it is still an upper bound on the min cut, if no
+// longer the boundary of a convex cut.  As for the late bound, the scan
+// counts without the intervals first, up to the threshold, and a count below
+// it is returned as it is; only a count that reaches the threshold is
+// counted again with the intervals, in full, so the value is always complete.
+//
+// The bound pass then keys each candidate from its smaller cone.  On a
+// multitree (at most one path between any two vertices, as in butterflies
+// and trees) the ancestor sets of a vertex's predecessors are disjoint, so
+// the path-count recurrence |Anc(x)| = Σₚ (1 + |Anc(p)|) over the
+// predecessors p is exact, and so is its mirror for |Desc(x)|: one pass over
+// each post-order gives every cone size.  A candidate whose descendant cone
+// is the smaller walks it and takes its late bound with source intervals.
+// That count stops at the threshold, and a count stopped there is not an
+// upper bound; keys order the solve pass, which stops at the first key below
+// the incumbent, so such a count must never become a key.  Only a count
+// below the threshold becomes the key; a survivor walks its ancestor cone
+// for the early key like every other candidate.  Both bounds are 1 on a
+// butterfly and on a reduction tree, so every candidate that cannot beat the
+// incumbent is pruned without touching its larger cone.  A one-worker scan
+// of FFT(1024) walks 6,145 ancestor cones (116,736 vertices) and 4,098
+// descendant cones (56,316 vertices); without sink intervals it walks 10,241
+// ancestor cones (2,074,624 vertices) and 9,217 descendant cones (2,076,670
+// vertices), and either way it builds 2 strips.  The side decides only the
+// cost, never the result.
+//
+// The scan does all of this only when the source intervals come out exact:
+// the pass that fills them checks, as it goes, that every vertex with
+// predecessors has an interval exactly as wide as its predecessors'
+// intervals together, and stops checking at the first vertex that fails.
+// That is a property of the input, not a knob.  Butterflies and reduction
+// trees pass.  Stencils, Krylov iterations, the composite kernel, the heat
+// equation and binomial trees fail within the first few thousand vertices
+// of the demand order, most within a few dozen: the binomial tree is a
+// multitree, but its source intervals are sound without being exact.  On
+// those graphs the scan is what it was, with no sink intervals, no recount
+// and no extra walk: a one-worker scan walks the same cones, as many times.
+// Without the gate, the Jacobi 2-D scan would pay for a serial sink pass,
+// recount candidates with sink intervals that prune none of them, and walk
+// descendant cones first where its path counts, no longer cone sizes, say
+// so.  Every key stays an upper bound either way, and the packed-maximum
+// argument above is untouched, so bound and witness are the same for every
+// worker count, with or without sink intervals.
 //
 // # Stopping a solve early: the level-cut abort
 //

@@ -209,5 +209,5 @@ func (cs *CutSolver) upperBound(x cdag.VertexID) int {
 		// With no descendants the latest cut has boundary {x}.
 		return 1
 	}
-	return max(min(cs.earlyBound(x), cs.lateBound(x, math.MaxInt, sourceSpans{})), 1)
+	return max(min(cs.earlyBound(x, math.MaxInt, spans{}), cs.lateBound(x, math.MaxInt, spans{})), 1)
 }

@@ -55,28 +55,36 @@ func relabel(g *cdag.Graph, perm []int) *cdag.Graph {
 	return h
 }
 
-// demandOrderReference is the recursive form of demandOrder: from each sink
-// in ID order, fire each predecessor's cone in CSR order, then the vertex.
-func demandOrderReference(g *cdag.Graph) []cdag.VertexID {
-	sOff, _, pOff, pVal := g.AdjacencyCSR()
-	fired := make([]bool, g.NumVertices())
+// postOrderReference is the recursive form of postOrder: from each root in
+// ID order (a vertex whose row of rootOff is empty), finish each row entry's
+// cone in CSR order, then the vertex.
+func postOrderReference(rootOff, off []int64, val []cdag.VertexID) []cdag.VertexID {
+	fired := make([]bool, len(rootOff)-1)
 	var order []cdag.VertexID
 	var fire func(v cdag.VertexID)
 	fire = func(v cdag.VertexID) {
 		fired[v] = true
-		for _, p := range pVal[pOff[v]:pOff[v+1]] {
+		for _, p := range val[off[v]:off[v+1]] {
 			if !fired[p] {
 				fire(p)
 			}
 		}
 		order = append(order, v)
 	}
-	for v := range g.NumVertices() {
-		if sOff[v+1] == sOff[v] {
+	for v := range len(rootOff) - 1 {
+		if rootOff[v+1] == rootOff[v] {
 			fire(cdag.VertexID(v))
 		}
 	}
 	return order
+}
+
+// demandOrderReference is the recursive form of the demand order: from each
+// sink in ID order, fire each predecessor's cone in CSR order, then the
+// vertex.
+func demandOrderReference(g *cdag.Graph) []cdag.VertexID {
+	sOff, _, pOff, pVal := g.AdjacencyCSR()
+	return postOrderReference(sOff, pOff, pVal)
 }
 
 // TestDemandOrderIsTopological checks the demand-driven schedule on every
@@ -93,7 +101,8 @@ func TestDemandOrderIsTopological(t *testing.T) {
 			order[v] = cdag.VertexID(rng.Intn(n))
 			cursor[v] = int32(rng.Intn(5) - 2)
 		}
-		demandOrder(g, order, cursor)
+		sOff, sVal, pOff, pVal := g.AdjacencyCSR()
+		postOrder(sOff, pOff, pVal, order, cursor)
 		pos := make([]int, n)
 		for v := range pos {
 			pos[v] = -1
@@ -104,7 +113,6 @@ func TestDemandOrderIsTopological(t *testing.T) {
 			}
 			pos[v] = k
 		}
-		sOff, sVal := g.SuccessorCSR()
 		for v := range n {
 			for _, w := range sVal[sOff[v]:sOff[v+1]] {
 				if pos[v] >= pos[w] {
@@ -165,7 +173,8 @@ func TestScheduleBoundsAboveMinWavefront(t *testing.T) {
 		kahn := g.MustTopoOrder()
 		demand := make([]cdag.VertexID, n)
 		scratch := make([]int32, n)
-		demandOrder(g, demand, scratch)
+		sOff, _, pOff, pVal := g.AdjacencyCSR()
+		postOrder(sOff, pOff, pVal, demand, scratch)
 		wfKahn, wfDemand := make([]int32, n), make([]int32, n)
 		firedWavefronts(g, kahn, scratch, wfKahn)
 		firedWavefronts(g, demand, scratch, wfDemand)
@@ -180,7 +189,7 @@ func TestScheduleBoundsAboveMinWavefront(t *testing.T) {
 		}
 		cands := shuffledCandidates(rng, g)
 		for _, both := range []bool{false, true} {
-			ub, _ := scheduleWavefrontUB(g, cands, both)
+			ub, _, _ := scheduleWavefrontUB(g, cands, both)
 			for i, x := range cands {
 				want := wfKahn[x]
 				if both {
@@ -205,6 +214,46 @@ func shuffledCandidates(rng *rand.Rand, g *cdag.Graph) []cdag.VertexID {
 	return cands
 }
 
+// bypassGraph returns a graph whose source intervals pass the exactness
+// check although it is not a multitree, and whose w^max, 3, is not 1 as on
+// every multitree.  Sink 6 ranks the sources 0–5 in demand order.  Vertex 9
+// reads sources 0–2 and feeds sink 11, and sources 1 and 2 reach sink 11
+// again through the bypasses 7 and 8, so 9's cut is {9, 7, 8}.  Sink 11's
+// predecessors have intervals [0, 2], [1, 1], [2, 2] and [5, 5], 6 ranks
+// wide together, as wide as their hull: the overlaps balance the gap of
+// sources 3 and 4.  A 4-ary reduction tree over 256 inputs holds the 32
+// vertices of largest degree, all of value 1, so the seed pass leaves the
+// incumbent at 1 and the bound pass keys 7, 8 and 9.  Vertex 9's descendant
+// cone is the smaller, and its late count stops at the threshold, 2, below
+// its value: kept as a key, the count would let 7 (value 2, key 2, a lower
+// index) raise the incumbent past it.
+func bypassGraph() *cdag.Graph {
+	g := cdag.NewGraph("bypass", 0)
+	g.AddVertices(12)
+	for _, e := range [][2]cdag.VertexID{
+		{0, 6}, {1, 6}, {2, 6}, {3, 6}, {4, 6}, {5, 6},
+		{1, 7}, {2, 8}, {0, 9}, {1, 9}, {2, 9}, {5, 10},
+		{9, 11}, {7, 11}, {8, 11}, {10, 11},
+	} {
+		g.AddEdge(e[0], e[1])
+	}
+	level := make([]cdag.VertexID, 256)
+	for i := range level {
+		level[i] = g.AddVertices(1)
+	}
+	for len(level) > 1 {
+		next := make([]cdag.VertexID, len(level)/4)
+		for i := range next {
+			next[i] = g.AddVertices(1)
+			for _, u := range level[4*i : 4*i+4] {
+				g.AddEdge(u, next[i])
+			}
+		}
+		level = next
+	}
+	return g
+}
+
 // TestWMaxMatchesOracleShuffled runs the three-pass scan on every property
 // graph over a shuffled candidate list with repeats, at 1, 2 and 4 workers,
 // and requires the bound and the witness of the serial full-network scan.
@@ -213,11 +262,34 @@ func shuffledCandidates(rng *rand.Rand, g *cdag.Graph) []cdag.VertexID {
 // witness.  FFT(64) and BinomialTree(6) join the property graphs: their
 // source intervals prune most candidates on the late bound, and the smaller
 // instances among the generator graphs leave few candidates past the seeds.
+// FFT(64) keys its candidates on sink intervals too; a copy with one more
+// edge, from input 0 to a stage-2 vertex it already reaches, has a second
+// path, fails the exactness check, and is scanned without them.  The bypass
+// graph passes the check, and is scanned in ID order as well as shuffled.
 func TestWMaxMatchesOracleShuffled(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	passes := 0
+	twoPaths := gen.FFT(64).Clone()
+	twoPaths.AddEdge(0, 128) // 0 → 64 → 128 is the first path
+	if _, _, sinks := scheduleWavefrontUB(twoPaths, twoPaths.Vertices(), true); sinks.lo != nil {
+		t.Fatal("FFT(64) with a second path passes the exactness check")
+	}
+	bypass := bypassGraph()
+	if _, _, sinks := scheduleWavefrontUB(bypass, bypass.Vertices(), true); sinks.lo == nil {
+		t.Fatal("the bypass graph fails the exactness check")
+	}
+	if w, at := maxMinWavefrontLowerBoundSerial(bypass, bypass.Vertices()); w != 3 || at != 9 {
+		t.Fatalf("bypass graph: serial scan (%d, %d), want (3, 9)", w, at)
+	}
+	for _, conc := range []int{1, 2, 4} {
+		if w, at := wmax(t, bypass, nil, WMaxOptions{Concurrency: conc}); w != 3 || at != 9 {
+			t.Fatalf("bypass graph (conc=%d): (bound, witness) = (%d, %d), want (3, 9)", conc, w, at)
+		}
+	}
 	graphs := append(scheduleGraphs(t),
 		scheduleGraph{"fft64", gen.FFT(64)},
+		scheduleGraph{"fft64+edge", twoPaths},
+		scheduleGraph{"bypass", bypass},
 		scheduleGraph{"binomial6", gen.BinomialTree(6)})
 	for _, sg := range graphs {
 		cands := shuffledCandidates(rng, sg.g)

@@ -133,12 +133,25 @@ func topByDegree(g *cdag.Graph, candidates []cdag.VertexID, k int) []int {
 //     cone again and pays for an abortable Dinic solve.
 //
 // When a bound pass follows, every vertex also gets the interval of the
-// source ranks that reach it (sourceSpans), and the late bound and the
+// source ranks that reach it (see spans), and the late bound and the
 // backward co-reachability sweep of the seed and solve passes skip every
 // vertex whose interval misses the candidate's: no such vertex is reachable
 // from the candidate's ancestor cone.  On butterflies and trees that leaves
 // a late bound of 1, and a candidate that cannot beat the incumbent is
 // pruned before its second cone walk.
+//
+// When those source intervals also come out exact, as on butterflies and
+// reduction trees, every vertex gets the interval of the sink ranks it
+// reaches and the sizes of its two cones as well.  The early bound then
+// skips every ancestor whose successors outside the ancestor cone all have
+// sink intervals that miss the candidate's: none of them reaches the
+// candidate's descendant cone.  And
+// the bound pass keys each candidate from its smaller cone: the ancestor
+// cone with the early bound, or the descendant cone with the late bound,
+// which is a key when it falls below the incumbent.  On a butterfly both are
+// 1, so a candidate that cannot beat the incumbent is pruned without
+// touching its larger cone.  On any other graph the scan computes no sink
+// intervals and no cone sizes.
 //
 // The result is exactly that of a serial scan solving every candidate in
 // order and keeping the first maximizer — the same bound value and the same
@@ -187,10 +200,11 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 	nc := len(candidates)
 	seedIdx := topByDegree(g, candidates, seedSample)
 	// ub[i] is candidate i's key, an upper bound on its value, or −1 once the
-	// seed pass has settled it.  The demand-driven schedule and the source
-	// intervals only pay off when a bound pass follows; without one, spans is
-	// empty and filters nothing.
-	ub, spans := scheduleWavefrontUB(g, candidates, len(seedIdx) < nc)
+	// seed pass has settled it.  The demand-driven schedule and the intervals
+	// only pay off when a bound pass follows; without one, sources and sinks
+	// are empty and filter nothing.  sinks is also empty unless the source
+	// intervals come out exact.
+	ub, sources, sinks := scheduleWavefrontUB(g, candidates, len(seedIdx) < nc)
 	sOff, _ := g.SuccessorCSR()
 
 	// best holds packEntry(bound, index of the earliest candidate attaining
@@ -225,13 +239,13 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 		}
 		cs.exploreDesc(x)
 		need := needAgainst(best.Load(), i)
-		if cs.lateBound(x, need, spans) < need || ctx.Err() != nil {
+		if cs.lateBound(x, need, sources) < need || ctx.Err() != nil {
 			return
 		}
 		if !walkedAnc {
 			cs.exploreAnc(x)
 		}
-		w, pruned := cs.minWavefrontRun(x, needAgainst(best.Load(), i), spans)
+		w, pruned := cs.minWavefrontRun(x, needAgainst(best.Load(), i), sources)
 		if !pruned {
 			record(w, i)
 		}
@@ -249,7 +263,8 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 			cs.nextEpoch()
 			cs.exploreAnc(x)
 			// Tier boundary: the descendant cone is not yet paid for.
-			if packEntry(cs.earlyBound(x), i) < best.Load() || ctx.Err() != nil {
+			need := needAgainst(best.Load(), i)
+			if cs.earlyBound(x, need, sinks) < need || ctx.Err() != nil {
 				return
 			}
 		}
@@ -264,6 +279,11 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 		}
 		// Pass 2 — keys.  Nothing is solved, so the incumbent stands still,
 		// and a key the schedule bounds already put below it needs no walk.
+		// With sink intervals, a candidate whose descendant cone is the
+		// smaller walks that cone first: a late bound below need is a
+		// complete count, so a key.  A count stopped at need is not, and the
+		// survivor walks its ancestor cone for the early key like every
+		// other candidate.
 		if err := parallelFor(ctx, pool, workers, nc, boundBlock, func(cs *CutSolver, i int) {
 			x := candidates[i]
 			if packEntry(int(ub[i]), i) < best.Load() {
@@ -274,8 +294,16 @@ func MaxMinWavefrontLowerBoundCtx(ctx context.Context, g *cdag.Graph, candidates
 				return
 			}
 			cs.nextEpoch()
+			need := needAgainst(best.Load(), i)
+			if sinks.lo != nil && sinks.cone[x] < sources.cone[x] {
+				cs.exploreDesc(x)
+				if late := cs.lateBound(x, need, sources); late < need {
+					ub[i] = int32(late)
+					return
+				}
+			}
 			cs.exploreAnc(x)
-			ub[i] = min(ub[i], int32(cs.earlyBound(x)))
+			ub[i] = min(ub[i], int32(cs.earlyBound(x, need, sinks)))
 		}); err != nil {
 			return 0, cdag.InvalidVertex, err
 		}
@@ -417,36 +445,35 @@ func parallelFor(ctx context.Context, pool *SolverPool, workers, n, block int, b
 }
 
 // lateBound returns an upper bound on the min-cut wavefront of the explored
-// candidate x that falls below limit exactly when countLate(x, limit, spans)
-// does, so the caller prunes on lateBound(x, need, spans) < need.  With
-// spans it counts without them first, up to limit: a count that already
-// falls below limit prunes as well as the filtered one would, without an
-// interval test per vertex, and only a candidate whose count reaches limit
-// is counted again with the intervals.  On stencils, where the intervals of
-// a cone's surroundings all meet, the first count prunes nearly every
-// candidate; on butterflies and trees it reaches limit after a vertex or
-// two.
-func (cs *CutSolver) lateBound(x cdag.VertexID, limit int, spans sourceSpans) int {
-	late := cs.countLate(x, limit, sourceSpans{}, cs.epoch)
-	if late < limit || spans.lo == nil {
+// candidate x that falls below limit exactly when countLate(x, limit,
+// sources) does, so the caller prunes on lateBound(x, need, sources) < need;
+// a value below limit is a complete count.  With sources it counts without
+// them first, up to limit: a count that already falls below limit prunes as
+// well as the filtered one would, without an interval test per vertex, and
+// only a candidate whose count reaches limit is counted again with the
+// intervals.  On stencils, where the intervals of a cone's surroundings all
+// meet, the first count prunes nearly every candidate; on butterflies and
+// trees it reaches limit after a vertex or two.
+func (cs *CutSolver) lateBound(x cdag.VertexID, limit int, sources spans) int {
+	late := cs.countLate(x, limit, spans{}, cs.epoch)
+	if late < limit || sources.lo == nil {
 		return late
 	}
-	return cs.countLate(x, limit, spans, -cs.epoch)
+	return cs.countLate(x, limit, sources, -cs.epoch)
 }
 
 // countLate returns the size of a vertex cut around the explored candidate
 // x: the distinct non-descendant predecessors of D = Desc(x) whose source
-// interval meets x's.  Without spans that is every such predecessor, the
-// boundary of the latest convex cut (T = D).  With spans it is still a cut:
-// the last vertex before D on a path from A = {x} ∪ Anc(x) is reachable
-// from A, so its interval meets x's (see sourceSpans), and the count is
-// still an upper bound on the min cut, if no longer a convex cut's
-// boundary.  x is always counted — every successor of x is a descendant,
-// and its interval meets itself — so the value needs no explicit max with
-// 1.  It reads only the descendant marks, once the descendant cone is
-// explored (exploreDesc), and stamps the vertices it has seen in seenMark
-// with stamp, which must differ from the stamps of any earlier count of the
-// epoch.
+// interval meets x's.  Without sources that is every such predecessor, the
+// boundary of the latest convex cut (T = D).  With sources it is still a
+// cut: the last vertex before D on a path from A = {x} ∪ Anc(x) is reachable
+// from A, so its interval meets x's (see spans), and the count is still an
+// upper bound on the min cut, if no longer a convex cut's boundary.  x is
+// always counted — every successor of x is a descendant, and its interval
+// meets itself — so the value needs no explicit max with 1.  It reads only
+// the descendant marks, once the descendant cone is explored (exploreDesc),
+// and stamps the vertices it has seen in seenMark with stamp, which must
+// differ from the stamps of any earlier count of the epoch.
 //
 // The count stops at limit: once the running count reaches the caller's
 // survival threshold, the candidate survives this tier no matter how much
@@ -454,7 +481,7 @@ func (cs *CutSolver) lateBound(x cdag.VertexID, limit int, spans sourceSpans) in
 // descendant cone is never walked.  Pass math.MaxInt for the full count.
 // Early exit leaves seenMark partially stamped; no later consumer reads
 // seenMark within an epoch, so this is safe.
-func (cs *CutSolver) countLate(x cdag.VertexID, limit int, spans sourceSpans, stamp int32) int {
+func (cs *CutSolver) countLate(x cdag.VertexID, limit int, sources spans, stamp int32) int {
 	e := cs.epoch
 	pOff, pVal := cs.predOff, cs.predVal
 	late := 0
@@ -465,7 +492,7 @@ func (cs *CutSolver) countLate(x cdag.VertexID, limit int, spans sourceSpans, st
 		for _, p := range pVal[pOff[d]:pOff[d+1]] {
 			if cs.descMark[p] != e && cs.seenMark[p] != stamp {
 				cs.seenMark[p] = stamp
-				if spans.misses(x, p) {
+				if sources.misses(x, p) {
 					continue
 				}
 				late++
@@ -478,33 +505,51 @@ func (cs *CutSolver) countLate(x cdag.VertexID, limit int, spans sourceSpans, st
 	return late
 }
 
-// earlyBound returns the boundary size of the earliest convex cut around the
-// explored candidate (S = {x} ∪ Anc(x)): the vertices of S with a successor
-// outside S, always counting x itself.  It reads only the ancestor marks
-// (exploreAnc), which is what lets the search prune on it before paying for
-// the descendant cone.
-func (cs *CutSolver) earlyBound(x cdag.VertexID) int {
+// earlyBound returns an upper bound on the min-cut wavefront of the explored
+// candidate x that reads only the ancestor marks (exploreAnc), which is what
+// lets the search prune on it before paying for the descendant cone.
+// Without sinks it is the full count of countEarly: the boundary of the
+// earliest convex cut.  With sinks it counts without them first, up to
+// limit, as lateBound does; a count that falls below limit is complete and
+// returned, and otherwise the count with the intervals is returned in full.
+// Either way the value is a complete count, so the bound pass can keep it as
+// a key.
+func (cs *CutSolver) earlyBound(x cdag.VertexID, limit int, sinks spans) int {
+	if sinks.lo == nil {
+		return cs.countEarly(x, math.MaxInt, spans{})
+	}
+	if early := cs.countEarly(x, limit, spans{}); early < limit {
+		return early
+	}
+	return cs.countEarly(x, math.MaxInt, sinks)
+}
+
+// countEarly returns the size of a vertex cut around the explored candidate
+// x: x itself, which belongs to the wavefront by definition, and the
+// ancestors of x with a successor outside A = {x} ∪ Anc(x) whose sink
+// interval meets x's.  Without sinks that is every ancestor with a successor
+// outside A, and the count is the boundary of the earliest convex cut
+// (S = A).  With sinks it is still a cut: every A→D path leaves A along an
+// edge from an ancestor to a vertex that reaches D = Desc(x), so reaches a
+// sink that x reaches, and its interval meets x's (see spans).  The count
+// stops at limit, like countLate's.
+func (cs *CutSolver) countEarly(x cdag.VertexID, limit int, sinks spans) int {
 	e := cs.epoch
 	sOff, sVal := cs.succOff, cs.succVal
-	early := 0
-	xInBoundary := false
-	for _, w := range sVal[sOff[x]:sOff[x+1]] {
-		if w != x && cs.ancMark[w] != e {
-			early++
-			xInBoundary = true
-			break
-		}
+	early := 1
+	if limit <= 1 {
+		return 1
 	}
 	for _, v := range cs.anc {
 		for _, w := range sVal[sOff[v]:sOff[v+1]] {
-			if w != x && cs.ancMark[w] != e {
+			if w != x && cs.ancMark[w] != e && !sinks.misses(x, w) {
 				early++
+				if early >= limit {
+					return early
+				}
 				break
 			}
 		}
-	}
-	if !xInBoundary {
-		early++ // x belongs to the wavefront by definition
 	}
 	return early
 }
@@ -520,77 +565,152 @@ func (cs *CutSolver) earlyBound(x cdag.VertexID) int {
 // w^max search reject most candidates without ever exploring their cones.
 //
 // The first schedule is Kahn's FIFO order (Graph.TopoOrder), roughly
-// breadth first.  The second is demandOrder, depth first, one sink at a
-// time.  Neither dominates the other: on CG(3-D, n = 8, 2 iterations), 4,095
-// vertices keep a Kahn wavefront of at least w^max, 37 a demand-order one,
-// and 25 the smaller of the two.  The second sweep reuses the first one's
-// arrays, so it costs time, not memory.
+// breadth first.  The second is the demand order, depth first, one sink at a
+// time (postOrder over predecessors from the sinks).  Neither dominates the
+// other: on CG(3-D, n = 8, 2 iterations), 4,095 vertices keep a Kahn
+// wavefront of at least w^max, 37 a demand-order one, and 25 the smaller of
+// the two.  The second sweep reuses the first one's arrays, so it costs
+// time, not memory.
 //
 // With demand set it also returns the source intervals, ranked in the
-// demand order and filled into the two arrays the sweeps leave behind;
-// without it, the empty sourceSpans.
-func scheduleWavefrontUB(g *cdag.Graph, candidates []cdag.VertexID, demand bool) ([]int32, sourceSpans) {
+// demand order and filled into the two arrays the sweeps leave behind.  When
+// those come out exact (fillSpans), it adds both sides' cone sizes
+// (coneSizes) and returns the sink intervals (sinkSpans) too; otherwise the
+// sink intervals are empty, and without demand the source intervals too.
+func scheduleWavefrontUB(g *cdag.Graph, candidates []cdag.VertexID, demand bool) (ub []int32, sources, sinks spans) {
 	n := g.NumVertices()
 	order := g.MustTopoOrder()
 	remaining := make([]int32, n)
 	wfAt := make([]int32, n)
 	firedWavefronts(g, order, remaining, wfAt)
-	ub := make([]int32, len(candidates))
+	ub = make([]int32, len(candidates))
 	for i, x := range candidates {
 		ub[i] = wfAt[x]
 	}
 	if !demand {
-		return ub, sourceSpans{}
+		return ub, spans{}, spans{}
 	}
-	demandOrder(g, order, remaining)
+	sOff, _, pOff, pVal := g.AdjacencyCSR()
+	postOrder(sOff, pOff, pVal, order, remaining)
 	firedWavefronts(g, order, remaining, wfAt)
 	for i, x := range candidates {
 		ub[i] = min(ub[i], wfAt[x])
 	}
-	return ub, fillSourceSpans(g, order, remaining, wfAt)
+	sources, exact := fillSpans(order, pOff, pVal, remaining, wfAt)
+	if !exact {
+		return ub, sources, spans{}
+	}
+	sources.cone = coneSizes(order, pOff, pVal)
+	return ub, sources, sinkSpans(g, order)
 }
 
-// sourceSpans gives every vertex v the interval [lo[v], hi[v]] of the ranks
-// of the sources (vertices without predecessors) that reach v, a source
-// reaching itself.  If p is reachable from A = {x} ∪ Anc(x), some source
-// that reaches a vertex of A reaches both x and p, so its rank lies in both
-// intervals: disjoint intervals prove in O(1) that p is not reachable from
-// A.  That holds for every ranking of the sources.  The w^max scan ranks
-// them in demand order (fillSourceSpans), which makes the intervals exact on
-// butterflies and trees, where the sources below any vertex fire
-// consecutively.  The zero value holds no intervals and proves nothing.
-type sourceSpans struct {
+// spans gives every vertex v an interval [lo[v], hi[v]] of ranks, in one of
+// two kinds, a vertex relating to itself in both:
+//
+//   - source intervals hold the ranks of the sources (vertices without
+//     predecessors) that reach v.  If p is reachable from A = {x} ∪ Anc(x),
+//     some source that reaches a vertex of A reaches both x and p, so its
+//     rank lies in both intervals: disjoint intervals prove in O(1) that p
+//     is not reachable from A.
+//   - sink intervals hold the ranks of the sinks (vertices without
+//     successors) that v reaches.  If w reaches a vertex of {x} ∪ Desc(x),
+//     it reaches a sink that x reaches, and that sink's rank lies in both
+//     intervals: disjoint intervals prove in O(1) that w reaches neither x
+//     nor Desc(x).
+//
+// Both hold for every ranking.  The w^max scan ranks the sources in demand
+// order and the sinks in its mirror (see postOrder), which makes the
+// intervals exact on butterflies and reduction trees.  The zero value holds
+// no intervals and proves nothing.
+type spans struct {
 	lo, hi []int32
+	// cone, when set, holds every vertex's cone size on the same side, on a
+	// multitree: |Anc(v)| with the source intervals, |Desc(v)| with the sink
+	// intervals (see coneSizes).  It only steers the scan's cost.
+	cone []int32
 }
 
-// misses reports whether p's interval and x's are disjoint, so that p is
-// not reachable from {x} ∪ Anc(x).  Without intervals it reports false.
-func (sp sourceSpans) misses(x, p cdag.VertexID) bool {
+// misses reports whether p's interval and x's are disjoint.  Without
+// intervals it reports false.  The receiver is a pointer so that the cone
+// walks, which inline it once per vertex they count, copy no spans value.
+func (sp *spans) misses(x, p cdag.VertexID) bool {
 	return sp.lo != nil && (sp.hi[p] < sp.lo[x] || sp.lo[p] > sp.hi[x])
 }
 
-// fillSourceSpans ranks the sources in the order they appear in order, a
-// topological order of g, and fills lo and hi (one entry per vertex,
-// whatever their contents) with every vertex's interval: a source's own rank,
-// or the hull of its predecessors' intervals.
-func fillSourceSpans(g *cdag.Graph, order []cdag.VertexID, lo, hi []int32) sourceSpans {
-	pOff, pVal := g.PredecessorCSR()
+// fillSpans ranks the vertices whose row of (off, val) is empty in the order
+// they appear in order, and fills lo and hi (one entry per vertex, whatever
+// their contents) with every vertex's interval: such a vertex's own rank, or
+// the hull of the intervals of its row.  With the predecessor rows and a
+// topological order these are the source intervals; with the successor rows
+// and a reverse topological order, the sink intervals.
+//
+// It also reports whether the intervals are exact in the sense the scan
+// gates the sink intervals on: every interval of a vertex with a nonempty
+// row is exactly as wide as the intervals of its row together.  With the
+// predecessor rows of a multitree, where no two predecessors of a vertex
+// share a source, that holds when the sources that reach each vertex have
+// consecutive ranks: it holds on butterflies and reduction trees, and fails
+// on stencils, Krylov iterations, binomial trees and the composite kernel.
+// The check stops at the first vertex that fails it.
+func fillSpans(order []cdag.VertexID, off []int64, val []cdag.VertexID, lo, hi []int32) (spans, bool) {
 	rank := int32(0)
+	exact := true
 	for _, v := range order {
-		preds := pVal[pOff[v]:pOff[v+1]]
-		if len(preds) == 0 {
+		row := val[off[v]:off[v+1]]
+		if len(row) == 0 {
 			lo[v], hi[v] = rank, rank
 			rank++
 			continue
 		}
-		l, h := lo[preds[0]], hi[preds[0]]
-		for _, p := range preds[1:] {
+		l, h := lo[row[0]], hi[row[0]]
+		for _, p := range row[1:] {
 			l = min(l, lo[p])
 			h = max(h, hi[p])
 		}
 		lo[v], hi[v] = l, h
+		if exact {
+			sum := int64(0)
+			for _, p := range row {
+				sum += int64(hi[p] - lo[p] + 1)
+			}
+			exact = sum == int64(h-l+1)
+		}
 	}
-	return sourceSpans{lo, hi}
+	return spans{lo: lo, hi: hi}, exact
+}
+
+// sinkSpans returns g's sink intervals with their descendant cone sizes,
+// the sinks ranked in the mirror of the demand order: the post-order of a
+// depth-first search over successors from each source, sources in ID order,
+// successors in CSR order.  order is scratch of one entry per vertex,
+// whatever its contents.
+func sinkSpans(g *cdag.Graph, order []cdag.VertexID) spans {
+	n := g.NumVertices()
+	sOff, sVal, pOff, _ := g.AdjacencyCSR()
+	lo, hi := make([]int32, n), make([]int32, n)
+	postOrder(pOff, sOff, sVal, order, lo)
+	sinks, _ := fillSpans(order, sOff, sVal, lo, hi)
+	sinks.cone = coneSizes(order, sOff, sVal)
+	return sinks
+}
+
+// coneSizes returns, for every vertex v in order, the sum over v's row of
+// (off, val) of 1 + the row vertex's own sum, where order lists every vertex
+// after its row, as fillSpans's does.  That counts the paths that end at v
+// along the rows, one per vertex on a multitree, where no two paths join the
+// same pair of vertices: there it is |Anc(v)| over the predecessor rows and
+// |Desc(v)| over the successor rows.  Elsewhere it only overcounts, up to
+// math.MaxInt32.
+func coneSizes(order []cdag.VertexID, off []int64, val []cdag.VertexID) []int32 {
+	size := make([]int32, len(off)-1)
+	for _, v := range order {
+		c := int64(0)
+		for _, w := range val[off[v]:off[v+1]] {
+			c += 1 + int64(size[w])
+		}
+		size[v] = int32(min(c, math.MaxInt32))
+	}
+	return size
 }
 
 // firedWavefronts plays the topological order and stores in wfAt[v] the
@@ -620,42 +740,44 @@ func firedWavefronts(g *cdag.Graph, order []cdag.VertexID, remaining, wfAt []int
 	}
 }
 
-// demandOrder overwrites order (one entry per vertex) with the demand-driven
-// topological order of g: the post-order of a depth-first search over
-// predecessors from each sink, sinks in ID order, predecessors in CSR order.
-// cursor is scratch of one entry per vertex, whatever its contents.
+// postOrder overwrites order (one entry per vertex) with the post-order of a
+// depth-first search over the rows of (off, val) from each root, a vertex
+// whose row of rootOff is empty: roots in ID order, rows in CSR order.  Over
+// predecessors from the sinks (rootOff the successor offsets) this is the
+// demand-driven topological order of g; over successors from the sources,
+// its mirror, which lists every vertex after all of its successors.  cursor
+// is scratch of one entry per vertex, whatever its contents.
 //
 // The stack holds exactly the current search path and grows down from the
-// end of order while fired vertices fill it from the front; the two never
-// meet, since every vertex is fired, on the path or unvisited.  cursor[v] is
-// 0 while v is unvisited and 1 + the number of v's predecessors examined
-// once it is on the path.  A vertex is marked when pushed, but only one
-// predecessor is pushed at a time, so a marked predecessor has always fired:
-// one still on the path would be a descendant of the vertex, a cycle.
-// Pushing all of a vertex's unvisited predecessors at once would break this:
-// one pushed lower on the stack is marked but not yet fired, so a vertex
-// above it that needs it would skip it and fire first.
-func demandOrder(g *cdag.Graph, order []cdag.VertexID, cursor []int32) {
-	n := g.NumVertices()
-	sOff, _, pOff, pVal := g.AdjacencyCSR()
+// end of order while finished vertices fill it from the front; the two never
+// meet, since every vertex is finished, on the path or unvisited.  cursor[v]
+// is 0 while v is unvisited and 1 + the number of row entries examined once
+// it is on the path.  A vertex is marked when pushed, but only one row entry
+// is pushed at a time, so a marked entry has always finished: one still on
+// the path would close a cycle.  Pushing all of a vertex's unvisited row
+// entries at once would break this: one pushed lower on the stack is marked
+// but not yet finished, so a vertex above it that needs it would skip it and
+// finish first.
+func postOrder(rootOff, off []int64, val []cdag.VertexID, order []cdag.VertexID, cursor []int32) {
+	n := len(rootOff) - 1
 	clear(cursor[:n])
 	fired, top := 0, n // the path is order[top:], its last vertex order[top]
 	for s := range n {
-		if sOff[s+1] != sOff[s] {
-			continue // not a sink
+		if rootOff[s+1] != rootOff[s] {
+			continue // not a root
 		}
 		top--
 		order[top] = cdag.VertexID(s)
 		cursor[s] = 1
 		for top < n {
 			v := order[top]
-			preds := pVal[pOff[v]:pOff[v+1]]
+			row := val[off[v]:off[v+1]]
 			c := cursor[v]
-			for int(c) <= len(preds) && cursor[preds[c-1]] != 0 {
+			for int(c) <= len(row) && cursor[row[c-1]] != 0 {
 				c++
 			}
-			if int(c) <= len(preds) {
-				p := preds[c-1]
+			if int(c) <= len(row) {
+				p := row[c-1]
 				cursor[v] = c + 1
 				cursor[p] = 1
 				top--

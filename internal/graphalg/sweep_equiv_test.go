@@ -69,7 +69,7 @@ func stripSweepsAgree(t *testing.T, name string, g *cdag.Graph) (stripped, skipp
 		step = 4 // every fourth vertex: the race job runs -short
 	}
 	vs := g.Vertices()
-	spans := demandSpans(g)
+	sources := demandSpans(g)
 	fw, bw, sw := NewCutSolver(), NewCutSolver(), NewCutSolver()
 	solvers := []struct {
 		side string
@@ -88,8 +88,8 @@ func stripSweepsAgree(t *testing.T, name string, g *cdag.Graph) (stripped, skipp
 			continue // the bound is 1 without a network
 		}
 		fw.sweepForward(x)
-		bw.sweepBackward(x, sourceSpans{})
-		sw.sweepBackward(x, spans)
+		bw.sweepBackward(x, spans{})
+		sw.sweepBackward(x, sources)
 		for v := range bw.coMark {
 			if bw.coMark[v] == bw.epoch && sw.coMark[v] != sw.epoch {
 				skipped++

@@ -189,8 +189,12 @@ func RunCtx(ctx context.Context, g *cdag.Graph, cfg Config, order []cdag.VertexI
 	}
 
 	// The Belady key of a value on a node is its next use there; the write-back
-	// decision asks whether any node uses it later.
+	// decision asks whether any node uses it later.  The LRU key ignores the
+	// next use, so under LRU the use list is never scanned for it.
 	nextUseOnNode := func(v cdag.VertexID, after, node int) int {
+		if cfg.Policy == LRU {
+			return sched.Never
+		}
 		for _, pos := range uses.Rest(v, after) {
 			if nodeOf(order[pos]) == node {
 				return int(pos)
@@ -243,7 +247,7 @@ func RunCtx(ctx context.Context, g *cdag.Graph, cfg Config, order []cdag.VertexI
 		}
 		for _, p := range preds {
 			if caches[node].contains(p) {
-				caches[node].touch(p, i, nextUseOnNode(p, i, node))
+				caches[node].put(p, nextUseOnNode(p, i, node))
 				continue
 			}
 			if err := ensureRoom(node, i); err != nil {
@@ -270,12 +274,12 @@ func RunCtx(ctx context.Context, g *cdag.Graph, cfg Config, order []cdag.VertexI
 			} else {
 				stats.LoadsPerNode[node]++
 			}
-			caches[node].insert(p, i, nextUseOnNode(p, i, node))
+			caches[node].put(p, nextUseOnNode(p, i, node))
 		}
 		if err := ensureRoom(node, i); err != nil {
 			return nil, err
 		}
-		caches[node].insert(v, i, nextUseOnNode(v, i, node))
+		caches[node].put(v, nextUseOnNode(v, i, node))
 		stats.ComputesPerNode[node]++
 	}
 
@@ -319,7 +323,7 @@ func newCache(universe int, policy Policy) *cache {
 func (c *cache) len() int                      { return c.h.Len() }
 func (c *cache) contains(v cdag.VertexID) bool { return c.h.Contains(v) }
 
-func (c *cache) priorityFor(pos, nextUse int) int64 {
+func (c *cache) priorityFor(nextUse int) int64 {
 	c.clock++
 	if c.policy == LRU {
 		return -c.clock // least recently touched = highest priority to evict
@@ -330,12 +334,7 @@ func (c *cache) priorityFor(pos, nextUse int) int64 {
 	return int64(nextUse)
 }
 
-func (c *cache) insert(v cdag.VertexID, pos, nextUse int) {
-	c.h.Update(v, c.priorityFor(pos, nextUse))
-}
-
-func (c *cache) touch(v cdag.VertexID, pos, nextUse int) {
-	if c.h.Contains(v) {
-		c.h.Update(v, c.priorityFor(pos, nextUse))
-	}
+// put inserts v, or re-keys it when it is resident.
+func (c *cache) put(v cdag.VertexID, nextUse int) {
+	c.h.Update(v, c.priorityFor(nextUse))
 }
